@@ -368,7 +368,7 @@ def _add_common(p: argparse.ArgumentParser, *, stride: bool = False, delta: bool
         "--blocksize",
         type=int,
         default=DEFAULT_BLOCK_CAPACITY,
-        help="sieve segment size (default %(default)s)",
+        help="block length of the sieve and the float prefixes (default %(default)s)",
     )
 
 
@@ -401,10 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.limit < 1:
         ap.error("--limit must be >= 1")
+    if args.command == "converge" and args.limit < 2:
+        ap.error("converge needs --limit >= 2")
     if getattr(args, "stride", 1) < 1:
         ap.error("--stride must be >= 1")
-    if getattr(args, "delta", 1.0) <= 0:
+    if not getattr(args, "delta", 1.0) > 0:
         ap.error("--delta must be positive")
+    if args.cutoff < 1:
+        ap.error("--cutoff must be >= 1")
+    if args.blocksize < 1:
+        ap.error("--blocksize must be >= 1")
     try:
         return args.fn(args)
     except OSError as exc:

@@ -151,17 +151,10 @@ def _mertens_small_table(limit: int) -> np.ndarray:
 
 def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, FloorValueMap]:
     """M(x) together with the populated floor-quotient memo."""
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    K = default_crossover(x) if crossover is None else max(1, min(int(crossover), x))
-    small = _mertens_small_table(K)
-    by_val: dict[int, int] = {}
-    for y in _chain_values(x, K):
-        by_val[y] = 1 - _mertens_sum(y, K, small, by_val)
-    value = int(small[x]) if x <= K else by_val[x]
-    large = {x // v: m for v, m in by_val.items()}
-    return value, FloorValueMap(x=x, crossover=K, small=small, large=large)
+    ev = MertensEvaluator(int(x), crossover=crossover)
+    value = ev.value(ev.max_x)
+    large = {ev.max_x // v: m for v, m in ev.by_val.items()}
+    return value, FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
 
 
 def m_recursive(x: int, *, crossover: int | None = None) -> int:
@@ -183,7 +176,7 @@ class MertensEvaluator:
             raise ValueError(f"max_x must be >= 1, got {max_x}")
         self.max_x = max_x
         self.crossover = (
-            default_crossover(max_x) if crossover is None else max(1, min(crossover, max_x))
+            default_crossover(max_x) if crossover is None else max(1, min(int(crossover), max_x))
         )
         self.small = _mertens_small_table(self.crossover)
         self.by_val: dict[int, int] = {}
@@ -206,7 +199,8 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     """M(x) for every x in [0, limit] by ascending recursion fill.
 
     Only [1, base_limit] comes from the sieve (default just M(1)); every
-    later entry is 1 minus the blocked sum over already-filled entries.
+    later entry is 1 minus the blocked sum of ``MertensEvaluator`` over
+    already-filled entries, the table itself serving as the base table.
     Used to cross-check the recursion against direct sieving, exhaustively.
     """
     if limit < 1:
@@ -215,19 +209,7 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     M = np.zeros(limit + 1, dtype=np.int64)
     M[1 : base_limit + 1] = _mertens_small_table(base_limit)[1:]
     for x in range(base_limit + 1, limit + 1):
-        s = isqrt(x)
-        total = 0
-        if s >= 2:
-            nus = np.arange(2, s + 1, dtype=np.int64)
-            total += int(np.sum(M[x // nus]))
-        qmax = x // (s + 1)
-        if qmax >= 1:
-            qs = np.arange(1, qmax + 1, dtype=np.int64)
-            n1 = np.maximum(x // (qs + 1) + 1, s + 1)
-            n2 = x // qs
-            cnt = np.clip(n2 - n1 + 1, 0, None)
-            total += int(np.sum(cnt * M[qs]))
-        M[x] = 1 - total
+        M[x] = 1 - _mertens_sum(x, x, M, {})
     return M
 
 

@@ -179,6 +179,8 @@ def capital_f(
     if p > n:
         raise ValueError(f"need p <= x, got p = {p}, x = {x}")
     top = n // p
+    if tables is not None and tables.limit < top:
+        raise ValueError(f"tables cover [1, {tables.limit}] < floor(x/p) = {top}")
     exact_pre: ScaledMoebiusPrefix | None = None
     if tables is None and top <= cutoff:
         exact_pre = ScaledMoebiusPrefix(max(top, 1))
@@ -287,6 +289,8 @@ def abel_rearrangement_check(
         raise AssertionError(f"boundary argument floor(x/(n+1)) nonzero at x = {x}")
     if tables is None:
         tables = SummatoryTables(n)
+    elif tables.limit < n:
+        raise ValueError(f"tables cover [1, {tables.limit}] < x = {n}")
     gv, ge = tables.g_arrays
     ev, ee = tables.eps_arrays
     nu = np.arange(1, n + 1, dtype=np.int64)

@@ -289,6 +289,8 @@ def h_direct(
     if n == 1:
         return ZERO
     max_inner = floor_div(x, 2)
+    if tables is not None and tables.limit < max_inner:
+        raise ValueError(f"tables cover [1, {tables.limit}] < floor(x/2) = {max_inner}")
     if tables is None and max_inner > cutoff:
         tables = SummatoryTables(max_inner)
     exact_pre = ScaledMoebiusPrefix(min(max_inner, cutoff)) if tables is None else None
@@ -380,6 +382,7 @@ class SummatoryTables:
         self._H: tuple[np.ndarray, np.ndarray] | None = None
         self._primes: np.ndarray | None = None
         self._prime_weights: tuple[np.ndarray, np.ndarray] | None = None
+        self._powers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._h_dense: tuple[int, np.ndarray, np.ndarray] | None = None
         self._tail_dense: tuple[int, np.ndarray, np.ndarray] | None = None
 
@@ -512,28 +515,8 @@ class SummatoryTables:
 
     def h_certified(self, x: int) -> CertifiedFloat:
         """h(x) via one vectorised pass over the primes <= x."""
-        if x < 1 or x > self.limit:
-            raise ValueError(f"x must lie in [1, {self.limit}], got {x}")
-        ps = self.primes
-        cnt = int(np.searchsorted(ps, x, side="right"))
-        if cnt == 0:
-            return ZERO
-        w, werr = self.prime_weights
-        gv, ge = self.g_arrays
-        idx = x // ps[:cnt]
-        gvals = gv[idx]
-        terms = w[:cnt] * gvals
-        mag = float(np.sum(np.abs(terms)))
-        input_err = float(
-            np.sum(
-                np.abs(w[:cnt]) * ge[idx]
-                + werr[:cnt] * np.abs(gvals)
-                + EPS * np.abs(terms)
-            )
-        )
-        val = float(np.sum(terms))
-        err = (EPS * mag * (cnt + 8) + input_err) * _HEADROOM
-        return CertifiedFloat(val, err)
+        self._check_arg(x)
+        return self._gather_point(x, *self._prime_lane(x))
 
     def h_point(self, x: int) -> CertifiedFloat:
         """h(x), served from the dense cache when it covers x."""
@@ -544,21 +527,8 @@ class SummatoryTables:
 
     def tail_certified(self, x: int) -> CertifiedFloat:
         """sum_{p<=x} log p * sum_{i>=2, p^i<=x} g(x/p^i)/p^i, certified (signed)."""
-        if x < 1 or x > self.limit:
-            raise ValueError(f"x must lie in [1, {self.limit}], got {x}")
-        gv, ge = self.g_arrays
-        acc = CompensatedSum()
-        for p in _primes_upto(isqrt(x)):
-            p = int(p)
-            lp = log_certified(p)
-            pi = p * p
-            while pi <= x:
-                q = x // pi
-                gq = CertifiedFloat(float(gv[q]), float(ge[q]))
-                term = lp.mul(gq).div_exact(pi)
-                acc.add(term.value, input_err=term.err)
-                pi *= p
-        return acc.result()
+        self._check_arg(x)
+        return self._gather_point(x, *self._power_lane(x))
 
     # -- dense per-x arrays for exhaustive identity scans
 
@@ -568,66 +538,92 @@ class SummatoryTables:
         Cost is ~pi(upto) * upto element operations; intended for exhaustive
         checks at x up to the exactness cutoff, not for large sparse scans.
         """
-        if upto < 1 or upto > self.limit:
-            raise ValueError(f"upto must lie in [1, {self.limit}], got {upto}")
-        if self._h_dense is not None and self._h_dense[0] >= upto:
-            _, hv, he = self._h_dense
-            return hv[: upto + 1], he[: upto + 1]
-        gv, ge = self.g_arrays
-        w, werr = self.prime_weights
-        ps = self.primes
-        cnt = int(np.searchsorted(ps, upto, side="right"))
-        hv = np.zeros(upto + 1, dtype=np.float64)
-        mag = np.zeros(upto + 1, dtype=np.float64)
-        ins = np.zeros(upto + 1, dtype=np.float64)
-        nterms = np.zeros(upto + 1, dtype=np.float64)
-        for j in range(cnt):
-            p = int(ps[j])
-            idx = np.arange(p, upto + 1, dtype=np.int64) // p
-            gval = gv[idx]
-            term = w[j] * gval
-            hv[p:] += term
-            mag[p:] += np.abs(term)
-            ins[p:] += w[j] * ge[idx] + werr[j] * np.abs(gval) + EPS * np.abs(term)
-            nterms[p:] += 1.0
-        he = (EPS * mag * (nterms + 8.0) + ins) * _HEADROOM
-        hv.flags.writeable = False
-        he.flags.writeable = False
-        self._h_dense = (upto, hv, he)
-        return hv, he
+        self._check_arg(upto)
+        if self._h_dense is None or self._h_dense[0] < upto:
+            self._h_dense = (upto, *self._gather_dense(upto, *self._prime_lane(upto)))
+        _, hv, he = self._h_dense
+        return hv[: upto + 1], he[: upto + 1]
 
     def tail_dense_arrays(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Signed prime-power tail and its error for every x in [0, upto]."""
-        if upto < 1 or upto > self.limit:
-            raise ValueError(f"upto must lie in [1, {self.limit}], got {upto}")
-        if self._tail_dense is not None and self._tail_dense[0] >= upto:
-            _, tv, te = self._tail_dense
-            return tv[: upto + 1], te[: upto + 1]
+        self._check_arg(upto)
+        if self._tail_dense is None or self._tail_dense[0] < upto:
+            self._tail_dense = (upto, *self._gather_dense(upto, *self._power_lane(upto)))
+        _, tv, te = self._tail_dense
+        return tv[: upto + 1], te[: upto + 1]
+
+    # -- the prime-power gather shared by h (i = 1) and the tail (i >= 2): a
+    # lane of moduli m, weights w >= 0 and weight errors sums w * g(x // m);
+    # each term is charged its product error plus one rounding, the sum
+    # EPS * sum|terms| per addition for (terms + 8) additions.
+
+    def _check_arg(self, x: int) -> None:
+        if x < 1 or x > self.limit:
+            raise ValueError(f"x must lie in [1, {self.limit}], got {x}")
+
+    def _prime_lane(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Primes p <= upto with weights log p / p."""
+        cnt = int(np.searchsorted(self.primes, upto, side="right"))
+        w, werr = self.prime_weights
+        return self.primes[:cnt], w[:cnt], werr[:cnt]
+
+    def _power_lane(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Prime powers p^i <= upto, i >= 2, in (p, i) order, weights log p / p^i."""
+        if self._powers is None:
+            mods, w, werr = [], [], []
+            for p in _primes_upto(isqrt(self.limit)).tolist():
+                lp = log_certified(p)
+                pi = p * p
+                while pi <= self.limit:
+                    wv = lp.value / pi
+                    mods.append(pi)
+                    w.append(wv)
+                    werr.append(lp.err / pi + EPS * wv)
+                    pi *= p
+            self._powers = (np.array(mods, dtype=np.int64), np.array(w), np.array(werr))
+        mods, w, werr = self._powers
+        sel = mods <= upto
+        return mods[sel], w[sel], werr[sel]
+
+    def _gather_point(
+        self, x: int, mods: np.ndarray, w: np.ndarray, werr: np.ndarray
+    ) -> CertifiedFloat:
+        """The gather of one lane (moduli <= x) at the single point x."""
         gv, ge = self.g_arrays
-        tv = np.zeros(upto + 1, dtype=np.float64)
+        idx = x // mods
+        gvals = gv[idx]
+        terms = w * gvals
+        mag = float(np.sum(np.abs(terms)))
+        input_err = float(np.sum(w * ge[idx] + werr * np.abs(gvals) + EPS * np.abs(terms)))
+        val = float(np.sum(terms))
+        err = (EPS * mag * (mods.size + 8) + input_err) * _HEADROOM
+        return CertifiedFloat(val, err)
+
+    def _gather_dense(
+        self, upto: int, mods: np.ndarray, w: np.ndarray, werr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The gather of one lane (moduli <= upto) at every x in [0, upto].
+
+        Terms accumulate modulus by modulus in lane order.  The loop iterates
+        Python floats; indexing the NumPy weight arrays per modulus is slower.
+        """
+        gv, ge = self.g_arrays
+        vals = np.zeros(upto + 1, dtype=np.float64)
         mag = np.zeros(upto + 1, dtype=np.float64)
         ins = np.zeros(upto + 1, dtype=np.float64)
         nterms = np.zeros(upto + 1, dtype=np.float64)
-        for p in _primes_upto(isqrt(upto)):
-            p = int(p)
-            lp = log_certified(p)
-            pi = p * p
-            while pi <= upto:
-                wv = lp.value / pi
-                we = lp.err / pi + EPS * wv
-                idx = np.arange(pi, upto + 1, dtype=np.int64) // pi
-                gval = gv[idx]
-                term = wv * gval
-                tv[pi:] += term
-                mag[pi:] += np.abs(term)
-                ins[pi:] += wv * ge[idx] + we * np.abs(gval) + EPS * np.abs(term)
-                nterms[pi:] += 1.0
-                pi *= p
-        te = (EPS * mag * (nterms + 8.0) + ins) * _HEADROOM
-        tv.flags.writeable = False
-        te.flags.writeable = False
-        self._tail_dense = (upto, tv, te)
-        return tv, te
+        for m, wm, em in zip(mods.tolist(), w.tolist(), werr.tolist()):
+            idx = np.arange(m, upto + 1, dtype=np.int64) // m
+            gval = gv[idx]
+            term = wm * gval
+            vals[m:] += term
+            mag[m:] += np.abs(term)
+            ins[m:] += wm * ge[idx] + em * np.abs(gval) + EPS * np.abs(term)
+            nterms[m:] += 1.0
+        errs = (EPS * mag * (nterms + 8.0) + ins) * _HEADROOM
+        vals.flags.writeable = False
+        errs.flags.writeable = False
+        return vals, errs
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +764,3 @@ def harmonic_number(n: int) -> CertifiedFloat:
     err = (0.5 * rem + 8.0 * EPS * abs(v)) * _HEADROOM
     return CertifiedFloat(v, err)
 
-
-def harmonic_segment(lo: int, hi: int) -> CertifiedFloat:
-    """Certified sum_{k=lo..hi} 1/k via harmonic-number differences."""
-    if lo > hi:
-        return ZERO
-    return harmonic_number(hi).sub(harmonic_number(lo - 1))

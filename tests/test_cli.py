@@ -119,6 +119,18 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    for argv in (
+        ["verify", "--limit", "1000", "--blocksize", "-5"],
+        ["converge", "--delta", "0.3", "--limit", "1000", "--blocksize", "-1"],
+        ["table", "--limit", "100", "--blocksize", "0"],
+        ["verify", "--limit", "100", "--cutoff", "0"],
+        ["converge", "--delta", "0.3", "--limit", "100", "--cutoff", "0"],
+        ["converge", "--delta", "0.3", "--limit", "1"],
+        ["converge", "--delta", "nan", "--limit", "100"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

@@ -16,7 +16,7 @@ from mobsum.identities import (
     gram_scan,
     prime_power_tail,
 )
-from mobsum.summatory import g_exact, h_direct
+from mobsum.summatory import SummatoryTables, g_exact, h_direct
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -80,6 +80,11 @@ def test_capital_f_domain_errors():
         capital_f(7, 5)  # p > x
 
 
+def test_capital_f_rejects_undersized_tables():
+    with pytest.raises(ValueError):
+        capital_f(2, 5000, tables=SummatoryTables(100))
+
+
 def test_capital_f_truncation_lossless():
     # extending the series one power past the cutoff adds exactly zero:
     # g drops to 0 below 1, so the brute sum over more powers agrees
@@ -126,6 +131,11 @@ def test_abel_examples(tables_2k):
     assert abs(c2.lhs.value - (h_direct(2).value - 1.0)) < 1e-12
     c10 = abel_rearrangement_check(10, tables=tables_2k)
     assert c10.holds and c10.slack <= 1e-12
+
+
+def test_abel_rejects_undersized_tables():
+    with pytest.raises(ValueError):
+        abel_rearrangement_check(500, tables=SummatoryTables(100))
 
 
 def test_abel_scan_holds(tables_2k):

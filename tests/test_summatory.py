@@ -187,6 +187,11 @@ def test_h_brute_force_cross_check():
         assert abs(r.value - brute) <= r.err + 1e-12, x
 
 
+def test_h_direct_rejects_undersized_tables():
+    with pytest.raises(ValueError):
+        h_direct(5000, tables=SummatoryTables(100))
+
+
 # -- scaled prefix -----------------------------------------------------------
 
 
@@ -296,6 +301,18 @@ def test_tables_h_dense_matches_gather_path(tables_2k):
     for x in range(1, 801):
         point = tables_2k.h_certified(x)
         assert abs(hv[x] - point.value) <= he[x] + point.err, x
+
+
+def test_tables_tail_lanes_match_scalar_tail(tables_2k):
+    # prime_power_tail without tables uses exact inner g values
+    from mobsum.identities import prime_power_tail
+
+    tv, te = tables_2k.tail_dense_arrays(2000)
+    for x in range(1, 2001):
+        ref = prime_power_tail(x)
+        point = tables_2k.tail_certified(x)
+        assert abs(tv[x] - ref.value) <= te[x] + ref.err, x
+        assert abs(point.value - ref.value) <= point.err + ref.err, x
 
 
 def test_tables_limit_validation(tables_2k):
