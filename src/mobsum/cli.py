@@ -351,25 +351,34 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, stride: bool = False, delta: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    *,
+    stride: bool = False,
+    delta: bool = False,
+    cutoff: bool = False,
+    blocksize: bool = False,
+) -> None:
     p.add_argument("--limit", type=int, required=True, help="upper end of the scan range")
     if stride:
         p.add_argument("--stride", type=int, default=1, help="sampling stride (default 1)")
     if delta:
         p.add_argument("--delta", type=float, required=True, help="target bound delta")
     p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.add_argument(
-        "--cutoff",
-        type=int,
-        default=EXACTNESS_CUTOFF,
-        help="exact-rational cutoff (default %(default)s)",
-    )
-    p.add_argument(
-        "--blocksize",
-        type=int,
-        default=DEFAULT_BLOCK_CAPACITY,
-        help="block length of the sieve and the float prefixes (default %(default)s)",
-    )
+    if cutoff:
+        p.add_argument(
+            "--cutoff",
+            type=int,
+            default=EXACTNESS_CUTOFF,
+            help="exact-rational cutoff (default %(default)s)",
+        )
+    if blocksize:
+        p.add_argument(
+            "--blocksize",
+            type=int,
+            default=DEFAULT_BLOCK_CAPACITY,
+            help="block length of the sieve and the float prefixes (default %(default)s)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("table", help="CSV table of summatory sample points")
-    _add_common(p, stride=True)
+    _add_common(p, stride=True, blocksize=True)
     p.set_defaults(fn=_cmd_table)
     p = sub.add_parser("verify", help="run identity and bound checks")
-    _add_common(p)
+    _add_common(p, cutoff=True, blocksize=True)
     p.set_defaults(fn=_cmd_verify)
     p = sub.add_parser("converge", help="empirical convergence thresholds")
-    _add_common(p, stride=True, delta=True)
+    _add_common(p, stride=True, delta=True, cutoff=True, blocksize=True)
     p.set_defaults(fn=_cmd_converge)
     p = sub.add_parser("fast", help="cross-check sub-linear evaluators")
-    _add_common(p)
+    _add_common(p, cutoff=True)
     p.set_defaults(fn=_cmd_fast)
     p = sub.add_parser("bench", help="sieve and recursion timings")
     _add_common(p)
@@ -407,9 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--stride must be >= 1")
     if not getattr(args, "delta", 1.0) > 0:
         ap.error("--delta must be positive")
-    if args.cutoff < 1:
+    if getattr(args, "cutoff", 1) < 1:
         ap.error("--cutoff must be >= 1")
-    if args.blocksize < 1:
+    if getattr(args, "blocksize", 1) < 1:
         ap.error("--blocksize must be >= 1")
     try:
         return args.fn(args)

@@ -11,18 +11,25 @@ quotient and sieving base values up to a crossover K (default ~x^(2/3))
 gives O(x^(2/3)) work overall.  The memo is filled iteratively in
 increasing argument order, never by deep call chains.
 
+One enumerator, ``_runs``, yields those runs as arrays; every sum over nu
+>= 2 (the M sum, the exact and the certified g sums, the exact unit
+identity) is a reduction over its output.  A run's weight is its length for
+M and its harmonic segment H(nu_hi) - H(nu_lo - 1) for g; a single nu has
+weight 1/nu.
+
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
-integer for every y <= x, block weights are differences of scaled harmonic
+integer for every y <= x, run weights are differences of scaled harmonic
 numbers, and each level's division by L is checked to be exact.  Certified
-float mode uses the asymptotic harmonic evaluator for block weights and
-propagates error bounds through the recursion.
+float mode takes 1/nu for a single nu (charged 1 ulp) and the asymptotic
+harmonic evaluator for longer runs, and propagates error bounds through the
+recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import fsum, isqrt
 from typing import Union
 
 import numpy as np
@@ -32,7 +39,7 @@ from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
     SummatoryTables,
-    harmonic_number,
+    _harmonic_arrays,
     moebius_values_upto,
 )
 
@@ -45,6 +52,24 @@ def default_crossover(x: int) -> int:
     return max(1, min(k, x - 1)) if x > 1 else 1
 
 
+def _runs(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs (q, nu_lo, nu_hi) of q = floor(y/nu) over nu in [2, y].
+
+    Each nu <= sqrt(y) is its own run; above it every q <= y // (sqrt(y)+1)
+    occurs once, ending at nu_hi = y // q.  q strictly decreases along the
+    arrays, and nu_lo is the previous run's nu_hi + 1.
+    """
+    s = isqrt(y)
+    nus = np.arange(2, s + 1, dtype=np.int64)
+    qs = np.arange(y // (s + 1), 0, -1, dtype=np.int64)
+    q = np.concatenate((y // nus, qs))
+    hi = np.concatenate((nus, y // qs))
+    lo = np.empty_like(hi)
+    lo[:1] = 2
+    lo[1:] = hi[:-1] + 1
+    return q, lo, hi
+
+
 def quotient_blocks(x: int) -> list[tuple[int, int, int]]:
     """Maximal runs (q, nu_lo, nu_hi) with floor(x/nu) = q for nu in the run.
 
@@ -53,14 +78,8 @@ def quotient_blocks(x: int) -> list[tuple[int, int, int]]:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    out = []
-    n = 1
-    while n <= x:
-        q = x // n
-        n2 = x // q
-        out.append((q, n, n2))
-        n = n2 + 1
-    return out
+    q, lo, hi = _runs(x)
+    return [(x, 1, 1), *zip(q.tolist(), lo.tolist(), hi.tolist())]
 
 
 @dataclass(frozen=True)
@@ -84,21 +103,17 @@ class FloorValueMap:
 
     def distinct_count(self) -> int:
         """Distinct floor-quotient arguments the evaluation touched."""
-        small_args = sum(1 for q, _, _ in quotient_blocks(self.x) if q <= self.crossover)
+        q, _, _ = _runs(self.x)
+        small_args = int(np.count_nonzero(q <= self.crossover)) + (self.x <= self.crossover)
         return small_args + len(self.large)
 
 
 def _chain_values(x: int, crossover: int) -> list[int]:
     """Distinct values x//j above the crossover, ascending."""
-    vals = []
-    j = 1
-    while True:
-        y = x // j
-        if y <= crossover:
-            break
-        vals.append(y)
-        j += 1
-    return sorted(set(vals))
+    if x <= crossover:
+        return []
+    q, _, _ = _runs(x)
+    return q[q > crossover][::-1].tolist() + [x]
 
 
 # ---------------------------------------------------------------------------
@@ -108,39 +123,12 @@ def _chain_values(x: int, crossover: int) -> list[int]:
 
 def _mertens_sum(y: int, K: int, small, by_val: dict) -> int:
     """sum_{nu=2}^{y} M(floor(y/nu)) from the base table and the value memo."""
-    s = isqrt(y)
-    total = 0
-    nu_big_hi = min(s, y // (K + 1))
-    for nu in range(2, nu_big_hi + 1):
-        total += by_val[y // nu]
-    lo = max(2, nu_big_hi + 1)
-    if lo <= s:
-        if s - lo < 48:
-            for nu in range(lo, s + 1):
-                total += small[y // nu]
-        else:
-            nus = np.arange(lo, s + 1, dtype=np.int64)
-            total += int(np.sum(small[y // nus]))
-    qmax = y // (s + 1)
-    q_small_hi = min(qmax, K)
-    if q_small_hi >= 1:
-        if q_small_hi < 48:
-            for q in range(1, q_small_hi + 1):
-                n1 = max(y // (q + 1) + 1, s + 1)
-                n2 = y // q
-                if n2 >= n1:
-                    total += (n2 - n1 + 1) * small[q]
-        else:
-            qs = np.arange(1, q_small_hi + 1, dtype=np.int64)
-            n1 = np.maximum(y // (qs + 1) + 1, s + 1)
-            n2 = y // qs
-            cnt = np.clip(n2 - n1 + 1, 0, None)
-            total += int(np.sum(cnt * small[qs]))
-    for q in range(q_small_hi + 1, qmax + 1):
-        n1 = max(y // (q + 1) + 1, s + 1)
-        n2 = y // q
-        if n2 >= n1:
-            total += (n2 - n1 + 1) * by_val[q]
+    q, lo, hi = _runs(y)
+    cnt = hi - lo + 1
+    k = int(np.count_nonzero(q > K))  # leading runs served by the memo
+    total = int(np.dot(cnt[k:], small[q[k:]]))
+    for qq, c in zip(q[:k].tolist(), cnt[:k].tolist()):
+        total += c * by_val[qq]
     return total
 
 
@@ -225,35 +213,20 @@ class _ExactGTables:
         self.limit = limit
         self.prefix = ScaledMoebiusPrefix(limit)
         self.L = self.prefix.denominator
-        self.hl = self.prefix.scaled_harmonic
         # base values g(k) * L for k <= crossover come straight off the prefix
         self.crossover = crossover
 
-    def g_scaled_base(self, k: int) -> int:
-        return self.prefix.scaled_g[k]
 
+def _unit_sum_scaled(y: int, K: int, prefix: ScaledMoebiusPrefix, by_val: dict) -> int:
+    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), scaled by L^2, as an integer.
 
-def _g_exact_sum_scaled(y: int, K: int, tab: _ExactGTables, by_val: dict) -> int:
-    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), scaled by L^2, as an integer."""
-    L = tab.L
-    hl = tab.hl
-    gval = tab.prefix.scaled_g
-    s = isqrt(y)
+    g(q) * L comes off ``prefix`` for q <= K and from ``by_val`` above.
+    """
+    gl = prefix.scaled_g
+    hl = prefix.scaled_harmonic
     total = 0
-    nu_big_hi = min(s, y // (K + 1))
-    for nu in range(2, nu_big_hi + 1):
-        total += (L // nu) * by_val[y // nu]
-    lo = max(2, nu_big_hi + 1)
-    for nu in range(lo, s + 1):
-        total += (L // nu) * gval[y // nu]
-    qmax = y // (s + 1)
-    for q in range(1, qmax + 1):
-        n1 = max(y // (q + 1) + 1, s + 1)
-        n2 = y // q
-        if n2 < n1:
-            continue
-        w = hl[n2] - hl[n1 - 1]
-        total += w * (gval[q] if q <= K else by_val[q])
+    for qq, a, b in zip(*(arr.tolist() for arr in _runs(y))):
+        total += (hl[b] - hl[a - 1]) * (gl[qq] if qq <= K else by_val[qq])
     return total
 
 
@@ -272,12 +245,12 @@ def g_recursive_exact(
     L = tables.L
     by_val: dict[int, int] = {}
     for y in _chain_values(x, K):
-        t = _g_exact_sum_scaled(y, K, tables, by_val)
+        t = _unit_sum_scaled(y, K, tables.prefix, by_val)
         # t = L * (L - g(y) L); exact divisibility is a structural invariant
         if t % L:
             raise AssertionError(f"scaled recursion lost exact divisibility at {y}")
         by_val[y] = L - t // L
-    scaled = tables.g_scaled_base(x) if x <= K else by_val[x]
+    scaled = tables.prefix.scaled_g[x] if x <= K else by_val[x]
     return Fraction(scaled, L)
 
 
@@ -285,62 +258,34 @@ def g_recursive_exact(
 # g recursion, certified float mode
 # ---------------------------------------------------------------------------
 
-# memoized values are plain (value, err) tuples; the fold keeps the hot loop
-# free of per-term object allocation
+# memoized values are plain (value, err) tuples
 
 
 def _g_float_sum(
     y: int, K: int, gv, ge, by_val: dict
 ) -> tuple[float, float]:
     """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) with a propagated error bound."""
-    s = isqrt(y)
-    total = 0.0
-    comp = 0.0
-    mag = 0.0
-    ins = 0.0
-    nterms = 0
-    nu_big_hi = min(s, y // (K + 1))
-
-    def fold(term: float, ierr: float) -> None:
-        nonlocal total, comp, mag, ins
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        mag += abs(term)
-        ins += ierr
-
-    for nu in range(2, nu_big_hi + 1):
-        w = 1.0 / nu
-        gval, gerr = by_val[y // nu]
-        term = w * gval
-        fold(term, w * gerr + EPS * abs(term) * 2.0)
-        nterms += 1
-    for nu in range(max(2, nu_big_hi + 1), s + 1):
-        w = 1.0 / nu
-        q = y // nu
-        term = w * gv[q]
-        fold(term, w * ge[q] + EPS * abs(term) * 2.0)
-        nterms += 1
-    qmax = y // (s + 1)
-    for q in range(1, qmax + 1):
-        n1 = max(y // (q + 1) + 1, s + 1)
-        n2 = y // q
-        if n2 < n1:
-            continue
-        hseg = harmonic_number(n2).sub(harmonic_number(n1 - 1))
-        if q <= K:
-            gval, gerr = float(gv[q]), float(ge[q])
-        else:
-            gval, gerr = by_val[q]
-        term = hseg.value * gval
-        ierr = abs(hseg.value) * gerr + hseg.err * abs(gval) + EPS * abs(term)
-        fold(term, ierr)
-        nterms += 1
-    err = (EPS * mag * (nterms + 4.0) + ins) * _HEADROOM
-    return total + comp, err
+    q, lo, hi = _runs(y)
+    k = int(np.count_nonzero(q > K))
+    g = np.empty(len(q))
+    gerr = np.empty(len(q))
+    g[k:] = gv[q[k:]]
+    gerr[k:] = ge[q[k:]]
+    if k:
+        g[:k], gerr[:k] = np.array([by_val[qq] for qq in q[:k].tolist()]).T
+    w = 1.0 / hi
+    werr = EPS * w
+    seg = hi > lo
+    hv, he = _harmonic_arrays(hi[seg])
+    lv, le = _harmonic_arrays(lo[seg] - 1)
+    hseg = hv - lv
+    w[seg] = hseg
+    werr[seg] = (he + le + EPS * np.abs(hseg)) * _HEADROOM
+    terms = w * g
+    ins = float(np.sum(w * gerr + werr * np.abs(g) + EPS * np.abs(terms)))
+    mag = float(np.sum(np.abs(terms)))
+    err = (EPS * mag * (len(terms) + 4.0) + ins) * _HEADROOM
+    return fsum(terms.tolist()), err
 
 
 def g_recursive_float(

@@ -27,6 +27,7 @@ from typing import Union
 import numpy as np
 
 from .certified import EPS, CertifiedFloat, CompensatedSum, _HEADROOM, log_certified
+from .fast import _unit_sum_scaled
 from .sieve import _primes_upto, is_prime, moebius_oracle
 from .summatory import (
     EXACTNESS_CUTOFF,
@@ -89,24 +90,6 @@ def divisor_sum(t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gram_scaled_sum(x: int, prefix: ScaledMoebiusPrefix) -> int:
-    """sum_{nu<=x} (1/nu) g(floor(x/nu)), scaled by L^2, as an integer.
-
-    Groups runs of nu sharing the same quotient; the per-run weight is a
-    difference of scaled harmonic numbers.
-    """
-    gn = prefix.scaled_g
-    hl = prefix.scaled_harmonic
-    total = 0
-    n = 1
-    while n <= x:
-        q = x // n
-        n2 = x // q
-        total += gn[q] * (hl[n2] - hl[n - 1])
-        n = n2 + 1
-    return total
-
-
 def gram_identity(
     x: Real,
     *,
@@ -129,8 +112,9 @@ def gram_identity(
         prefix = ScaledMoebiusPrefix(n)
     elif n > prefix.limit:
         raise ValueError(f"prefix covers [1, {prefix.limit}] < x = {n}")
-    ssum = _gram_scaled_sum(n, prefix)
+    # the nu = 1 term L * g(n) L plus the g recursion's own sum over nu >= 2
     l2 = prefix.denominator * prefix.denominator
+    ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, n, prefix, {})
     holds = ssum == l2
     lhs = Fraction(1) if holds else Fraction(ssum, l2)
     return IdentityCheck(

@@ -729,38 +729,43 @@ def series_scan(
 _H_SMALL_LIMIT = 512
 
 
-def _build_small_harmonic() -> list[CertifiedFloat]:
+def _build_small_harmonic() -> tuple[np.ndarray, np.ndarray]:
     vals = [ZERO]
     acc = Fraction(0)
     for k in range(1, _H_SMALL_LIMIT + 1):
         acc += Fraction(1, k)
         vals.append(from_exact(acc))
-    return vals
+    return np.array([c.value for c in vals]), np.array([c.err for c in vals])
 
 
-_H_SMALL: list[CertifiedFloat] | None = None
+_H_SMALL: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def harmonic_number(n: int) -> CertifiedFloat:
-    """Certified H(n) in O(1) for large n.
+def _harmonic_arrays(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified H(n) and its error bound for an int64 array n >= 0.
 
     Small n come from an exact table.  Large n use the expansion
     H(n) = log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - r_n with
     0 < r_n < 1/(252 n^6); the published error covers the remainder interval
-    plus evaluation rounding.  Used by the floor-quotient recursion for g,
-    where per-block harmonic segment weights must not cost O(block length).
+    plus evaluation rounding.
     """
     global _H_SMALL
+    if _H_SMALL is None:
+        _H_SMALL = _build_small_harmonic()
+    small = n <= _H_SMALL_LIMIT
+    nf = np.maximum(n, _H_SMALL_LIMIT).astype(np.float64)
+    rem = 1.0 / (252.0 * nf**6)
+    v = np.log(nf) + EULER_GAMMA + 0.5 / nf - 1.0 / (12.0 * nf * nf) + 1.0 / (120.0 * nf**4)
+    v -= 0.5 * rem
+    err = (0.5 * rem + 8.0 * EPS * np.abs(v)) * _HEADROOM
+    idx = np.minimum(n, _H_SMALL_LIMIT)
+    return np.where(small, _H_SMALL[0][idx], v), np.where(small, _H_SMALL[1][idx], err)
+
+
+def harmonic_number(n: int) -> CertifiedFloat:
+    """Certified H(n) in O(1) for large n; see ``_harmonic_arrays``, which
+    the floor-quotient recursion for g uses for its run weights."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n <= _H_SMALL_LIMIT:
-        if _H_SMALL is None:
-            _H_SMALL = _build_small_harmonic()
-        return _H_SMALL[n]
-    nf = float(n)
-    rem = 1.0 / (252.0 * nf**6)
-    v = math.log(nf) + EULER_GAMMA + 0.5 / nf - 1.0 / (12.0 * nf * nf) + 1.0 / (120.0 * nf**4)
-    v -= 0.5 * rem
-    err = (0.5 * rem + 8.0 * EPS * abs(v)) * _HEADROOM
-    return CertifiedFloat(v, err)
-
+    v, e = _harmonic_arrays(np.array([n], dtype=np.int64))
+    return CertifiedFloat(float(v[0]), float(e[0]))

@@ -127,6 +127,9 @@ def test_usage_errors_exit_2(capsys):
         ["converge", "--delta", "0.3", "--limit", "100", "--cutoff", "0"],
         ["converge", "--delta", "0.3", "--limit", "1"],
         ["converge", "--delta", "nan", "--limit", "100"],
+        ["table", "--limit", "10", "--cutoff", "5"],
+        ["fast", "--limit", "100", "--blocksize", "4096"],
+        ["bench", "--limit", "1000", "--cutoff", "5", "--blocksize", "7"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

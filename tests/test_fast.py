@@ -148,6 +148,14 @@ def test_g_recursive_crossover_knob():
         assert g_recursive_exact(3000, crossover=k) == expect
 
 
+def test_g_recursive_float_crossover_knob():
+    for x in (3000, 10**4):
+        expect = g_exact(x)
+        for k in (10, 60, None):
+            r = g_recursive_float(x, crossover=k)
+            assert abs(Fraction(r.value) - expect) <= Fraction(r.err), (x, k)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         m_recursive(0)

@@ -16,7 +16,7 @@ from mobsum.identities import (
     gram_scan,
     prime_power_tail,
 )
-from mobsum.summatory import SummatoryTables, g_exact, h_direct
+from mobsum.summatory import ScaledMoebiusPrefix, SummatoryTables, g_exact, h_direct
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -57,6 +57,14 @@ def test_gram_exhaustive_2000():
     checks = gram_scan(1, 2000)
     assert all(c.holds for c in checks)
     assert all(c.slack == 0.0 for c in checks)
+
+
+def test_gram_rejects_corrupted_prefix():
+    prefix = ScaledMoebiusPrefix(300)
+    prefix.scaled_g[97] += 1  # g(97) off by 1/L
+    assert not gram_identity(97, prefix=prefix).holds  # the nu = 1 term
+    assert not gram_identity(291, prefix=prefix).holds  # the nu = 3 run
+    assert all(gram_identity(x, prefix=prefix).holds for x in range(1, 97))
 
 
 def test_gram_cutoff_error():
