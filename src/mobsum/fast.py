@@ -206,17 +206,6 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ExactGTables:
-    """Shared scaled tables for exact g recursion up to ``limit``."""
-
-    def __init__(self, limit: int, crossover: int):
-        self.limit = limit
-        self.prefix = ScaledMoebiusPrefix(limit)
-        self.L = self.prefix.denominator
-        # base values g(k) * L for k <= crossover come straight off the prefix
-        self.crossover = crossover
-
-
 def _unit_sum_scaled(y: int, K: int, prefix: ScaledMoebiusPrefix, by_val: dict) -> int:
     """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), scaled by L^2, as an integer.
 
@@ -231,26 +220,30 @@ def _unit_sum_scaled(y: int, K: int, prefix: ScaledMoebiusPrefix, by_val: dict) 
 
 
 def g_recursive_exact(
-    x: int, *, crossover: int | None = None, tables: _ExactGTables | None = None
+    x: int, *, crossover: int | None = None, tables: ScaledMoebiusPrefix | None = None
 ) -> Fraction:
-    """Exact g(x) by the floor-quotient recursion in scaled integers."""
+    """Exact g(x) by the floor-quotient recursion in scaled integers.
+
+    ``tables`` is an exact prefix covering x; its values g(k) * L for
+    k <= crossover are the base table, the rest come from the recursion.
+    """
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     K = default_crossover(x) if crossover is None else max(1, min(int(crossover), x))
     if tables is None:
-        tables = _ExactGTables(x, K)
+        tables = ScaledMoebiusPrefix(x)
     elif tables.limit < x:
         raise ValueError(f"tables cover [1, {tables.limit}] < x = {x}")
-    L = tables.L
+    L = tables.denominator
     by_val: dict[int, int] = {}
     for y in _chain_values(x, K):
-        t = _unit_sum_scaled(y, K, tables.prefix, by_val)
+        t = _unit_sum_scaled(y, K, tables, by_val)
         # t = L * (L - g(y) L); exact divisibility is a structural invariant
         if t % L:
             raise AssertionError(f"scaled recursion lost exact divisibility at {y}")
         by_val[y] = L - t // L
-    scaled = tables.prefix.scaled_g[x] if x <= K else by_val[x]
+    scaled = tables.scaled_g[x] if x <= K else by_val[x]
     return Fraction(scaled, L)
 
 

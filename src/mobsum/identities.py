@@ -5,7 +5,8 @@ Verified here, each at a single evaluation point x:
   * the divisor sum  sum_{n|t} mu(n)  (1 at t = 1, else 0);
   * the unit identity  sum_{nu<=x} (1/nu) g(x/nu) = 1, checked in exact
     rational arithmetic only (a floating version would merely restate the
-    rounding model);
+    rounding model); ``gram_scan`` checks it at every x of a range by
+    telescoping the sum instead of re-summing it (see its docstring);
   * the prime-power series  F(p, x) = -sum_{i>=1} p^(-i) g(x/p^i), truncated
     where p^i > x since g vanishes below 1;
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
@@ -113,8 +114,12 @@ def gram_identity(
     elif n > prefix.limit:
         raise ValueError(f"prefix covers [1, {prefix.limit}] < x = {n}")
     # the nu = 1 term L * g(n) L plus the g recursion's own sum over nu >= 2
-    l2 = prefix.denominator * prefix.denominator
     ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, n, prefix, {})
+    return _unit_check(n, ssum, prefix.denominator * prefix.denominator)
+
+
+def _unit_check(n: int, ssum: int, l2: int) -> IdentityCheck:
+    """Verdict of the unit identity at n from its sum scaled by l2 = L^2."""
     holds = ssum == l2
     lhs = Fraction(1) if holds else Fraction(ssum, l2)
     return IdentityCheck(
@@ -130,12 +135,51 @@ def gram_identity(
 def gram_scan(
     lo: int, hi: int, *, prefix: ScaledMoebiusPrefix | None = None
 ) -> list[IdentityCheck]:
-    """gram_identity at every integer in [lo, hi] over one shared table."""
+    """gram_identity at every integer in [lo, hi] over one shared table.
+
+    With S(x) = sum_{nu<=x} (1/nu) g(floor(x/nu)) and g(0) = 0, the floors
+    floor(x/nu) and floor((x-1)/nu) differ only when nu | x, and then by
+    one, so
+
+        S(x) - S(x-1) = sum_{m|x} (m/x) (g(m) - g(m-1)).
+
+    This is algebra on the floor function alone: it holds for whatever
+    numbers the table holds, so the running S(x) equals the blocked sum of
+    ``gram_identity`` at every x even on a corrupted table, and each
+    verdict, lhs and slack is the same.  Scaled by L^2, the increment is
+    (L/x) * sum_{m|x} t[m] with t[m] = m * (gl[m] - gl[m-1]); adding each
+    nonzero t[m] into all its multiples costs about hi * ln(hi) big-integer
+    adds, where re-summing costs about 2 sqrt(x) big-integer products per
+    x.  As a run-time invariant, the blocked ``gram_identity`` is evaluated
+    once at hi and must give the same check.
+    """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if prefix is None:
         prefix = ScaledMoebiusPrefix(hi)
-    return [gram_identity(x, prefix=prefix) for x in range(lo, hi + 1)]
+    elif hi > prefix.limit:
+        raise ValueError(f"prefix covers [1, {prefix.limit}] < hi = {hi}")
+    gl = prefix.scaled_g
+    L = prefix.denominator
+    acc = [0] * (hi + 1)
+    prev = 0  # g(0) L = 0; scaled_g[0] is never read
+    for m in range(1, hi + 1):
+        t = m * (gl[m] - prev)
+        prev = gl[m]
+        if t:
+            for x in range(m, hi + 1, m):
+                acc[x] += t
+    l2 = L * L
+    ssum = 0
+    out = []
+    for x in range(1, hi + 1):
+        if acc[x]:
+            ssum += L // x * acc[x]
+        if x >= lo:
+            out.append(_unit_check(x, ssum, l2))
+    if gram_identity(hi, prefix=prefix) != out[-1]:
+        raise AssertionError(f"telescoped unit sum differs from the blocked sum at {hi}")
+    return out
 
 
 # ---------------------------------------------------------------------------

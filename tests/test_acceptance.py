@@ -25,8 +25,6 @@ from mobsum.bounds import (
 from mobsum.certified import EULER_GAMMA
 from mobsum.fast import (
     MertensEvaluator,
-    _ExactGTables,
-    default_crossover,
     g_recursive_exact,
     g_recursive_float,
     m_recursive,
@@ -152,7 +150,7 @@ def test_criterion_07_tail_bound(tables_1m):
 def test_criterion_08_recursive_oracle_equivalence():
     # exact g recursion against the exact linear prefix, x <= 2000
     pre = ScaledMoebiusPrefix(2000)
-    gtabs = _ExactGTables(2000, default_crossover(2000))
+    gtabs = ScaledMoebiusPrefix(2000)
     g_bad = sum(
         1
         for x in range(1, 2001)

@@ -8,7 +8,6 @@ import pytest
 from mobsum.fast import (
     FloorValueMap,
     MertensEvaluator,
-    default_crossover,
     g_recursive,
     g_recursive_exact,
     g_recursive_float,
@@ -17,7 +16,7 @@ from mobsum.fast import (
     mertens_prefix_recursive,
     quotient_blocks,
 )
-from mobsum.summatory import big_m, g_exact, g_float
+from mobsum.summatory import ScaledMoebiusPrefix, big_m, g_exact, g_float
 
 
 def test_quotient_blocks_examples():
@@ -114,9 +113,7 @@ def test_g_recursive_exact_examples():
 
 
 def test_g_recursive_exact_matches_direct_to_500():
-    from mobsum.fast import _ExactGTables
-
-    tabs = _ExactGTables(500, default_crossover(500))
+    tabs = ScaledMoebiusPrefix(500)
     pre_g = {x: g_exact(x) for x in range(1, 501)}
     for x in range(1, 501):
         assert g_recursive_exact(x, tables=tabs) == pre_g[x], x

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mobsum import identities
 from mobsum.identities import (
     CutoffExceededError,
     IdentityCheck,
@@ -65,6 +66,40 @@ def test_gram_rejects_corrupted_prefix():
     assert not gram_identity(97, prefix=prefix).holds  # the nu = 1 term
     assert not gram_identity(291, prefix=prefix).holds  # the nu = 3 run
     assert all(gram_identity(x, prefix=prefix).holds for x in range(1, 97))
+
+
+def test_gram_scan_matches_point_checks():
+    def point_checks(lo, hi, prefix):
+        return [gram_identity(x, prefix=prefix) for x in range(lo, hi + 1)]
+
+    sound = ScaledMoebiusPrefix(2000)
+    expected = point_checks(1, 2000, sound)
+    assert gram_scan(1, 2000, prefix=sound) == expected
+    assert gram_scan(50, 2000, prefix=sound) == expected[49:]
+    one = ScaledMoebiusPrefix(300)
+    one.scaled_g[97] += 1
+    two = ScaledMoebiusPrefix(300)
+    two.scaled_g[1] -= 1
+    two.scaled_g[2] += two.denominator
+    two.scaled_g[150] += 7
+    for bad in (one, two):
+        checks = gram_scan(1, 300, prefix=bad)
+        assert checks == point_checks(1, 300, bad)
+        assert any(not c.holds for c in checks)
+        assert gram_scan(50, 300, prefix=bad) == checks[49:]
+
+
+def test_gram_scan_guards(monkeypatch):
+    short = ScaledMoebiusPrefix(300)
+    short.scaled_g = None  # any read of the table would raise TypeError
+    with pytest.raises(ValueError):
+        gram_scan(1, 301, prefix=short)
+    blocked = identities._unit_sum_scaled
+    monkeypatch.setattr(
+        identities, "_unit_sum_scaled", lambda *args: blocked(*args) + 1
+    )
+    with pytest.raises(AssertionError):
+        gram_scan(1, 50)
 
 
 def test_gram_cutoff_error():
