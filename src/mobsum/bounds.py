@@ -304,11 +304,17 @@ def log_square_sum_constant() -> CertifiedFloat:
     Direct exactly-rounded summation to N = 2e6, then the integral bracket
     for the monotone tail: the remainder lies between (log(N+1)+1)/(N+1)
     and (log N + 1)/N; the midpoint is taken and half the width charged.
+    The terms reach ``math.fsum`` in chunks of 2^16, never as one list.
     """
     n = 2_000_000
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    terms = np.log(ks) / (ks * ks)
-    s = math.fsum(terms.tolist())
+    chunk = 1 << 16
+
+    def terms():
+        for lo in range(1, n + 1, chunk):
+            ks = np.arange(lo, min(lo + chunk, n + 1), dtype=np.float64)
+            yield from (np.log(ks) / (ks * ks)).tolist()
+
+    s = math.fsum(terms())
     hi_tail = (math.log(n) + 1.0) / n
     lo_tail = (math.log(n + 1) + 1.0) / (n + 1)
     val = s + 0.5 * (hi_tail + lo_tail)
@@ -351,12 +357,16 @@ def check_tail_bound(
 def tail_bound_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
-    """check_tail_bound at every integer in [lo, hi] over shared tables."""
+    """check_tail_bound at every integer in [lo, hi], read from the tail lane.
+
+    The tail comes from the increment lane ``tail_arrays``, which costs about
+    0.77 hi adds, not from the gathers of ``tail_certified``.
+    """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
-    tv, te = tables.tail_dense_arrays(hi)
+    tv, te = tables.tail_arrays
     xs = np.arange(lo, hi + 1, dtype=np.int64)
     lhs = np.abs(tv[xs])
     lhs_err = te[xs]

@@ -6,17 +6,27 @@ guaranteed to lie in ``[value - err, value + err]``.
 
 Error model
 -----------
-Sums are accumulated with two-term (Neumaier) compensation, and the published
-bound is the cheap worst-case estimate
+:class:`CompensatedSum` and the gathers of h and the tail in
+``mobsum.summatory`` add with a summation tree they do not fix (NumPy's
+pairwise ``sum``), and publish the cheap worst-case estimate
 
     err <= (number of float additions) * EPS * (sum of |terms|) + input errors
 
 where EPS is the double-precision machine epsilon (2^-52).  This bound is
-valid for *any* summation order, including the blocked/vectorised prefix
-passes elsewhere in the package, and it dominates the true compensated error
-by orders of magnitude.  Per-term input errors account for inexact term
-construction: platform logarithms are assumed correct to 1 ulp and are charged
-2 ulp each; a division is charged 1 ulp unless it is exact.
+valid for *any* summation order and dominates the true error by orders of
+magnitude.
+
+The prefix lanes of ``mobsum.summatory.SummatoryTables`` (g, f, theta, H, h
+and the tail) add strictly left to right with ``np.cumsum``, which a test
+checks, so they publish Wilkinson's running bound instead: under
+round-to-nearest an add whose result is s errs by at most u * |s|, with
+u = EPS/2, so a prefix value is charged u times the sum of the |partial
+sums| before it, plus its input errors (see ``_prefix_with_err``).  The
+values are the same either way; only the bound is smaller.
+
+Per-term input errors account for inexact term construction: platform
+logarithms are assumed correct to 1 ulp and are charged 2 ulp each; a
+division is charged 1 ulp unless it is exact.
 
 A sum of zero or one terms involves no float addition, so its rounding error
 is exactly zero; only input errors survive.  This keeps trivially exact
@@ -36,8 +46,9 @@ EPS = 2.0 ** -52
 EULER_GAMMA = 0.5772156649015329
 
 # Relative headroom absorbing second-order effects (rounding of the error
-# accounting itself; sound up to ~10^8 accumulated operations).  Keeps exact
-# zeros exactly zero.
+# accounting itself; sound up to ~10^8 accumulated operations, and for the
+# prefix lanes up to blocks of 2^28 terms, ``summatory.MAX_PREFIX_BLOCK``).
+# Keeps exact zeros exactly zero.
 _HEADROOM = 1.0 + 2.0 ** -24
 
 

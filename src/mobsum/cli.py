@@ -20,6 +20,7 @@ Exit status: 0 all checks passed; 1 any check failed or was indeterminate;
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import IO
@@ -31,6 +32,7 @@ from .certified import EULER_GAMMA
 from .sieve import DEFAULT_BLOCK_CAPACITY, iter_moebius_blocks
 from .summatory import (
     EXACTNESS_CUTOFF,
+    MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
     SummatoryTables,
     big_m,
@@ -65,8 +67,10 @@ def _write_rows(out: IO[str], rows: list[list[str]]) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    # no reference to the tables is kept: they are freed before the rows are built
     tables = SummatoryTables(args.limit, block_size=args.blocksize)
     series = series_scan(args.limit, args.stride, tables=tables)
+    del tables
     rows = [["x", "g", "g_err", "f", "f_err", "M", "theta", "theta_err", "epsilon", "h", "h_err"]]
     for i in range(len(series)):
         rows.append(
@@ -187,8 +191,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows.append(row)
     all_ok &= ok
 
+    # the scan reads the h lane only up to exact_hi, so its tables stop there
+    abel_tables = SummatoryTables(exact_hi, block_size=args.blocksize)
     row, ok = _ident_row(
-        "abel_rearrangement", 1, exact_hi, ident_mod.abel_scan(1, exact_hi, tables=tables)
+        "abel_rearrangement", 1, exact_hi, ident_mod.abel_scan(1, exact_hi, tables=abel_tables)
     )
     rows.append(row)
     all_ok &= ok
@@ -414,12 +420,13 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("converge needs --limit >= 2")
     if getattr(args, "stride", 1) < 1:
         ap.error("--stride must be >= 1")
-    if not getattr(args, "delta", 1.0) > 0:
-        ap.error("--delta must be positive")
+    delta = getattr(args, "delta", 1.0)
+    if not (math.isfinite(delta) and delta > 0):
+        ap.error("--delta must be positive and finite")
     if getattr(args, "cutoff", 1) < 1:
         ap.error("--cutoff must be >= 1")
-    if getattr(args, "blocksize", 1) < 1:
-        ap.error("--blocksize must be >= 1")
+    if not 1 <= getattr(args, "blocksize", 1) <= MAX_PREFIX_BLOCK:
+        ap.error("--blocksize must lie in [1, 2^28]")
     try:
         return args.fn(args)
     except OSError as exc:

@@ -308,7 +308,9 @@ def abel_rearrangement_check(
 
     The right side is  sum_{nu<=x} eps(nu) (g(x/nu) - g(x/(nu+1)))
     + sum_{nu<=x-1} eps(nu)/(nu+1) g(x/(nu+1)); the boundary term vanishes
-    because x/(floor(x)+1) < 1, which is asserted explicitly.
+    because x/(floor(x)+1) < 1, which is asserted explicitly.  The left side
+    h(x) - 1 reads h from the increment lane (``SummatoryTables.h_point``),
+    which shares no sum with the right side.
     """
     n = floor_arg(x)
     if n < 1:
@@ -382,12 +384,15 @@ def abel_scan(
     tables: SummatoryTables | None = None,
     tolerance: float = IDENTITY_TOLERANCE,
 ) -> list[IdentityCheck]:
-    """abel_rearrangement_check at every integer in [lo, hi]."""
+    """abel_rearrangement_check at every integer in [lo, hi].
+
+    Each left side h(x) - 1 reads the increment lane ``h_arrays``, built
+    once over the tables' whole range on the first check.
+    """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None:
         tables = SummatoryTables(hi)
-    tables.h_dense_arrays(hi)
     return [
         abel_rearrangement_check(x, tables=tables, tolerance=tolerance)
         for x in range(lo, hi + 1)

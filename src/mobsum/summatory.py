@@ -313,40 +313,64 @@ def h_direct(
 # ---------------------------------------------------------------------------
 
 
+# Largest block of one np.cumsum in ``_prefix_with_err``: the bound's own
+# float sum over a block is then off by under block * EPS/2 <= 2^-25 of
+# itself, which ``_HEADROOM`` (2^-24) covers.
+MAX_PREFIX_BLOCK = 1 << 28
+
+# Chunk length of the element-wise passes that need a temporary array.
+_CHUNK = 1 << 16
+
+
+def _add_scaled_abs(acc: np.ndarray, v: np.ndarray, c: float) -> None:
+    """acc += c * |v|, through chunk-sized temporaries."""
+    for lo in range(0, v.size, _CHUNK):
+        t = np.abs(v[lo : lo + _CHUNK])
+        t *= c
+        acc[lo : lo + _CHUNK] += t
+
+
 def _prefix_with_err(
     terms: np.ndarray, input_err_terms: np.ndarray, block_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative sums of ``terms`` (index 0 unused) with certified bounds.
 
-    Error accounting per element k: (number of float additions reaching k)
-    * EPS * (cumulative magnitude) plus cumulative input error.  Element 1
-    of a first block costs zero additions, keeping exact singletons at err 0.
+    Works in place: ``terms`` becomes the prefix and ``input_err_terms`` its
+    error bound, so both must be float64 arrays the caller gives up.
+
+    Each block of ``block_size`` terms is summed by ``np.cumsum``, which adds
+    left to right, and every block after the first is then offset by the
+    last prefix value of the block before (the carry).  Under
+    round-to-nearest an add whose result is s errs by at most u * |s|, with
+    u = EPS/2, so element k of a block is charged Wilkinson's running bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.3)
+
+        sum_{j<=k} (e_j + u * |l_j| [j >= 2]) + c * (u * |s_k| + err_carry),
+
+    times ``_HEADROOM``.  Here e_j is the term's input error, l_j the
+    block's own prefix sums (a block's first element is a term, not a sum,
+    and costs nothing, which keeps exact singletons at +/- 0), and c = 1 in
+    every block but the first (the carry add and the carry's own error).
+    ``_HEADROOM`` covers the float error of the bound's own cumsum, below
+    block_size * u; hence ``MAX_PREFIX_BLOCK``.
     """
     n = terms.size - 1
-    vals = np.zeros(n + 1, dtype=np.float64)
-    errs = np.zeros(n + 1, dtype=np.float64)
-    carry_val = 0.0
-    carry_mag = 0.0
-    carry_in = 0.0
-    carry_ops = 0
+    vals, errs = terms, input_err_terms
+    vals[0] = errs[0] = 0.0
+    u = 0.5 * EPS
+    carry_val = carry_err = 0.0
     for lo in range(1, n + 1, block_size):
-        hi = min(lo + block_size - 1, n)
-        t = terms[lo : hi + 1]
-        local = np.cumsum(t)
-        localmag = np.cumsum(np.abs(t))
-        localin = np.cumsum(input_err_terms[lo : hi + 1])
-        first = lo == 1
-        vals[lo : hi + 1] = local if first else carry_val + local
-        mags = localmag if first else carry_mag + localmag
-        ins = localin if first else carry_in + localin
-        ops = np.arange(hi - lo + 1, dtype=np.float64) + (
-            0 if first else carry_ops + 1
-        )
-        errs[lo : hi + 1] = (EPS * mags * ops + ins) * _HEADROOM
-        carry_val = float(vals[hi])
-        carry_mag = float(mags[-1])
-        carry_in = float(ins[-1])
-        carry_ops = int(ops[-1])
+        hi = min(lo + block_size, n + 1)
+        v, e = vals[lo:hi], errs[lo:hi]
+        np.cumsum(v, out=v)
+        _add_scaled_abs(e[1:], v[1:], u)
+        np.cumsum(e, out=e)
+        if lo > 1:
+            v += carry_val
+            e += carry_err
+            _add_scaled_abs(e, v, u)
+        e *= _HEADROOM
+        carry_val, carry_err = float(v[-1]), float(e[-1])
     vals.flags.writeable = False
     errs.flags.writeable = False
     return vals, errs
@@ -364,6 +388,19 @@ class SummatoryTables:
         theta, theta_err    certified Chebyshev prefix
         eps, eps_err        theta/x - 1 pointwise
         H, H_err    certified harmonic prefix
+        h, h_err    certified prefix of x^-1 sum_{p|x} log p mu(x/p)
+        tail, tail_err      certified prefix of x^-1 sum_{p^i|x, i>=2} log p mu(x/p^i)
+
+    The h and tail lanes are h(x) and the prime-power tail summed by their
+    increments, which need only mu; ``h_certified`` and ``tail_certified``
+    gather the same quantities from the g lane at one x, and
+    ``h_dense_arrays``/``tail_dense_arrays`` at every x up to a bound (the
+    decomposition check f = -h - tail needs them: summed by increments it
+    reduces to -mu(x) log x and would check nothing).
+
+    ``block_size`` is the length of one ``np.cumsum`` in the prefix lanes; it
+    changes their low-order bits, and above ``MAX_PREFIX_BLOCK`` (2^28) the
+    error bounds are no longer sound, so it raises ``ValueError``.
 
     Immutable once built; safe to share read-only between scan consumers.
     """
@@ -371,6 +408,8 @@ class SummatoryTables:
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
+        if not 1 <= block_size <= MAX_PREFIX_BLOCK:
+            raise ValueError(f"block_size must lie in [1, 2^28], got {block_size}")
         self.limit = int(limit)
         self.block_size = int(block_size)
         self._mu: np.ndarray | None = None
@@ -380,6 +419,8 @@ class SummatoryTables:
         self._theta: tuple[np.ndarray, np.ndarray] | None = None
         self._eps: tuple[np.ndarray, np.ndarray] | None = None
         self._H: tuple[np.ndarray, np.ndarray] | None = None
+        self._h: tuple[np.ndarray, np.ndarray] | None = None
+        self._tail: tuple[np.ndarray, np.ndarray] | None = None
         self._primes: np.ndarray | None = None
         self._prime_weights: tuple[np.ndarray, np.ndarray] | None = None
         self._powers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -410,33 +451,46 @@ class SummatoryTables:
 
     # -- certified lanes
 
-    def _build_g(self) -> tuple[np.ndarray, np.ndarray]:
+    def _ks(self) -> np.ndarray:
+        """1.0, 1.0, 2.0, ..., limit: the float divisors k, with k = 0 as 1."""
         ks = np.arange(self.limit + 1, dtype=np.float64)
         ks[0] = 1.0
-        terms = self.mu / ks
-        ins = EPS * np.abs(terms)
+        return ks
+
+    def _build_g(self) -> tuple[np.ndarray, np.ndarray]:
+        terms = self.mu / self._ks()
+        ins = np.abs(terms)
+        ins *= EPS
         return _prefix_with_err(terms, ins, self.block_size)
 
     def _build_f(self) -> tuple[np.ndarray, np.ndarray]:
-        ks = np.arange(self.limit + 1, dtype=np.float64)
-        ks[0] = 1.0
-        terms = self.mu * np.log(ks) / ks
-        ins = 3.0 * EPS * np.abs(terms)
+        ks = self._ks()
+        terms = np.log(ks)
+        terms *= self.mu
+        terms /= ks
+        del ks
+        ins = np.abs(terms)
+        ins *= 3.0 * EPS
         return _prefix_with_err(terms, ins, self.block_size)
 
     def _build_theta(self) -> tuple[np.ndarray, np.ndarray]:
         terms = np.zeros(self.limit + 1, dtype=np.float64)
         ps = self.primes
         terms[ps] = np.log(ps.astype(np.float64))
-        ins = 2.0 * EPS * terms
+        ins = terms * (2.0 * EPS)
         return _prefix_with_err(terms, ins, self.block_size)
 
     def _build_eps(self) -> tuple[np.ndarray, np.ndarray]:
+        # (th_err / x + EPS th / x + EPS |vals|) * _HEADROOM, in place
         th, th_err = self.theta_arrays
-        xs = np.arange(self.limit + 1, dtype=np.float64)
-        xs[0] = 1.0
-        vals = th / xs - 1.0
-        errs = (th_err / xs + EPS * (th / xs) + EPS * np.abs(vals)) * _HEADROOM
+        xs = self._ks()
+        vals = th / xs
+        errs = th_err / xs
+        del xs
+        _add_scaled_abs(errs, vals, EPS)
+        vals -= 1.0
+        _add_scaled_abs(errs, vals, EPS)
+        errs *= _HEADROOM
         vals[0] = 0.0
         errs[0] = 0.0
         vals.flags.writeable = False
@@ -444,14 +498,91 @@ class SummatoryTables:
         return vals, errs
 
     def _build_H(self) -> tuple[np.ndarray, np.ndarray]:
-        ks = np.arange(self.limit + 1, dtype=np.float64)
-        ks[0] = 1.0
-        terms = 1.0 / ks
+        terms = self._ks()
+        np.divide(1.0, terms, out=terms)
         terms[0] = 0.0
-        ki = np.arange(self.limit + 1, dtype=np.int64)
-        inexact = (ki & (ki - 1)) != 0
-        ins = np.where(inexact, EPS * terms, 0.0)
+        ins = terms * EPS
+        # 1/k is exact when k is a power of two
+        ins[[1 << i for i in range(self.limit.bit_length())]] = 0.0
         return _prefix_with_err(terms, ins, self.block_size)
+
+    def _build_h(self) -> tuple[np.ndarray, np.ndarray]:
+        # the logs L_p in one numerator all carry one sign: for squarefree x
+        # every mu(x/p) is -mu(x), and for x = p^2 m with m squarefree only p
+        # contributes.  So its c <= omega_max logs add without cancellation:
+        # (c - 1) u from the adds, 2 EPS from the logs and u from the
+        # division, EPS (2 + omega_max / 2) relative in all
+        n = self.limit
+        ps = self.primes
+        logs = np.log(ps.astype(np.float64))
+        small = int(np.searchsorted(ps, isqrt(n), side="right"))
+        omega_max, primorial = 0, 1
+        for p in ps:
+            primorial *= int(p)
+            if primorial > n:
+                break
+            omega_max += 1
+        return self._increment_lane(
+            ps[:small].tolist(),
+            logs[:small].tolist(),
+            (2.0 + 0.5 * omega_max) * EPS,
+            big=(ps[small:], logs[small:]),
+        )
+
+    def _build_tail(self) -> tuple[np.ndarray, np.ndarray]:
+        # a numerator is 0 unless x = p^v m with m squarefree and prime to
+        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
+        # exact, so only the log (2 EPS) and the division (u) err
+        n = self.limit
+        ps = self.primes
+        ps = ps[: int(np.searchsorted(ps, isqrt(n), side="right"))]
+        mods, logs = [], []
+        for p, lp in zip(ps.tolist(), np.log(ps.astype(np.float64)).tolist()):
+            q = p * p
+            while q <= n:
+                mods.append(q)
+                logs.append(lp)
+                q *= p
+        return self._increment_lane(mods, logs, 2.5 * EPS)
+
+    def _increment_lane(
+        self,
+        mods: list[int],
+        logs: list[float],
+        rel_err: float,
+        big: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Certified prefix of x^-1 sum_{q|x} L_q mu(x/q) over the moduli q.
+
+        Numerators add one slice per modulus, in the given order.  ``big``
+        holds further moduli above sqrt(limit), ascending, with their logs;
+        they go by cofactor j <= limit / sqrt(limit), which makes about
+        2 sqrt(limit) NumPy calls where one per prime would make pi(limit).
+        A numerator still receives its adds in modulus order, because it has
+        at most one such prime factor.  The terms are charged ``rel_err``
+        each, relative.  Only the two returned arrays have full length.
+        """
+        n = self.limit
+        mu = self.mu
+        vals = np.zeros(n + 1, dtype=np.float64)
+        errs = np.empty(n + 1, dtype=np.float64)  # scratch until the prefix
+        for q, lq in zip(mods, logs):
+            k = n // q
+            np.multiply(mu[1 : k + 1], lq, out=errs[:k])
+            vals[q::q] += errs[:k]
+        if big is not None and big[0].size:
+            ps, ls = big
+            for j in range(1, n // int(ps[0]) + 1):
+                m = int(mu[j])
+                if m:
+                    k = int(np.searchsorted(ps, n // j, side="right"))
+                    vals[ps[:k] * j] += m * ls[:k]
+        for lo in range(1, n + 1, _CHUNK):
+            hi = min(lo + _CHUNK, n + 1)
+            vals[lo:hi] /= np.arange(lo, hi, dtype=np.float64)
+        np.abs(vals, out=errs)
+        errs *= rel_err
+        return _prefix_with_err(vals, errs, self.block_size)
 
     @property
     def g_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +613,18 @@ class SummatoryTables:
         if self._H is None:
             self._H = self._build_H()
         return self._H
+
+    @property
+    def h_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._h is None:
+            self._h = self._build_h()
+        return self._h
+
+    @property
+    def tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._tail is None:
+            self._tail = self._build_tail()
+        return self._tail
 
     @property
     def prime_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -519,11 +662,10 @@ class SummatoryTables:
         return self._gather_point(x, *self._prime_lane(x))
 
     def h_point(self, x: int) -> CertifiedFloat:
-        """h(x), served from the dense cache when it covers x."""
-        if self._h_dense is not None and self._h_dense[0] >= x >= 1:
-            _, hv, he = self._h_dense
-            return CertifiedFloat(float(hv[x]), float(he[x]))
-        return self.h_certified(x)
+        """h(x) from the increment lane ``h_arrays``."""
+        self._check_arg(x)
+        hv, he = self.h_arrays
+        return CertifiedFloat(float(hv[x]), float(he[x]))
 
     def tail_certified(self, x: int) -> CertifiedFloat:
         """sum_{p<=x} log p * sum_{i>=2, p^i<=x} g(x/p^i)/p^i, certified (signed)."""
@@ -683,11 +825,12 @@ class SummatorySeries:
 def series_scan(
     limit: int, stride: int, *, tables: SummatoryTables | None = None
 ) -> SummatorySeries:
-    """One streaming pass producing sample records at multiples of ``stride``.
+    """Sample records at multiples of ``stride``, read from the table lanes.
 
     Each record agrees with the pointwise operations: exactly for the integer
-    lanes, within combined error bounds for the certified lanes.  h costs one
-    prime-indexed pass per sample, which dominates for small strides.
+    lanes, within combined error bounds for the certified lanes.  h comes
+    from the increment lane ``h_arrays``, not from per-sample gathers, so its
+    low-order bits differ from ``h_certified``'s while the intervals overlap.
     """
     if limit < 1 or stride < 1:
         raise ValueError(f"need limit >= 1 and stride >= 1, got {limit}, {stride}")
@@ -700,12 +843,7 @@ def series_scan(
     fv, fe = tables.f_arrays
     tv, te = tables.theta_arrays
     ev, ee = tables.eps_arrays
-    hv = np.empty(xs.size, dtype=np.float64)
-    he = np.empty(xs.size, dtype=np.float64)
-    for i, x in enumerate(xs.tolist()):
-        hx = tables.h_certified(x)
-        hv[i] = hx.value
-        he[i] = hx.err
+    hv, he = tables.h_arrays
     return SummatorySeries(
         xs=xs,
         g=gv[xs].copy(),
@@ -717,8 +855,8 @@ def series_scan(
         theta_err=te[xs].copy(),
         epsilon=ev[xs].copy(),
         epsilon_err=ee[xs].copy(),
-        h=hv,
-        h_err=he,
+        h=hv[xs].copy(),
+        h_err=he[xs].copy(),
     )
 
 

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mobsum
 from mobsum.cli import main
 
 
@@ -127,6 +132,8 @@ def test_usage_errors_exit_2(capsys):
         ["converge", "--delta", "0.3", "--limit", "100", "--cutoff", "0"],
         ["converge", "--delta", "0.3", "--limit", "1"],
         ["converge", "--delta", "nan", "--limit", "100"],
+        ["converge", "--delta", "inf", "--limit", "100"],
+        ["table", "--limit", "100", "--blocksize", str(2**29)],
         ["table", "--limit", "10", "--cutoff", "5"],
         ["fast", "--limit", "100", "--blocksize", "4096"],
         ["bench", "--limit", "1000", "--cutoff", "5", "--blocksize", "7"],
@@ -142,3 +149,26 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     code = main(["table", "--limit", "5", "--out", str(bad)])
     capsys.readouterr()
     assert code == 2
+
+
+# Spawns ARGV, reaps it with wait4 and prints its exit code and ru_maxrss.
+_REAP = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_verify_wide_peak_rss(tmp_path):
+    # ru_maxrss survives exec, so a child spawned by this large test process
+    # would report this process's peak; a small interpreter spawns it instead
+    src = str(Path(mobsum.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
+    argv += ["--limit", "500000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 160, maxrss_kib

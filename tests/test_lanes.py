@@ -1,0 +1,179 @@
+"""Soundness of the certified prefix lanes against independent references.
+
+The references are exact rationals (``fractions``, the scaled prefix) and
+45-digit ``decimal`` sums, never the lanes themselves.
+"""
+
+import math
+import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mobsum.sieve import _primes_upto
+from mobsum.summatory import (
+    MAX_PREFIX_BLOCK,
+    ScaledMoebiusPrefix,
+    SummatoryTables,
+    _prefix_with_err,
+    lcm_upto,
+    moebius_values_upto,
+    series_scan,
+)
+
+N = 20_000
+
+
+@pytest.fixture(scope="module")
+def tables_20k() -> SummatoryTables:
+    return SummatoryTables(N)
+
+
+def _contains(v: float, e: float, num: int, den: int) -> bool:
+    """|v - num/den| <= e, decided in integers."""
+    vn, vd = float(v).as_integer_ratio()
+    en, ed = float(e).as_integer_ratio()
+    return abs(vn * den - num * vd) * ed <= en * den * vd
+
+
+def test_cumsum_adds_left_to_right():
+    # the running bound of _prefix_with_err charges each prefix value its own
+    # rounding, which holds only if np.cumsum adds strictly left to right,
+    # also when it writes over its input
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(20_000) * np.exp2(rng.integers(-40, 40, 20_000))
+    ref, acc = [a[0]], a[0]
+    for t in a[1:].tolist():
+        acc += t
+        ref.append(acc)
+    ref = np.array(ref)
+    fresh = np.cumsum(a)
+    other = np.empty_like(a)
+    np.cumsum(a, out=other)
+    aliased = a.copy()
+    np.cumsum(aliased, out=aliased)
+    for got in (fresh, other, aliased):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_prefix_kernel_bound_contains_exact_sums():
+    # short sums of random doubles make single roundings near their worst
+    # case, so a running term or a carry term charged too little shows
+    rng = random.Random(5)
+    for block in (1, 2, 3, 5, 64):
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            terms = [0.0] + [
+                rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-8, 8) for _ in range(n)
+            ]
+            vals, errs = _prefix_with_err(np.array(terms), np.zeros(n + 1), block)
+            exact = Fraction(0)
+            for k in range(1, n + 1):
+                exact += Fraction(terms[k])
+                assert abs(Fraction(float(vals[k])) - exact) <= Fraction(float(errs[k])), (
+                    block,
+                    terms,
+                    k,
+                )
+            assert errs[1] == 0.0  # a single term is exact
+
+
+def test_prefix_kernel_rejects_oversized_blocks():
+    with pytest.raises(ValueError):
+        SummatoryTables(10, block_size=2**29)
+    with pytest.raises(ValueError):
+        SummatoryTables(10, block_size=0)
+    tables = SummatoryTables(10, block_size=MAX_PREFIX_BLOCK)
+    assert tables.g_arrays[0][10] == SummatoryTables(10).g_arrays[0][10]
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_g_lane_contains_exact_value(tables_20k, block):
+    tables = tables_20k if block is None else SummatoryTables(N, block_size=block)
+    gv, ge = tables.g_arrays
+    mu = tables.mu
+    L = lcm_upto(N)
+    acc = 0
+    bad = []
+    for k in range(1, N + 1):
+        m = int(mu[k])
+        if m:
+            acc += m * (L // k)
+        if not _contains(gv[k], ge[k], acc, L):
+            bad.append(k)
+    assert not bad, bad[:5]
+
+
+def _decimal_references(xs: list[int]) -> tuple[dict, dict]:
+    """h(x) and tail(x) as 45-digit decimal sums over primes, exact inner g."""
+    pre = ScaledMoebiusPrefix(N // 2)
+    L = pre.denominator
+    scale = 10**50
+    primes = _primes_upto(max(xs)).tolist()
+    with localcontext() as ctx:
+        ctx.prec = 45
+        # g(q) floored to 50 decimals; each inner value is off by < 1e-50
+        g = [Decimal(pre.scaled_g[q] * scale // L).scaleb(-50) for q in range(N // 2 + 1)]
+        ln = {p: Decimal(p).ln() for p in primes}
+        h, tail = {}, {}
+        for x in xs:
+            h[x] = sum((ln[p] / p * g[x // p] for p in primes if p <= x), Decimal(0))
+            t = Decimal(0)
+            for p in primes:
+                q = p * p
+                while q <= x:
+                    t += ln[p] / q * g[x // q]
+                    q *= p
+            tail[x] = t
+    return h, tail
+
+
+def test_h_and_tail_lanes_contain_decimal_reference(tables_20k):
+    rng = random.Random(17)
+    xs = sorted({1, 2, 3, 4, 8, 9, 30, 210, 4096, N} | {rng.randint(5, N) for _ in range(60)})
+    assert len(xs) >= 50
+    href, tref = _decimal_references(xs)
+    # the references sum at most pi(2e4) terms of 45 digits
+    slack = Decimal("1e-38")
+    for tables in (tables_20k, SummatoryTables(N, block_size=1000)):
+        hv, he = tables.h_arrays
+        tv, te = tables.tail_arrays
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x in xs:
+                assert abs(Decimal(float(hv[x])) - href[x]) <= Decimal(float(he[x])) + slack, x
+                assert abs(Decimal(float(tv[x])) - tref[x]) <= Decimal(float(te[x])) + slack, x
+
+
+def test_increment_lanes_overlap_gathers(tables_20k):
+    hv, he = tables_20k.h_arrays
+    tv, te = tables_20k.tail_arrays
+    for x in range(1, N + 1):
+        h = tables_20k.h_certified(x)
+        t = tables_20k.tail_certified(x)
+        assert abs(hv[x] - h.value) <= he[x] + h.err, x
+        assert abs(tv[x] - t.value) <= te[x] + t.err, x
+
+
+def test_series_reads_h_lane(tables_20k):
+    s = series_scan(N, 37, tables=tables_20k)
+    hv, he = tables_20k.h_arrays
+    assert np.array_equal(s.h, hv[s.xs]) and np.array_equal(s.h_err, he[s.xs])
+    assert tables_20k.h_point(N).value == hv[N]
+
+
+def test_h_lane_cofactor_loop_matches_per_prime_slices(tables_20k):
+    # one slice per prime, in prime order, is the direct form of the lane
+    mu = moebius_values_upto(N)
+    num = np.zeros(N + 1)
+    for p in _primes_upto(N).tolist():
+        num[p::p] += mu[1 : N // p + 1] * np.log(np.float64(p))
+    ks = np.arange(N + 1, dtype=np.float64)
+    ks[0] = 1.0
+    terms = num / ks
+    hv, _ = tables_20k.h_arrays
+    ref, _ = _prefix_with_err(terms, np.zeros(N + 1), tables_20k.block_size)
+    assert np.array_equal(hv, ref)
+    assert math.isclose(float(hv[N]), tables_20k.h_certified(N).value, rel_tol=1e-12)
