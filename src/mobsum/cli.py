@@ -23,7 +23,7 @@ import argparse
 import math
 import sys
 import time
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 from . import bounds as bounds_mod
 from . import fast as fast_mod
@@ -34,6 +34,7 @@ from .summatory import (
     EXACTNESS_CUTOFF,
     MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
+    SummatorySeries,
     SummatoryTables,
     big_m,
     g_exact,
@@ -56,7 +57,7 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def _write_rows(out: IO[str], rows: list[list[str]]) -> None:
+def _write_rows(out: IO[str], rows: Iterable[list[str]]) -> None:
     for row in rows:
         out.write(",".join(cell.replace(",", ";") for cell in row) + "\n")
 
@@ -66,31 +67,33 @@ def _write_rows(out: IO[str], rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _table_rows(series: SummatorySeries) -> Iterator[list[str]]:
+    """The header, then one formatted row per sample, made as they are written."""
+    yield ["x", "g", "g_err", "f", "f_err", "M", "theta", "theta_err", "epsilon", "h", "h_err"]
+    for i in range(len(series)):
+        yield [
+            str(int(series.xs[i])),
+            _fmt(series.g[i]),
+            _fmt_err(series.g_err[i]),
+            _fmt(series.f[i]),
+            _fmt_err(series.f_err[i]),
+            str(int(series.M[i])),
+            _fmt(series.theta[i]),
+            _fmt_err(series.theta_err[i]),
+            _fmt(series.epsilon[i]),
+            _fmt(series.h[i]),
+            _fmt_err(series.h_err[i]),
+        ]
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    # no reference to the tables is kept: they are freed before the rows are built
+    # no reference to the tables is kept: they are freed before the rows are written
     tables = SummatoryTables(args.limit, block_size=args.blocksize)
     series = series_scan(args.limit, args.stride, tables=tables)
     del tables
-    rows = [["x", "g", "g_err", "f", "f_err", "M", "theta", "theta_err", "epsilon", "h", "h_err"]]
-    for i in range(len(series)):
-        rows.append(
-            [
-                str(int(series.xs[i])),
-                _fmt(series.g[i]),
-                _fmt_err(series.g_err[i]),
-                _fmt(series.f[i]),
-                _fmt_err(series.f_err[i]),
-                str(int(series.M[i])),
-                _fmt(series.theta[i]),
-                _fmt_err(series.theta_err[i]),
-                _fmt(series.epsilon[i]),
-                _fmt(series.h[i]),
-                _fmt_err(series.h_err[i]),
-            ]
-        )
     out, close = _open_out(args.out)
     try:
-        _write_rows(out, rows)
+        _write_rows(out, _table_rows(series))
     finally:
         if close:
             out.close()

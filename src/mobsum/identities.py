@@ -12,7 +12,10 @@ Verified here, each at a single evaluation point x:
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
     the i >= 2 prime powers;
   * the summation-by-parts rearrangement of h(x) - 1 over the increments of
-    theta, including the boundary fact g(x/(floor(x)+1)) = 0.
+    theta, including the boundary fact g(x/(floor(x)+1)) = 0; its right
+    side is evaluated over the O(sqrt(x)) floor-quotient runs of x (one
+    kernel for a point and a range, see ``_abel_rhs``), its left side read
+    from the h prefix lane.
 
 Exact checks carry zero tolerance.  Certified checks hold when the observed
 difference is within the combined error bounds plus ``IDENTITY_TOLERANCE``.
@@ -28,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .certified import EPS, CertifiedFloat, CompensatedSum, _HEADROOM, log_certified
-from .fast import _unit_sum_scaled
+from .fast import _runs, _unit_sum_scaled
 from .sieve import _primes_upto, is_prime, moebius_oracle
 from .summatory import (
     EXACTNESS_CUTOFF,
@@ -41,6 +44,10 @@ from .summatory import (
     g_float,
     h_direct,
 )
+
+# Most run positions one batch of ``_abel_rhs`` lays out (at least one x): its
+# twenty-odd arrays then take about 0.7 MB, whatever the range.
+_ABEL_BATCH = 1 << 12
 
 # Absolute tolerance added on top of both error bounds for certified checks;
 # an order below the worst accumulated bound at the exactness cutoff.
@@ -308,42 +315,86 @@ def abel_rearrangement_check(
 
     The right side is  sum_{nu<=x} eps(nu) (g(x/nu) - g(x/(nu+1)))
     + sum_{nu<=x-1} eps(nu)/(nu+1) g(x/(nu+1)); the boundary term vanishes
-    because x/(floor(x)+1) < 1, which is asserted explicitly.  The left side
-    h(x) - 1 reads h from the increment lane (``SummatoryTables.h_point``),
-    which shares no sum with the right side.
+    because x/(floor(x)+1) < 1, which is asserted explicitly.  It is
+    ``abel_scan`` on [floor(x), floor(x)]; see there for how both sides are
+    evaluated.
     """
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if floor_div(x, n + 1) != 0:
         raise AssertionError(f"boundary argument floor(x/(n+1)) nonzero at x = {x}")
-    if tables is None:
-        tables = SummatoryTables(n)
-    elif tables.limit < n:
-        raise ValueError(f"tables cover [1, {tables.limit}] < x = {n}")
+    return abel_scan(n, n, tables=tables, tolerance=tolerance)[0]
+
+
+def _abel_rhs(
+    lo: int, hi: int, tables: SummatoryTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right side of the rearrangement and its bound at every x in [lo, hi].
+
+    Over the runs (q, nu_lo, nu_hi) of floor(x/nu) (``fast._runs``, with
+    nu = 1 as a run of its own) both sums shrink to one term per run:
+
+      * eps(nu) (g(x/nu) - g(x/(nu+1))) is exactly 0, in floats too, unless
+        nu ends a run; there it is eps(nu_hi) (g(q) - g(q')), with q' the
+        next run's quotient and 0 after nu = x.  The kept terms are bit
+        for bit those of the sum over every nu;
+      * sum_{nu_lo<=m<=nu_hi} eps(m-1)/m g(q) = g(q) (E(nu_hi) - E(nu_lo-1))
+        with the prefix lane E (``SummatoryTables.eps_sum_arrays``); the
+        nu = 1 run adds g(x) (E(1) - E(0)) = 0 exactly.
+
+    Each term carries its input errors and one rounding per operation.  The
+    terms of consecutive x are laid out in one batch of at most
+    ``_ABEL_BATCH`` positions (at least one x), and each x is reduced by
+    ``np.add.reduceat`` in an order it does not fix, so its sum is charged
+    EPS * sum|t| * (terms + 8), valid for any order.  Every x owns at least
+    its nu = 1 position, so no segment is empty (reduceat would return the
+    next term for an empty one).
+    """
     gv, ge = tables.g_arrays
     ev, ee = tables.eps_arrays
-    nu = np.arange(1, n + 1, dtype=np.int64)
-    q1 = n // nu
-    q2 = n // (nu + 1)
-    enu = ev[nu]
-    enu_err = ee[nu]
-    d = gv[q1] - gv[q2]
-    d_err = ge[q1] + ge[q2] + EPS * np.abs(d)
-    t1 = enu * d
-    in1 = np.abs(enu) * d_err + enu_err * np.abs(d) + EPS * np.abs(t1)
-    div = (nu + 1).astype(np.float64)
-    gq2 = gv[q2]
-    t2 = enu / div * gq2
-    in2 = (np.abs(enu) * ge[q2] + enu_err * np.abs(gq2)) / div + 2.0 * EPS * np.abs(t2)
-    mag = float(np.sum(np.abs(t1)) + np.sum(np.abs(t2)))
-    rhs_val = float(np.sum(t1) + np.sum(t2))
-    rhs_err = (
-        EPS * mag * (2.0 * n + 8.0) + float(np.sum(in1) + np.sum(in2))
-    ) * _HEADROOM
-    rhs = CertifiedFloat(rhs_val, rhs_err)
-    lhs = tables.h_point(n).add_exact(-1.0)
-    return _certified_check("abel_rearrangement", n, lhs, rhs, tolerance)
+    Ev, Ee = tables.eps_sum_arrays
+    vals = np.empty(hi - lo + 1)
+    errs = np.empty(hi - lo + 1)
+    x = lo
+    while x <= hi:
+        first = x
+        qs, his, counts = [], [], []
+        size = 0
+        while x <= hi and (not counts or size + 2 * isqrt(x) + 1 <= _ABEL_BATCH):
+            q, _, nu_hi = _runs(x)
+            qs += ((x,), q)
+            his += ((1,), nu_hi)
+            counts.append(q.size + 1)
+            size += q.size + 1
+            x += 1
+        Q = np.concatenate(qs)
+        HI = np.concatenate(his)
+        counts = np.array(counts)
+        starts = np.cumsum(counts) - counts
+        g1, g1e = gv[Q], ge[Q]
+        g2, g2e = np.empty_like(g1), np.empty_like(g1)  # at the next run's q
+        g2[:-1], g2e[:-1] = g1[1:], g1e[1:]
+        g2[starts - 1] = g2e[starts - 1] = 0.0  # g(0) after nu = x; [-1] ends the last x
+        E1, E1e = Ev[HI], Ee[HI]
+        E0, E0e = np.empty_like(E1), np.empty_like(E1)  # at nu_lo - 1
+        E0[1:], E0e[1:] = E1[:-1], E1e[:-1]
+        E0[starts] = E0e[starts] = 0.0  # E(0) for the nu = 1 run
+        d = g1 - g2
+        d_err = g1e + g2e + EPS * np.abs(d)
+        e = ev[HI]
+        t1 = e * d
+        in1 = np.abs(e) * d_err + ee[HI] * np.abs(d) + EPS * np.abs(t1)
+        w = E1 - E0
+        w_err = E1e + E0e + EPS * np.abs(w)
+        t2 = g1 * w
+        in2 = np.abs(g1) * w_err + g1e * (np.abs(w) + w_err) + EPS * np.abs(t2)
+        val = np.add.reduceat(t1, starts) + np.add.reduceat(t2, starts)
+        mag = np.add.reduceat(np.abs(t1) + np.abs(t2), starts)
+        ins = np.add.reduceat(in1 + in2, starts)
+        vals[first - lo : x - lo] = val
+        errs[first - lo : x - lo] = (EPS * mag * (2.0 * counts + 8.0) + ins) * _HEADROOM
+    return vals, errs
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +437,22 @@ def abel_scan(
 ) -> list[IdentityCheck]:
     """abel_rearrangement_check at every integer in [lo, hi].
 
-    Each left side h(x) - 1 reads the increment lane ``h_arrays``, built
-    once over the tables' whole range on the first check.
+    The right side comes from ``_abel_rhs``, O(sqrt(x)) terms per x over the
+    floor-quotient runs, so the scan costs O(hi^1.5).  The left side
+    h(x) - 1 reads the increment lane ``h_arrays``, which shares no sum with
+    the right side.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None:
         tables = SummatoryTables(hi)
-    return [
-        abel_rearrangement_check(x, tables=tables, tolerance=tolerance)
-        for x in range(lo, hi + 1)
-    ]
+    elif tables.limit < hi:
+        raise ValueError(f"tables cover [1, {tables.limit}] < x = {hi}")
+    rv, rerr = _abel_rhs(lo, hi, tables)
+    hv, he = tables.h_arrays
+    out = []
+    for i, x in enumerate(range(lo, hi + 1)):
+        lhs = CertifiedFloat(float(hv[x]), float(he[x])).add_exact(-1.0)
+        rhs = CertifiedFloat(float(rv[i]), float(rerr[i]))
+        out.append(_certified_check("abel_rearrangement", x, lhs, rhs, tolerance))
+    return out

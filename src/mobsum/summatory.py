@@ -387,6 +387,7 @@ class SummatoryTables:
         f, f_err    certified prefix of mu(k) log(k)/k
         theta, theta_err    certified Chebyshev prefix
         eps, eps_err        theta/x - 1 pointwise
+        E, E_err    certified prefix E(k) = sum_{m=2}^{k} eps(m-1)/m
         H, H_err    certified harmonic prefix
         h, h_err    certified prefix of x^-1 sum_{p|x} log p mu(x/p)
         tail, tail_err      certified prefix of x^-1 sum_{p^i|x, i>=2} log p mu(x/p^i)
@@ -418,6 +419,7 @@ class SummatoryTables:
         self._f: tuple[np.ndarray, np.ndarray] | None = None
         self._theta: tuple[np.ndarray, np.ndarray] | None = None
         self._eps: tuple[np.ndarray, np.ndarray] | None = None
+        self._eps_sum: tuple[np.ndarray, np.ndarray] | None = None
         self._H: tuple[np.ndarray, np.ndarray] | None = None
         self._h: tuple[np.ndarray, np.ndarray] | None = None
         self._tail: tuple[np.ndarray, np.ndarray] | None = None
@@ -496,6 +498,18 @@ class SummatoryTables:
         vals.flags.writeable = False
         errs.flags.writeable = False
         return vals, errs
+
+    def _build_eps_sum(self) -> tuple[np.ndarray, np.ndarray]:
+        # term m is eps(m-1)/m: the eps error scaled by 1/m plus one rounding
+        ev, ee = self.eps_arrays
+        ms = self._ks()
+        terms = np.zeros(self.limit + 1, dtype=np.float64)
+        ins = np.zeros(self.limit + 1, dtype=np.float64)
+        np.divide(ev[1:-1], ms[2:], out=terms[2:])
+        np.divide(ee[1:-1], ms[2:], out=ins[2:])
+        del ms
+        _add_scaled_abs(ins, terms, EPS)
+        return _prefix_with_err(terms, ins, self.block_size)
 
     def _build_H(self) -> tuple[np.ndarray, np.ndarray]:
         terms = self._ks()
@@ -607,6 +621,13 @@ class SummatoryTables:
         if self._eps is None:
             self._eps = self._build_eps()
         return self._eps
+
+    @property
+    def eps_sum_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """E(k) = sum_{m=2}^{k} eps(m-1)/m, the weights of the summation by parts."""
+        if self._eps_sum is None:
+            self._eps_sum = self._build_eps_sum()
+        return self._eps_sum
 
     @property
     def harmonic_arrays(self) -> tuple[np.ndarray, np.ndarray]:

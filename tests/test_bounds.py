@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,15 @@ def test_harmonic_bound_examples(tables_2k):
 def test_tail_constant_certified():
     c = log_square_sum_constant()
     assert abs(c.value - 0.9375482543) < 1e-9
+    assert c.err < 1e-10
+
+
+def test_tail_constant_contains_zeta_prime_2():
+    # the constant is -zeta'(2) = 0.937548254315843753702574094568... (OEIS
+    # A073002), given here to 30 digits, so off by under 1e-30
+    c = log_square_sum_constant()
+    ref = Fraction("0.937548254315843753702574094568")
+    assert abs(Fraction(c.value) - ref) + Fraction(1, 10**30) <= Fraction(c.err)
     assert c.err < 1e-10
 
 

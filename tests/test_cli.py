@@ -172,3 +172,17 @@ def test_verify_wide_peak_rss(tmp_path):
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < 160, maxrss_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_verify_exact_cutoff_peak_rss(tmp_path):
+    # the rearrangement scan over [1, 2e4] lays out its runs in batches of a
+    # fixed size; all of them at once would add about 0.5 GB
+    src = str(Path(mobsum.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
+    argv += ["--limit", "20000", "--cutoff", "20000", "--out", str(tmp_path / "verify.csv")]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 256, maxrss_kib

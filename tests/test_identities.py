@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mobsum import identities
+from mobsum.certified import EPS, _HEADROOM
+from mobsum.fast import _runs
 from mobsum.identities import (
+    _ABEL_BATCH,
     CutoffExceededError,
     IdentityCheck,
     abel_rearrangement_check,
@@ -179,6 +183,49 @@ def test_abel_examples(tables_2k):
 def test_abel_rejects_undersized_tables():
     with pytest.raises(ValueError):
         abel_rearrangement_check(500, tables=SummatoryTables(100))
+    with pytest.raises(ValueError):
+        abel_scan(1, 500, tables=SummatoryTables(100))
+
+
+def _dense_abel_rhs(n: int, tables: SummatoryTables) -> tuple[float, float]:
+    """The rearranged right side at n with one term per nu, and its bound."""
+    gv, ge = tables.g_arrays
+    ev, ee = tables.eps_arrays
+    nu = np.arange(1, n + 1, dtype=np.int64)
+    q1 = n // nu
+    q2 = n // (nu + 1)
+    enu = ev[nu]
+    enu_err = ee[nu]
+    d = gv[q1] - gv[q2]
+    d_err = ge[q1] + ge[q2] + EPS * np.abs(d)
+    t1 = enu * d
+    in1 = np.abs(enu) * d_err + enu_err * np.abs(d) + EPS * np.abs(t1)
+    div = (nu + 1).astype(np.float64)
+    gq2 = gv[q2]
+    t2 = enu / div * gq2
+    in2 = (np.abs(enu) * ge[q2] + enu_err * np.abs(gq2)) / div + 2.0 * EPS * np.abs(t2)
+    mag = float(np.sum(np.abs(t1)) + np.sum(np.abs(t2)))
+    val = float(np.sum(t1) + np.sum(t2))
+    err = (EPS * mag * (2.0 * n + 8.0) + float(np.sum(in1) + np.sum(in2))) * _HEADROOM
+    return val, err
+
+
+def test_abel_run_form_matches_dense_reference(tables_2k):
+    for c in abel_scan(1, 2000, tables=tables_2k):
+        val, err = _dense_abel_rhs(c.x, tables_2k)
+        assert abs(c.rhs.value - val) <= c.rhs.err + err, c.x
+        assert c.rhs.err <= 4.0 * err, c.x
+
+
+def test_abel_scan_equals_point_checks(tables_2k):
+    # [1201, 2000] and [1, 2000] need more run positions than one batch holds
+    for lo, hi in ((1201, 2000), (1, 2000)):
+        positions = sum(q.size + 1 for q, _, _ in map(_runs, range(lo, hi + 1)))
+        assert positions > 2 * _ABEL_BATCH
+    for lo, hi in ((1, 1), (1, 40), (613, 700), (1201, 2000), (1, 2000)):
+        scan = abel_scan(lo, hi, tables=tables_2k)
+        assert [c.x for c in scan] == list(range(lo, hi + 1))
+        assert scan == [abel_rearrangement_check(x, tables=tables_2k) for x in range(lo, hi + 1)]
 
 
 def test_abel_scan_holds(tables_2k):

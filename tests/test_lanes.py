@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mobsum.identities import abel_rearrangement_check
 from mobsum.sieve import _primes_upto
 from mobsum.summatory import (
     MAX_PREFIX_BLOCK,
@@ -147,6 +148,20 @@ def test_h_and_tail_lanes_contain_decimal_reference(tables_20k):
                 assert abs(Decimal(float(tv[x])) - tref[x]) <= Decimal(float(te[x])) + slack, x
 
 
+def test_abel_right_side_contains_decimal_h(tables_20k):
+    # summed by parts, the right side is h(x) - 1 exactly, so its bound must
+    # hold the 45-digit h reference minus 1
+    rng = random.Random(29)
+    xs = sorted({1, 2, 3, 4, 30, 210, 4096, N} | {rng.randint(5, N) for _ in range(40)})
+    href, _ = _decimal_references(xs)
+    slack = Decimal("1e-38")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for x in xs:
+            rhs = abel_rearrangement_check(x, tables=tables_20k).rhs
+            assert abs(Decimal(rhs.value) - (href[x] - 1)) <= Decimal(rhs.err) + slack, x
+
+
 def test_increment_lanes_overlap_gathers(tables_20k):
     hv, he = tables_20k.h_arrays
     tv, te = tables_20k.tail_arrays
@@ -177,3 +192,24 @@ def test_h_lane_cofactor_loop_matches_per_prime_slices(tables_20k):
     ref, _ = _prefix_with_err(terms, np.zeros(N + 1), tables_20k.block_size)
     assert np.array_equal(hv, ref)
     assert math.isclose(float(hv[N]), tables_20k.h_certified(N).value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_eps_sum_lane_contains_exact_sum(tables_20k, block):
+    # E(k) = sum_{m=2}^{k} eps(m-1)/m must hold the exact sum of its float
+    # terms widened by their input errors: each eps error over m (rounded
+    # up) and each division's rounding, at most u |term|
+    tables = tables_20k if block is None else SummatoryTables(N, block_size=block)
+    ev, ee = tables.eps_arrays
+    Ev, Ee = tables.eps_sum_arrays
+    assert Ev[0] == Ev[1] == Ee[0] == Ee[1] == 0.0
+    rng = random.Random(23)
+    ks = {2, 3, 4, 1000, 1001, 4096, N} | {rng.randint(5, N) for _ in range(60)}
+    u = Fraction(1, 2**53)
+    exact = widen = Fraction(0)
+    for m in range(2, N + 1):
+        t = float(ev[m - 1]) / m
+        exact += Fraction(t)
+        widen += Fraction(math.nextafter(float(ee[m - 1]) / m, math.inf)) + u * abs(Fraction(t))
+        if m in ks:
+            assert abs(Fraction(float(Ev[m])) - exact) + widen <= Fraction(float(Ee[m])), m
