@@ -35,11 +35,13 @@ from .certified import (
     _HEADROOM,
     compare_le,
 )
-from .sieve import DEFAULT_BLOCK_CAPACITY, prime_flags
+from .sieve import DEFAULT_BLOCK_CAPACITY
 from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _prefix_stream,
+    _theta_block_terms,
 )
 
 GAMMA_PROVENANCE = (
@@ -214,44 +216,31 @@ def check_theta_bounds(
 ) -> BoundReport:
     """Verify 0 <= theta(x) < 2x (so |eps(x)| <= 1 with eps > -1 off x=1).
 
-    Streams aligned sieve segments; memory stays at one block regardless of
-    range size.
+    Streams the theta lane over aligned sieve segments (the kernel of
+    ``SummatoryTables.theta_arrays``, bit for bit at the same block size);
+    memory stays at one block regardless of range size.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     violations: list = []
     indeterminate: list = []
     max_ratio = 0.0
-    carry_val = 0.0
-    carry_cnt = 0
     # theta carries history from x = 1, so stream from the start regardless of lo
-    for b in range((hi - 1) // block_size + 1):
-        blo = b * block_size + 1
-        bhi = min(hi, (b + 1) * block_size)
-        flags = prime_flags(blo, bhi)
-        terms = np.zeros(bhi - blo + 1, dtype=np.float64)
-        pos = np.nonzero(flags)[0]
-        terms[pos] = np.log((pos + blo).astype(np.float64))
-        th = carry_val + np.cumsum(terms)
-        cnt = carry_cnt + np.cumsum(flags, dtype=np.int64)
-        errs = (EPS * th * (cnt + 2.0 * b + 2.0)) * _HEADROOM
-        if bhi >= lo:
-            s = max(lo, blo)
-            sl = slice(s - blo, bhi - blo + 1)
-            xs = np.arange(s, bhi + 1, dtype=np.int64)
-            two_x = 2.0 * xs.astype(np.float64)
-            v, u, r = _classify(
-                xs, th[sl], errs[sl], two_x, np.zeros_like(two_x), strict=True
-            )
-            violations += v
-            indeterminate += u
-            max_ratio = max(max_ratio, r)
-            # non-negativity (eps >= -1): err is a multiple of th, so th - err
-            # only dips below zero if the scan itself is broken
-            for i in np.nonzero(th[sl] - errs[sl] < 0.0)[0]:
-                indeterminate.append((int(xs[i]), float(th[sl][i]), 0.0))
-        carry_val = float(th[-1])
-        carry_cnt = int(cnt[-1])
+    for blo, th, errs in _prefix_stream(hi, block_size, _theta_block_terms):
+        s = max(lo - blo, 0)
+        if s >= th.size:
+            continue
+        th, errs = th[s:], errs[s:]
+        xs = np.arange(blo + s, blo + s + th.size, dtype=np.int64)
+        two_x = 2.0 * xs.astype(np.float64)
+        v, u, r = _classify(xs, th, errs, two_x, np.zeros_like(two_x), strict=True)
+        violations += v
+        indeterminate += u
+        max_ratio = max(max_ratio, r)
+        # non-negativity (eps >= -1): the terms are >= 0 and err is a small
+        # multiple of th, so th - err only dips below zero if the scan is broken
+        for i in np.nonzero(th - errs < 0.0)[0]:
+            indeterminate.append((int(xs[i]), float(th[i]), 0.0))
     return BoundReport(
         name="theta_mertens_bounds",
         lo=lo,
@@ -329,13 +318,14 @@ def log_square_sum_constant() -> CertifiedFloat:
 def check_tail_bound(
     x: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
-    """Verify |tail(x)| <= 2 sum log(nu)/nu^2 at the single point x."""
-    from .identities import prime_power_tail
-
+    """Verify |tail(x)| <= 2 sum log(nu)/nu^2 at the single point x, with the
+    tail gathered by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    t = tables.tail_certified(x) if tables is not None else prime_power_tail(x)
+    if tables is None:
+        tables = SummatoryTables(x)
+    t = tables.tail_certified(x)
     lhs = CertifiedFloat(abs(t.value), t.err)
     c = log_square_sum_constant()
     rhs = c.scale_exact(2.0)

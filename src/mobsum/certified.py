@@ -6,9 +6,9 @@ guaranteed to lie in ``[value - err, value + err]``.
 
 Error model
 -----------
-:class:`CompensatedSum` and the gathers of h and the tail in
-``mobsum.summatory`` add with a summation tree they do not fix (NumPy's
-pairwise ``sum``), and publish the cheap worst-case estimate
+The gathers of h, the tail and F(p, x) in ``mobsum.summatory`` add with a
+summation tree they do not fix (NumPy's pairwise ``sum``), and publish the
+cheap worst-case estimate
 
     err <= (number of float additions) * EPS * (sum of |terms|) + input errors
 
@@ -22,7 +22,8 @@ checks, so they publish Wilkinson's running bound instead: under
 round-to-nearest an add whose result is s errs by at most u * |s|, with
 u = EPS/2, so a prefix value is charged u times the sum of the |partial
 sums| before it, plus its input errors (see ``_prefix_with_err``).  The
-values are the same either way; only the bound is smaller.
+scalars ``g_float``, ``f_value``, ``theta`` and ``harmonic`` stream the same
+kernel block by block and return the lane's entry bit for bit.
 
 Per-term input errors account for inexact term construction: platform
 logarithms are assumed correct to 1 ulp and are charged 2 ulp each; a
@@ -132,60 +133,6 @@ def log_certified(x: float) -> CertifiedFloat:
     """Platform log with the 1-ulp correctness assumption charged as 2 ulp."""
     v = math.log(x)
     return CertifiedFloat(v, 2.0 * EPS * abs(v))
-
-
-class CompensatedSum:
-    """Streaming Neumaier-compensated sum publishing the worst-case bound.
-
-    ``add`` takes one term, ``add_block`` a numpy array of terms (reduced with
-    numpy's pairwise ``sum``, then folded in; the published per-addition bound
-    covers any summation tree).  ``input_err`` accumulates the callers'
-    per-term construction errors.
-    """
-
-    __slots__ = ("_hi", "_lo", "_mag", "_adds", "_input_err")
-
-    def __init__(self) -> None:
-        self._hi = 0.0
-        self._lo = 0.0
-        self._mag = 0.0
-        self._adds = 0
-        self._input_err = 0.0
-
-    def add(self, term: float, input_err: float = 0.0) -> None:
-        if self._adds or self._hi or self._lo:
-            self._adds += 1
-        t = self._hi + term
-        if abs(self._hi) >= abs(term):
-            self._lo += (self._hi - t) + term
-        else:
-            self._lo += (term - t) + self._hi
-        self._hi = t
-        self._mag += abs(term)
-        self._input_err += input_err
-
-    def add_block(self, terms, input_err: float = 0.0) -> None:
-        import numpy as np
-
-        n = terms.size
-        if n == 0:
-            self._input_err += input_err
-            return
-        s = float(np.sum(terms))
-        m = float(np.sum(np.abs(terms)))
-        self.add(s, input_err)
-        self._mag += m - abs(s)
-        # n - 1 additions inside the block reduction; the fold-in add is
-        # already counted by ``add`` when the accumulator was nonempty
-        self._adds += n - 1
-
-    @property
-    def value(self) -> float:
-        return self._hi + self._lo
-
-    def result(self) -> CertifiedFloat:
-        err = (EPS * self._mag * self._adds + self._input_err) * _HEADROOM
-        return CertifiedFloat(self._hi + self._lo, err)
 
 
 def compare_le(lhs: CertifiedFloat, rhs: CertifiedFloat) -> str:

@@ -30,19 +30,16 @@ from typing import Union
 
 import numpy as np
 
-from .certified import EPS, CertifiedFloat, CompensatedSum, _HEADROOM, log_certified
+from .certified import EPS, CertifiedFloat, _HEADROOM
 from .fast import _runs, _unit_sum_scaled
-from .sieve import _primes_upto, is_prime, moebius_oracle
+from .sieve import is_prime, moebius_oracle
 from .summatory import (
     EXACTNESS_CUTOFF,
     Real,
     ScaledMoebiusPrefix,
     SummatoryTables,
-    f_value,
     floor_arg,
     floor_div,
-    g_float,
-    h_direct,
 )
 
 # Most run positions one batch of ``_abel_rhs`` lays out (at least one x): its
@@ -194,18 +191,12 @@ def gram_scan(
 # ---------------------------------------------------------------------------
 
 
-def capital_f(
-    p: int,
-    x: Real,
-    *,
-    cutoff: int = EXACTNESS_CUTOFF,
-    tables: SummatoryTables | None = None,
-) -> CertifiedFloat:
+def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> CertifiedFloat:
     """-sum_{i>=1} p^(-i) g(x/p^i), truncated once p^i > x.
 
-    The truncation is lossless: g of an argument below 1 is 0.  Inner g
-    values are exact (converted to certified floats) when they stay within
-    the cutoff, certified floats otherwise.
+    The truncation is lossless: g of an argument below 1 is 0.  One gather
+    over the moduli p^i with weights 1/p^i (``SummatoryTables._gather_point``)
+    on ``tables``, by default ``SummatoryTables(floor(x/p))``.
     """
     p = int(p)
     n = floor_arg(x)
@@ -214,53 +205,25 @@ def capital_f(
     if p > n:
         raise ValueError(f"need p <= x, got p = {p}, x = {x}")
     top = n // p
-    if tables is not None and tables.limit < top:
+    if tables is None:
+        tables = SummatoryTables(top)
+    elif tables.limit < top:
         raise ValueError(f"tables cover [1, {tables.limit}] < floor(x/p) = {top}")
-    exact_pre: ScaledMoebiusPrefix | None = None
-    if tables is None and top <= cutoff:
-        exact_pre = ScaledMoebiusPrefix(max(top, 1))
-    acc = CompensatedSum()
-    pi = p
-    while pi <= n:
-        q = floor_div(x, pi)
-        if exact_pre is not None:
-            gq = exact_pre.g_certified(q)
-        elif tables is not None:
-            gq = tables.g_certified(q)
-        else:
-            gq = g_float(q)
-        term = gq.div_exact(pi)
-        acc.add(term.value, input_err=term.err)
-        pi *= p
-    return -acc.result()
+    # p^i <= n needs i < n.bit_length()
+    mods = np.array([p**i for i in range(1, n.bit_length()) if p**i <= n], dtype=np.int64)
+    w = 1.0 / mods  # one rounding each
+    return -tables._gather_point(n, mods, w, EPS * w)
 
 
-def prime_power_tail(
-    x: Real,
-    *,
-    cutoff: int = EXACTNESS_CUTOFF,
-    tables: SummatoryTables | None = None,
-) -> CertifiedFloat:
-    """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i)."""
+def prime_power_tail(x: Real, *, tables: SummatoryTables | None = None) -> CertifiedFloat:
+    """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i),
+    gathered by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if tables is not None:
-        return tables.tail_certified(n)
-    top = n // 4
-    exact_pre = ScaledMoebiusPrefix(max(top, 1)) if top <= cutoff else None
-    acc = CompensatedSum()
-    for p in _primes_upto(isqrt(n)):
-        p = int(p)
-        lp = log_certified(p)
-        pi = p * p
-        while pi <= n:
-            q = floor_div(x, pi)
-            gq = exact_pre.g_certified(q) if exact_pre is not None else g_float(q)
-            term = lp.mul(gq).div_exact(pi)
-            acc.add(term.value, input_err=term.err)
-            pi *= p
-    return acc.result()
+    if tables is None:
+        tables = SummatoryTables(n)
+    return tables.tail_certified(n)
 
 
 def decomposition_check(
@@ -269,20 +232,14 @@ def decomposition_check(
     tables: SummatoryTables | None = None,
     tolerance: float = IDENTITY_TOLERANCE,
 ) -> IdentityCheck:
-    """Certified check of f(x) = -h(x) - tail(x)."""
+    """Certified check of f(x) = -h(x) - tail(x) (default tables: ``SummatoryTables(x)``)."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if tables is not None:
-        lhs = tables.f_certified(n)
-        h = tables.h_certified(n)
-        tail = tables.tail_certified(n)
-    else:
-        lhs = f_value(n)
-        h = h_direct(n)
-        tail = prime_power_tail(n)
-    rhs = (-h).sub(tail)
-    return _certified_check("prime_decomposition", n, lhs, rhs, tolerance)
+    if tables is None:
+        tables = SummatoryTables(n)
+    rhs = (-tables.h_certified(n)).sub(tables.tail_certified(n))
+    return _certified_check("prime_decomposition", n, tables.f_certified(n), rhs, tolerance)
 
 
 def _certified_check(

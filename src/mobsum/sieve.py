@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-# Default segment length for block sieving; one int8 plus one int64 lane
+# Default segment length for block sieving; one int8 plus one 8-byte lane
 # per entry, so ~9 MB of scratch at the default.
 DEFAULT_BLOCK_CAPACITY = 1 << 20
 
@@ -88,18 +88,21 @@ def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
     """mu over [lo, hi] given the primes up to sqrt(hi)."""
     n = hi - lo + 1
     mu = np.ones(n, dtype=np.int8)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in root_primes:
-        p = int(p)
+    # k with each prime <= sqrt(hi) divided out once; below 2^53 every
+    # quotient is an exact float64, and float division is the faster one
+    rem = np.arange(lo, hi + 1, dtype=np.float64 if hi < 1 << 53 else np.int64)
+    div = np.true_divide if rem.dtype == np.float64 else np.floor_divide
+    for p in root_primes.tolist():
         if p * p > hi:
             break
         start = (-lo) % p
         mu[start::p] *= -1
-        rem[start::p] //= p
+        r = rem[start::p]
+        div(r, p, out=r)
         p2 = p * p
         mu[(-lo) % p2 :: p2] = 0
     # entries with a leftover cofactor > 1 carry exactly one more prime factor
-    mu[rem > 1] *= -1
+    np.negative(mu, out=mu, where=rem > 1)
     mu.flags.writeable = False
     return mu
 

@@ -34,13 +34,18 @@ from .certified import (
     EPS,
     EULER_GAMMA,
     CertifiedFloat,
-    CompensatedSum,
     ZERO,
     _HEADROOM,
     from_exact,
     log_certified,
 )
-from .sieve import DEFAULT_BLOCK_CAPACITY, _primes_upto, iter_moebius_blocks
+from .sieve import (
+    DEFAULT_BLOCK_CAPACITY,
+    _primes_upto,
+    iter_moebius_blocks,
+    prime_flags,
+    sieve_moebius,
+)
 
 # An exact rational value; always in lowest terms with positive denominator.
 ExactRational = Fraction
@@ -131,13 +136,6 @@ class ScaledMoebiusPrefix:
     def g_fraction(self, k: int) -> Fraction:
         return Fraction(self.scaled_g[k], self.denominator)
 
-    def g_certified(self, k: int) -> CertifiedFloat:
-        return from_exact(self.g_fraction(k))
-
-    def g_abs_le_one(self, k: int) -> bool:
-        """Exact test |g(k)| <= 1 without normalising the fraction."""
-        return abs(self.scaled_g[k]) <= self.denominator
-
     @property
     def scaled_harmonic(self) -> list[int]:
         """H(k) * L as integers, H the harmonic number."""
@@ -202,20 +200,15 @@ def big_m(x: Real) -> int:
 
 
 def g_float(x: Real) -> CertifiedFloat:
-    """Certified compensated evaluation of sum_{k<=x} mu(k)/k."""
+    """Certified sum_{k<=x} mu(k)/k: the g lane's entry at x, in O(block) memory."""
     n = floor_arg(x)
-    acc = CompensatedSum()
-    if n >= 1:
-        for block in iter_moebius_blocks(1, n):
-            ks = np.arange(block.lo, block.hi + 1, dtype=np.float64)
-            terms = block.values / ks
-            # one inexact division per nonzero term: <= 1 ulp each
-            acc.add_block(terms, input_err=float(EPS * np.sum(np.abs(terms))))
-    return acc.result()
+    if n < 1:
+        return ZERO
+    return _stream_at(n, lambda lo, hi: _g_terms(lo, sieve_moebius(lo, hi).values))
 
 
 def f_value(x: Real) -> CertifiedFloat:
-    """Certified evaluation of sum_{k<=x} mu(k) log(k)/k.
+    """Certified sum_{k<=x} mu(k) log(k)/k: the f lane's entry at x.
 
     Defined for x >= 1; the k = 1 term has weight log 1 = 0, so f is 0 on
     [1, 2).
@@ -223,23 +216,15 @@ def f_value(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"f is defined for x >= 1, got {x}")
-    acc = CompensatedSum()
-    for block in iter_moebius_blocks(1, n):
-        ks = np.arange(block.lo, block.hi + 1, dtype=np.float64)
-        terms = block.values * np.log(ks) / ks
-        # log charged 2 ulp plus one division: <= 3 ulp per term
-        acc.add_block(terms, input_err=float(3.0 * EPS * np.sum(np.abs(terms))))
-    return acc.result()
+    return _stream_at(n, lambda lo, hi: _f_terms(lo, sieve_moebius(lo, hi).values))
 
 
 def theta(x: Real) -> CertifiedFloat:
-    """Chebyshev theta(x) = sum_{p<=x} log p, certified; 0 for x < 2."""
+    """Chebyshev theta(x) = sum_{p<=x} log p: the theta lane's entry at x; 0 for x < 2."""
     n = floor_arg(x)
-    acc = CompensatedSum()
-    if n >= 2:
-        logs = np.log(_primes_upto(n).astype(np.float64))
-        acc.add_block(logs, input_err=float(2.0 * EPS * np.sum(logs)))
-    return acc.result()
+    if n < 1:
+        return ZERO
+    return _stream_at(n, _theta_block_terms)
 
 
 def epsilon(x: Real) -> CertifiedFloat:
@@ -257,55 +242,22 @@ def epsilon(x: Real) -> CertifiedFloat:
 
 
 def harmonic(x: Real) -> CertifiedFloat:
-    """Certified harmonic sum sum_{k<=x} 1/k for x >= 1."""
+    """Certified sum_{k<=x} 1/k for x >= 1: the H lane's entry at x."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"harmonic sum needs x >= 1, got {x}")
-    acc = CompensatedSum()
-    block = 1 << 20
-    for lo in range(1, n + 1, block):
-        hi = min(lo + block - 1, n)
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = 1.0 / ks
-        # 1/k is exact when k is a power of two
-        inexact = (np.arange(lo, hi + 1, dtype=np.int64) & np.arange(lo - 1, hi, dtype=np.int64)) != 0
-        acc.add_block(terms, input_err=float(EPS * np.sum(terms[inexact])))
-    return acc.result()
+    return _stream_at(n, _H_terms)
 
 
-def h_direct(
-    x: Real, *, cutoff: int = EXACTNESS_CUTOFF, tables: "SummatoryTables | None" = None
-) -> CertifiedFloat:
-    """Direct evaluation of h(x) = sum_{p<=x} (log p / p) g(x/p), certified.
-
-    Inner g values come from the exact scaled prefix when floor(x/p) stays
-    within ``cutoff`` (converted to certified floats), from certified float
-    prefix tables otherwise.  One prime-indexed pass per call; scan consumers
-    should share ``tables``.
-    """
+def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFloat:
+    """h(x) = sum_{p<=x} (log p / p) g(x/p), certified: ``tables.h_certified``
+    on ``SummatoryTables(floor(x))`` unless scan consumers share ``tables``."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"h is defined for x >= 1, got {x}")
-    if n == 1:
-        return ZERO
-    max_inner = floor_div(x, 2)
-    if tables is not None and tables.limit < max_inner:
-        raise ValueError(f"tables cover [1, {tables.limit}] < floor(x/2) = {max_inner}")
-    if tables is None and max_inner > cutoff:
-        tables = SummatoryTables(max_inner)
-    exact_pre = ScaledMoebiusPrefix(min(max_inner, cutoff)) if tables is None else None
-    acc = CompensatedSum()
-    for p in _primes_upto(n):
-        p = int(p)
-        w = log_certified(p).div_exact(p)
-        q = floor_div(x, p)
-        if exact_pre is not None:
-            gq = exact_pre.g_certified(q)
-        else:
-            gq = tables.g_certified(q) if q > 0 else ZERO
-        term = w.mul(gq)
-        acc.add(term.value, input_err=term.err)
-    return acc.result()
+    if tables is None:
+        tables = SummatoryTables(n)
+    return tables.h_certified(n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +282,29 @@ def _add_scaled_abs(acc: np.ndarray, v: np.ndarray, c: float) -> None:
         acc[lo : lo + _CHUNK] += t
 
 
+def _prefix_step(
+    v: np.ndarray, e: np.ndarray, carry: tuple[float, float] | None, last_only: bool = False
+) -> tuple[float, float]:
+    """One block of ``_prefix_with_err``, in place; returns the next carry.
+
+    The block's terms ``v`` and input errors ``e`` become its prefix values
+    and bounds (with ``last_only`` only the last entry of each; the rest stay
+    block-local).  ``carry`` is None for the block that starts at k = 1.
+    """
+    u = 0.5 * EPS
+    np.cumsum(v, out=v)
+    _add_scaled_abs(e[1:], v[1:], u)
+    np.cumsum(e, out=e)
+    if last_only:
+        v, e = v[-1:], e[-1:]
+    if carry is not None:
+        v += carry[0]
+        e += carry[1]
+        _add_scaled_abs(e, v, u)
+    e *= _HEADROOM
+    return float(v[-1]), float(e[-1])
+
+
 def _prefix_with_err(
     terms: np.ndarray, input_err_terms: np.ndarray, block_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -352,28 +327,93 @@ def _prefix_with_err(
     and costs nothing, which keeps exact singletons at +/- 0), and c = 1 in
     every block but the first (the carry add and the carry's own error).
     ``_HEADROOM`` covers the float error of the bound's own cumsum, below
-    block_size * u; hence ``MAX_PREFIX_BLOCK``.
+    block_size * u; hence ``MAX_PREFIX_BLOCK``.  ``_prefix_stream`` runs the
+    same step over blocks built one at a time.
     """
-    n = terms.size - 1
-    vals, errs = terms, input_err_terms
-    vals[0] = errs[0] = 0.0
-    u = 0.5 * EPS
-    carry_val = carry_err = 0.0
+    terms[0] = input_err_terms[0] = 0.0
+    carry = None
+    for lo in range(1, terms.size, block_size):
+        hi = lo + block_size
+        carry = _prefix_step(terms[lo:hi], input_err_terms[lo:hi], carry)
+    terms.flags.writeable = False
+    input_err_terms.flags.writeable = False
+    return terms, input_err_terms
+
+
+def _prefix_stream(n: int, block_size: int, block_terms) -> Iterator[tuple]:
+    """A prefix lane over [1, n], one aligned block at a time, keeping only the carry.
+
+    ``block_terms(lo, hi)`` gives the terms of [lo, hi] and their input errors;
+    yields (lo, values, bounds), bit for bit ``_prefix_with_err``'s entries lo..hi.
+    """
+    carry = None
     for lo in range(1, n + 1, block_size):
-        hi = min(lo + block_size, n + 1)
-        v, e = vals[lo:hi], errs[lo:hi]
-        np.cumsum(v, out=v)
-        _add_scaled_abs(e[1:], v[1:], u)
-        np.cumsum(e, out=e)
-        if lo > 1:
-            v += carry_val
-            e += carry_err
-            _add_scaled_abs(e, v, u)
-        e *= _HEADROOM
-        carry_val, carry_err = float(v[-1]), float(e[-1])
-    vals.flags.writeable = False
-    errs.flags.writeable = False
-    return vals, errs
+        v, e = block_terms(lo, min(lo + block_size - 1, n))
+        carry = _prefix_step(v, e, carry)
+        yield lo, v, e
+
+
+def _stream_at(n: int, block_terms) -> CertifiedFloat:
+    """Entry n of ``_prefix_stream`` at the default block size, finishing only
+    each block's last entry and dropping the block before building the next."""
+    carry = None
+    for lo in range(1, n + 1, DEFAULT_BLOCK_CAPACITY):
+        hi = min(lo + DEFAULT_BLOCK_CAPACITY - 1, n)
+        carry = _prefix_step(*block_terms(lo, hi), carry, last_only=True)
+    return CertifiedFloat(*carry)
+
+
+# -- the terms of each prefix lane over [lo, hi] and their per-term input
+# errors, shared by the table lanes (lo = 0, the zero pad) and the streams
+
+
+def _ks(lo: int, hi: int) -> np.ndarray:
+    """The float divisors lo..hi, with k = 0 as 1.0."""
+    ks = np.arange(lo, hi + 1, dtype=np.float64)
+    if lo == 0:
+        ks[0] = 1.0
+    return ks
+
+
+def _g_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one inexact division per nonzero term: <= 1 ulp each
+    terms = _ks(lo, lo + mu.size - 1)
+    np.divide(mu, terms, out=terms)
+    ins = np.abs(terms)
+    ins *= EPS
+    return terms, ins
+
+
+def _f_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # log charged 2 ulp plus one division: <= 3 ulp per term
+    ks = _ks(lo, lo + mu.size - 1)
+    terms = np.log(ks)
+    terms *= mu
+    terms /= ks
+    del ks
+    ins = np.abs(terms)
+    ins *= 3.0 * EPS
+    return terms, ins
+
+
+def _theta_terms(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # log p at the primes p in [lo, hi], 0 elsewhere; each log charged 2 ulp
+    terms = np.zeros(hi - lo + 1, dtype=np.float64)
+    terms[primes - lo] = np.log(primes.astype(np.float64))
+    return terms, terms * (2.0 * EPS)
+
+
+def _theta_block_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    return _theta_terms(lo, hi, np.flatnonzero(prime_flags(lo, hi)) + lo)
+
+
+def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    terms = _ks(lo, hi)
+    np.divide(1.0, terms, out=terms)
+    ins = terms * EPS
+    # 1/k is exact when k is a power of two
+    ins[[(1 << i) - lo for i in range(hi.bit_length()) if 1 << i >= lo]] = 0.0
+    return terms, ins
 
 
 class SummatoryTables:
@@ -453,39 +493,19 @@ class SummatoryTables:
 
     # -- certified lanes
 
-    def _ks(self) -> np.ndarray:
-        """1.0, 1.0, 2.0, ..., limit: the float divisors k, with k = 0 as 1."""
-        ks = np.arange(self.limit + 1, dtype=np.float64)
-        ks[0] = 1.0
-        return ks
-
     def _build_g(self) -> tuple[np.ndarray, np.ndarray]:
-        terms = self.mu / self._ks()
-        ins = np.abs(terms)
-        ins *= EPS
-        return _prefix_with_err(terms, ins, self.block_size)
+        return _prefix_with_err(*_g_terms(0, self.mu), self.block_size)
 
     def _build_f(self) -> tuple[np.ndarray, np.ndarray]:
-        ks = self._ks()
-        terms = np.log(ks)
-        terms *= self.mu
-        terms /= ks
-        del ks
-        ins = np.abs(terms)
-        ins *= 3.0 * EPS
-        return _prefix_with_err(terms, ins, self.block_size)
+        return _prefix_with_err(*_f_terms(0, self.mu), self.block_size)
 
     def _build_theta(self) -> tuple[np.ndarray, np.ndarray]:
-        terms = np.zeros(self.limit + 1, dtype=np.float64)
-        ps = self.primes
-        terms[ps] = np.log(ps.astype(np.float64))
-        ins = terms * (2.0 * EPS)
-        return _prefix_with_err(terms, ins, self.block_size)
+        return _prefix_with_err(*_theta_terms(0, self.limit, self.primes), self.block_size)
 
     def _build_eps(self) -> tuple[np.ndarray, np.ndarray]:
         # (th_err / x + EPS th / x + EPS |vals|) * _HEADROOM, in place
         th, th_err = self.theta_arrays
-        xs = self._ks()
+        xs = _ks(0, self.limit)
         vals = th / xs
         errs = th_err / xs
         del xs
@@ -502,7 +522,7 @@ class SummatoryTables:
     def _build_eps_sum(self) -> tuple[np.ndarray, np.ndarray]:
         # term m is eps(m-1)/m: the eps error scaled by 1/m plus one rounding
         ev, ee = self.eps_arrays
-        ms = self._ks()
+        ms = _ks(0, self.limit)
         terms = np.zeros(self.limit + 1, dtype=np.float64)
         ins = np.zeros(self.limit + 1, dtype=np.float64)
         np.divide(ev[1:-1], ms[2:], out=terms[2:])
@@ -512,13 +532,7 @@ class SummatoryTables:
         return _prefix_with_err(terms, ins, self.block_size)
 
     def _build_H(self) -> tuple[np.ndarray, np.ndarray]:
-        terms = self._ks()
-        np.divide(1.0, terms, out=terms)
-        terms[0] = 0.0
-        ins = terms * EPS
-        # 1/k is exact when k is a power of two
-        ins[[1 << i for i in range(self.limit.bit_length())]] = 0.0
-        return _prefix_with_err(terms, ins, self.block_size)
+        return _prefix_with_err(*_H_terms(0, self.limit), self.block_size)
 
     def _build_h(self) -> tuple[np.ndarray, np.ndarray]:
         # the logs L_p in one numerator all carry one sign: for squarefree x
@@ -661,20 +675,8 @@ class SummatoryTables:
 
     # -- pointwise certified accessors
 
-    def g_certified(self, k: int) -> CertifiedFloat:
-        v, e = self.g_arrays
-        return CertifiedFloat(float(v[k]), float(e[k]))
-
     def f_certified(self, k: int) -> CertifiedFloat:
         v, e = self.f_arrays
-        return CertifiedFloat(float(v[k]), float(e[k]))
-
-    def theta_certified(self, k: int) -> CertifiedFloat:
-        v, e = self.theta_arrays
-        return CertifiedFloat(float(v[k]), float(e[k]))
-
-    def eps_certified(self, k: int) -> CertifiedFloat:
-        v, e = self.eps_arrays
         return CertifiedFloat(float(v[k]), float(e[k]))
 
     def h_certified(self, x: int) -> CertifiedFloat:

@@ -1,60 +1,13 @@
-import math
-import random
-
-import numpy as np
 import pytest
 
 from mobsum.certified import (
     EPS,
     EULER_GAMMA,
     CertifiedFloat,
-    CompensatedSum,
     compare_le,
     compare_lt,
     from_exact,
 )
-
-
-def test_empty_sum_is_exact_zero():
-    assert CompensatedSum().result() == CertifiedFloat(0.0, 0.0)
-
-
-def test_single_term_has_no_rounding_error():
-    acc = CompensatedSum()
-    acc.add(0.1)
-    r = acc.result()
-    assert r.value == 0.1
-    assert r.err == 0.0
-
-
-def test_single_block_singleton_exact():
-    acc = CompensatedSum()
-    acc.add_block(np.array([1.0]))
-    assert acc.result().err == 0.0
-
-
-def test_bound_contains_true_sum():
-    rng = random.Random(1)
-    for _ in range(50):
-        terms = [rng.uniform(-1, 1) for _ in range(1000)]
-        acc = CompensatedSum()
-        for t in terms:
-            acc.add(t)
-        r = acc.result()
-        exact = math.fsum(terms)
-        assert abs(r.value - exact) <= r.err + abs(exact) * EPS
-
-
-def test_block_and_scalar_paths_agree_within_bounds():
-    rng = np.random.default_rng(2)
-    terms = rng.uniform(-1, 1, size=5000)
-    a = CompensatedSum()
-    for t in terms.tolist():
-        a.add(t)
-    b = CompensatedSum()
-    b.add_block(terms)
-    ra, rb = a.result(), b.result()
-    assert abs(ra.value - rb.value) <= ra.err + rb.err
 
 
 def test_negative_err_rejected():

@@ -131,21 +131,63 @@ def _decimal_references(xs: list[int]) -> tuple[dict, dict]:
     return h, tail
 
 
-def test_h_and_tail_lanes_contain_decimal_reference(tables_20k):
+def _sampled_xs() -> list[int]:
     rng = random.Random(17)
     xs = sorted({1, 2, 3, 4, 8, 9, 30, 210, 4096, N} | {rng.randint(5, N) for _ in range(60)})
     assert len(xs) >= 50
+    return xs
+
+
+def _contains_decimal(v, e, ref: Decimal, slack: Decimal) -> bool:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return abs(Decimal(float(v)) - ref) <= Decimal(float(e)) + slack
+
+
+def test_h_and_tail_lanes_contain_decimal_reference(tables_20k):
+    # the increment lanes and the dense gathers, which share no sum
+    xs = _sampled_xs()
     href, tref = _decimal_references(xs)
     # the references sum at most pi(2e4) terms of 45 digits
     slack = Decimal("1e-38")
     for tables in (tables_20k, SummatoryTables(N, block_size=1000)):
-        hv, he = tables.h_arrays
-        tv, te = tables.tail_arrays
-        with localcontext() as ctx:
-            ctx.prec = 60
+        lanes = (
+            (href, tables.h_arrays),
+            (tref, tables.tail_arrays),
+            (href, tables.h_dense_arrays(N)),
+            (tref, tables.tail_dense_arrays(N)),
+        )
+        for ref, (v, e) in lanes:
             for x in xs:
-                assert abs(Decimal(float(hv[x])) - href[x]) <= Decimal(float(he[x])) + slack, x
-                assert abs(Decimal(float(tv[x])) - tref[x]) <= Decimal(float(te[x])) + slack, x
+                assert _contains_decimal(v[x], e[x], ref[x], slack), x
+
+
+def test_f_theta_harmonic_lanes_contain_decimal_reference(tables_20k):
+    # f = sum mu(k) ln(k)/k, theta = sum_{p<=x} ln p and H = sum 1/k as
+    # 45-digit running sums; each of their <= 2e4 adds errs by 1e-45 of a
+    # partial sum below 1 + |reference|
+    xs = _sampled_xs()
+    mu = moebius_values_upto(N)
+    primes = set(_primes_upto(N).tolist())
+    refs = {"f": {}, "theta": {}, "H": {}}
+    f = th = hs = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        for k in range(1, N + 1):
+            m = int(mu[k])
+            if m and k > 1:
+                f += m * Decimal(k).ln() / k
+            if k in primes:
+                th += Decimal(k).ln()
+            hs += Decimal(1) / k
+            refs["f"][k], refs["theta"][k], refs["H"][k] = f, th, hs
+    for tables in (tables_20k, SummatoryTables(N, block_size=1000)):
+        lanes = {"f": tables.f_arrays, "theta": tables.theta_arrays, "H": tables.harmonic_arrays}
+        for name, (v, e) in lanes.items():
+            for x in xs:
+                ref = refs[name][x]
+                slack = Decimal("1e-38") * (1 + abs(ref))
+                assert _contains_decimal(v[x], e[x], ref, slack), (name, x)
 
 
 def test_abel_right_side_contains_decimal_h(tables_20k):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mobsum.certified import CertifiedFloat
+from mobsum.sieve import DEFAULT_BLOCK_CAPACITY
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
@@ -304,7 +305,7 @@ def test_tables_h_dense_matches_gather_path(tables_2k):
 
 
 def test_tables_tail_lanes_match_scalar_tail(tables_2k):
-    # prime_power_tail without tables uses exact inner g values
+    # prime_power_tail without tables gathers on its own SummatoryTables(x)
     from mobsum.identities import prime_power_tail
 
     tv, te = tables_2k.tail_dense_arrays(2000)
@@ -313,6 +314,22 @@ def test_tables_tail_lanes_match_scalar_tail(tables_2k):
         point = tables_2k.tail_certified(x)
         assert abs(tv[x] - ref.value) <= te[x] + ref.err, x
         assert abs(point.value - ref.value) <= point.err + ref.err, x
+
+
+def test_scalars_equal_lane_entries_across_blocks():
+    # the scalars stream the lanes' prefix kernel one sieve block at a time;
+    # equal values and bounds on both sides of the block edges pin the carry
+    B = DEFAULT_BLOCK_CAPACITY
+    xs = (1, 2, B - 1, B, B + 1, 2 * B + 1)
+    for scalar, lane in (
+        (g_float, "g_arrays"),
+        (f_value, "f_arrays"),
+        (theta, "theta_arrays"),
+        (harmonic, "harmonic_arrays"),
+    ):
+        v, e = getattr(SummatoryTables(2 * B + 1), lane)
+        for x in xs:
+            assert scalar(x) == CertifiedFloat(float(v[x]), float(e[x])), (lane, x)
 
 
 def test_tables_limit_validation(tables_2k):
