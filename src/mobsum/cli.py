@@ -67,23 +67,24 @@ def _write_rows(out: IO[str], rows: Iterable[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(series: SummatorySeries) -> Iterator[list[str]]:
-    """The header, then one formatted row per sample, made as they are written."""
-    yield ["x", "g", "g_err", "f", "f_err", "M", "theta", "theta_err", "epsilon", "h", "h_err"]
-    for i in range(len(series)):
-        yield [
-            str(int(series.xs[i])),
-            _fmt(series.g[i]),
-            _fmt_err(series.g_err[i]),
-            _fmt(series.f[i]),
-            _fmt_err(series.f_err[i]),
-            str(int(series.M[i])),
-            _fmt(series.theta[i]),
-            _fmt_err(series.theta_err[i]),
-            _fmt(series.epsilon[i]),
-            _fmt(series.h[i]),
-            _fmt_err(series.h_err[i]),
-        ]
+_TABLE_HEADER = "x,g,g_err,f,f_err,M,theta,theta_err,epsilon,h,h_err\n"
+# '%.17g' and '%.16e' are the routines behind _fmt and _fmt_err
+_TABLE_ROW = "%d,%.17g,%.16e,%.17g,%.16e,%d,%.17g,%.16e,%.17g,%.17g,%.16e\n"
+_TABLE_CHUNK = 1 << 12
+
+
+def _table_lines(series: SummatorySeries) -> Iterator[str]:
+    """The header, then one formatted line per sample, made as they are written.
+
+    Columns are converted to Python numbers a chunk of rows at a time, so
+    the rows never exist all at once.
+    """
+    s = series
+    columns = (s.xs, s.g, s.g_err, s.f, s.f_err, s.M, s.theta, s.theta_err, s.epsilon, s.h, s.h_err)
+    yield _TABLE_HEADER
+    for lo in range(0, len(series), _TABLE_CHUNK):
+        for row in zip(*(c[lo : lo + _TABLE_CHUNK].tolist() for c in columns)):
+            yield _TABLE_ROW % row
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -93,7 +94,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     del tables
     out, close = _open_out(args.out)
     try:
-        _write_rows(out, _table_rows(series))
+        out.writelines(_table_lines(series))
     finally:
         if close:
             out.close()

@@ -6,16 +6,24 @@ unweighted divisor sums of mu:
     sum_{nu<=x} (1/nu) g(floor(x/nu)) = 1      =>  g(x) = 1 - sum_{nu>=2} ...
     sum_{nu<=x} M(floor(x/nu)) = 1             =>  M(x) = 1 - sum_{nu>=2} ...
 
-floor(x/nu) takes O(sqrt(x)) distinct values; grouping runs of equal
-quotient and sieving base values up to a crossover K (default ~x^(2/3))
-gives O(x^(2/3)) work overall.  The memo is filled iteratively in
-increasing argument order, never by deep call chains.
+floor(x/nu) takes O(sqrt(x)) distinct values; sieving base values up to a
+crossover K (default ~x^(2/3)) and recursing on the values above it gives
+O(x^(2/3)) work overall.  The memo is filled iteratively, never by deep
+call chains.
 
-One enumerator, ``_runs``, yields those runs as arrays; every sum over nu
->= 2 (the M sum, the exact and the certified g sums, the exact unit
-identity) is a reduction over its output.  A run's weight is its length for
-M and its harmonic segment H(nu_hi) - H(nu_lo - 1) for g; a single nu has
-weight 1/nu.
+M works by chain index.  The values above K are y_j = floor(x/j) for j <= J
+= floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)), so the terms of y_j's
+sum with j nu <= J are the chain entries j nu, filled from J down to 1, and
+the rest come off an int32 base table.  Above s = isqrt(y) the quotients are
+the q <= Q = floor(y/(s+1)), each taken floor(y/q) - floor(y/(q+1)) times;
+summation by parts turns their sum into sum_{q<=Q} floor(y/q) mu(q) - s M(Q),
+a sum over the squarefree q <= sqrt(x) with mu read off the table as M(q) -
+M(q-1).
+
+For g, one enumerator, ``_runs``, yields the runs of equal quotient as
+arrays; the exact and the certified g sums and the exact unit identity are
+reductions over its output.  A run's weight is its harmonic segment
+H(nu_hi) - H(nu_lo - 1); a single nu has weight 1/nu.
 
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
@@ -35,12 +43,12 @@ from typing import Union
 import numpy as np
 
 from .certified import EPS, CertifiedFloat, _HEADROOM
+from .sieve import iter_moebius_blocks
 from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
     SummatoryTables,
     _harmonic_arrays,
-    moebius_values_upto,
 )
 
 Value = Union[int, float, Fraction]
@@ -87,8 +95,8 @@ class FloorValueMap:
     """Memo over the distinct floor-quotient arguments of a root x.
 
     ``small`` holds sieve-computed prefix values for arguments 1..crossover;
-    ``large`` maps nu = x // q to the value at argument q > crossover (the nu
-    keys are dense small integers).
+    ``large`` maps the chain index j = x // q to the value at argument
+    q > crossover (the keys are 1..J).
     """
 
     x: int
@@ -120,28 +128,83 @@ def _chain_values(x: int, crossover: int) -> list[int]:
 # Mertens recursion (exact integers)
 # ---------------------------------------------------------------------------
 
-
-def _mertens_sum(y: int, K: int, small, by_val: dict) -> int:
-    """sum_{nu=2}^{y} M(floor(y/nu)) from the base table and the value memo."""
-    q, lo, hi = _runs(y)
-    cnt = hi - lo + 1
-    k = int(np.count_nonzero(q > K))  # leading runs served by the memo
-    total = int(np.dot(cnt[k:], small[q[k:]]))
-    for qq, c in zip(q[:k].tolist(), cnt[:k].tolist()):
-        total += c * by_val[qq]
-    return total
+# The base table is int32: |M(k)| <= k, so every table shorter than 2^31 fits.
+_MERTENS_TABLE_LIMIT = (1 << 31) - 1
+# Roots stay below 2^53, where the float quotients of ``_quotients`` are exact.
+_MERTENS_ROOT_LIMIT = (1 << 53) - 1
 
 
-def _mertens_small_table(limit: int) -> np.ndarray:
-    mu = moebius_values_upto(limit)
-    return np.cumsum(mu, dtype=np.int64)
+def _mertens_table(limit: int) -> np.ndarray:
+    """M(0..limit) as int32, one sieve block and one in-place cumsum at a time."""
+    if not 1 <= limit <= _MERTENS_TABLE_LIMIT:
+        raise ValueError(
+            f"Mertens base table limit must lie in [1, {_MERTENS_TABLE_LIMIT}], got {limit}"
+        )
+    M = np.empty(limit + 1, dtype=np.int32)
+    M[0] = 0
+    for block in iter_moebius_blocks(1, limit):
+        seg = M[block.lo : block.hi + 1]
+        seg[:] = block.values
+        seg[0] += M[block.lo - 1]
+        np.cumsum(seg, dtype=np.int32, out=seg)
+    M.flags.writeable = False
+    return M
+
+
+def _squarefree_head(M: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree q <= s as float64 and mu(q), with mu = M(q) - M(q-1)."""
+    mu = np.diff(M[: s + 1])
+    q = np.flatnonzero(mu) + 1
+    return q.astype(np.float64), mu[q - 1].astype(np.int64)
+
+
+def _quotients(y: int, d: np.ndarray) -> np.ndarray:
+    """y // d for 1 <= y < 2^53 and float64 integer divisors d.
+
+    When d does not divide y, y = m d - r with 1 <= r < d, and y / d lies
+    r/d below m.  Rounding reaches m only if r/d < m 2^-53, that is only if
+    y > r (2^53 - 1), so below 2^53 the correctly rounded y / d truncates
+    to y // d.  Float division is about twice as fast as int64 division.
+    """
+    return (y / d).astype(np.int64)
+
+
+def _mertens_chain(x: int, M: np.ndarray, sf: np.ndarray, mu_sf: np.ndarray) -> np.ndarray:
+    """M(x // j) for every chain index j in [1, J], J = x // (K+1), at index j.
+
+    M is the base table over [0, K] with K >= isqrt(x), and x < 2^53;
+    (sf, mu_sf) are the squarefree q <= isqrt(x) with mu(q).  For y = x // j
+    and s = isqrt(y),
+
+        M(y) = 1 - sum_{nu=2}^{s} M(y // nu) - sum_{q<=Q} (y // q) mu(q) + s M(Q)
+
+    with Q = y // (s+1): the quotients of nu > s are the q <= Q, each taken
+    y//q - y//(q+1) times, summed by parts (y // (Q+1) = s).  y // nu =
+    x // (j nu) is chain entry j nu while j nu <= J and a table entry
+    beyond, so the chain fills from J down to 1 with no lookup by value.
+    """
+    J = x // M.size
+    chain = np.zeros(J + 1, dtype=np.int64)
+    for j in range(J, 0, -1):
+        y = x // j
+        s = isqrt(y)
+        m = min(J // j, s)
+        Q = y // (s + 1)
+        n = int(np.searchsorted(sf, Q, side="right"))
+        total = int(chain[2 * j : m * j + 1 : j].sum())
+        nus = np.arange(m + 1, s + 1, dtype=np.float64)
+        total += int(M[_quotients(y, nus)].sum(dtype=np.int64))
+        total += int(np.dot(_quotients(y, sf[:n]), mu_sf[:n])) - s * int(M[Q])
+        chain[j] = 1 - total
+    return chain
 
 
 def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, FloorValueMap]:
     """M(x) together with the populated floor-quotient memo."""
     ev = MertensEvaluator(int(x), crossover=crossover)
-    value = ev.value(ev.max_x)
-    large = {ev.max_x // v: m for v, m in ev.by_val.items()}
+    chain = ev.chain(ev.max_x)
+    value = int(chain[1]) if chain.size > 1 else int(ev.small[ev.max_x])
+    large = dict(zip(range(1, chain.size), chain[1:].tolist()))
     return value, FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
 
 
@@ -152,52 +215,55 @@ def m_recursive(x: int, *, crossover: int | None = None) -> int:
 
 
 class MertensEvaluator:
-    """Shared-memo Mertens evaluator for batches of roots.
+    """Mertens evaluator for batches of roots up to ``max_x`` < 2^53.
 
-    M is a function of its argument alone, so exact values computed for one
-    root are sound for every other; sharing the value memo makes repeated
-    evaluation (random spot checks, exhaustive sweeps) cheap.
+    The int32 base table over [0, crossover] and its squarefree head are
+    built once and shared by every root; each root runs its own chain.  A
+    crossover below isqrt(max_x) is raised to it, since the summation by
+    parts reads M(q) for q <= sqrt(x) off the table; one at or above 2^31
+    raises ValueError before anything is allocated.
     """
 
     def __init__(self, max_x: int, *, crossover: int | None = None):
-        if max_x < 1:
-            raise ValueError(f"max_x must be >= 1, got {max_x}")
+        if not 1 <= max_x <= _MERTENS_ROOT_LIMIT:
+            raise ValueError(f"max_x must lie in [1, {_MERTENS_ROOT_LIMIT}], got {max_x}")
         self.max_x = max_x
-        self.crossover = (
-            default_crossover(max_x) if crossover is None else max(1, min(int(crossover), max_x))
-        )
-        self.small = _mertens_small_table(self.crossover)
-        self.by_val: dict[int, int] = {}
+        K = default_crossover(max_x) if crossover is None else min(int(crossover), max_x)
+        self.crossover = max(K, isqrt(max_x))
+        self.small = _mertens_table(self.crossover)
+        self._sf, self._mu_sf = _squarefree_head(self.small, isqrt(max_x))
 
-    def value(self, x: int) -> int:
+    def chain(self, x: int) -> np.ndarray:
+        """M(x // j) at index j for every j with x // j above the crossover."""
         if not 1 <= x <= self.max_x:
             raise ValueError(f"x must lie in [1, {self.max_x}], got {x}")
-        if x <= self.crossover:
-            return int(self.small[x])
-        cached = self.by_val.get(x)
-        if cached is not None:
-            return cached
-        for y in _chain_values(x, self.crossover):
-            if y not in self.by_val:
-                self.by_val[y] = 1 - _mertens_sum(y, self.crossover, self.small, self.by_val)
-        return self.by_val[x]
+        return _mertens_chain(x, self.small, self._sf, self._mu_sf)
+
+    def value(self, x: int) -> int:
+        chain = self.chain(x)
+        return int(chain[1]) if chain.size > 1 else int(self.small[x])
 
 
 def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     """M(x) for every x in [0, limit] by ascending recursion fill.
 
     Only [1, base_limit] comes from the sieve (default just M(1)); every
-    later entry is 1 minus the blocked sum of ``MertensEvaluator`` over
-    already-filled entries, the table itself serving as the base table.
-    Used to cross-check the recursion against direct sieving, exhaustively.
+    later entry is the chain kernel's M(x) with the filled entries [0, x-1]
+    as its base table.  Used to cross-check the recursion against direct
+    sieving, exhaustively.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     base_limit = max(1, min(base_limit, limit))
+    base = _mertens_table(base_limit)  # checks its limit before M is allocated
     M = np.zeros(limit + 1, dtype=np.int64)
-    M[1 : base_limit + 1] = _mertens_small_table(base_limit)[1:]
+    M[: base_limit + 1] = base
+    s_head = 0
     for x in range(base_limit + 1, limit + 1):
-        M[x] = 1 - _mertens_sum(x, x, M, {})
+        if isqrt(x) != s_head:
+            s_head = isqrt(x)
+            sf, mu_sf = _squarefree_head(M, s_head)
+        M[x] = _mertens_chain(x, M[:x], sf, mu_sf)[1]
     return M
 
 

@@ -480,7 +480,8 @@ class SummatoryTables:
     @property
     def mertens(self) -> np.ndarray:
         if self._M is None:
-            m = np.cumsum(self.mu, dtype=np.int64)
+            m = self.mu.astype(np.int64)
+            np.cumsum(m, out=m)
             m.flags.writeable = False
             self._M = m
         return self._M

@@ -186,3 +186,16 @@ def test_verify_exact_cutoff_peak_rss(tmp_path):
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < 256, maxrss_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_m_recursive_peak_rss():
+    # the int32 base table of M(10^10) has 4.6e6 entries, filled one sieve block at a time
+    src = str(Path(mobsum.__file__).resolve().parents[1])
+    script = "from mobsum.fast import m_recursive; assert m_recursive(10**10) == -33722"
+    argv = [sys.executable, "-c", _REAP, sys.executable, "-c", script]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 90, maxrss_kib

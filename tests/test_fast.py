@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -8,6 +9,8 @@ import pytest
 from mobsum.fast import (
     FloorValueMap,
     MertensEvaluator,
+    _quotients,
+    default_crossover,
     g_recursive,
     g_recursive_exact,
     g_recursive_float,
@@ -16,6 +19,7 @@ from mobsum.fast import (
     mertens_prefix_recursive,
     quotient_blocks,
 )
+from mobsum.sieve import sieve_moebius
 from mobsum.summatory import ScaledMoebiusPrefix, big_m, g_exact, g_float
 
 
@@ -84,6 +88,48 @@ def test_m_recursive_shared_evaluator_random():
 def test_m_recursive_crossover_knob():
     for k in (50, 316, 5000):
         assert m_recursive(10**5, crossover=k) == -48
+
+
+def test_m_recursive_1e11():
+    assert m_recursive(10**11) == -87856  # OEIS A084237
+
+
+def test_m_recursive_two_crossovers_agree():
+    # a gate that needs no table of M: two base tables must give one value,
+    # and it must match M(10^11) plus the sieved mu over the offset
+    x = 10**11 + 4321
+    k = default_crossover(x)
+    offset = int(sieve_moebius(10**11 + 1, x).values.sum(dtype=np.int64))
+    assert m_recursive(x) == m_recursive(x, crossover=k // 4) == -87856 + offset
+
+
+def test_float_quotients_exact_below_2_53():
+    rng = random.Random(7)
+    top = 2**53 - 1
+    ds = [2, 3, 7, 2**26 + 1, *(rng.randrange(2, 2**27) for _ in range(200))]
+    d = np.array(ds, dtype=np.float64)
+    # just below a multiple of d is where a rounded quotient could reach the next integer
+    ys = [top, top - 1, *(rng.randrange(2**52, top) for _ in range(50))]
+    ys += [(top // dd) * dd - 1 for dd in ds] + [(top // dd) * dd for dd in ds]
+    for y in ys:
+        assert _quotients(y, d).tolist() == [y // dd for dd in ds], y
+
+
+def test_oversized_base_table_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            MertensEvaluator(10**15, crossover=2**31)
+        with pytest.raises(ValueError):
+            m_recursive(10**15)  # default crossover 10^10
+        with pytest.raises(ValueError):
+            mertens_prefix_recursive(2**31, base_limit=2**31)
+        with pytest.raises(ValueError):
+            MertensEvaluator(2**53, crossover=2**30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_floor_value_map_structure():
