@@ -13,6 +13,12 @@ A certified comparison treats a bound as violated only when the whole error
 interval sits on the wrong side; a value whose interval straddles the
 boundary is reported as indeterminate and fails the scan conservatively.
 
+Each scan runs in fixed chunks of ``_SCAN_CHUNK`` consecutive x: it reads
+its lanes by slice, classifies the chunk and keeps only the verdicts, so its
+temporaries stay in cache and its memory does not grow with the range.  The
+verdicts, their order and the maximum ratio are those of one pass over the
+whole range.
+
 Convergence reports locate empirical thresholds: the least G with
 |eps(nu)| <= delta/3 on [G, scan_limit], and the least sampled xi beyond
 which |h(x)|/log x (or |M(x)|/x) stays below delta.  These are explicitly
@@ -93,11 +99,16 @@ class ConvergenceReport:
     note: str = ""
 
 
+# x values a bound scan classifies at once: a chunk's dozen float64
+# temporaries, 128 KiB each, stay in cache whatever the range
+_SCAN_CHUNK = 1 << 14
+
+
 def _classify(
-    xs, lhs_val, lhs_err, rhs_val, rhs_err, strict: bool = False
+    lo: int, lhs_val, lhs_err, rhs_val, rhs_err, strict: bool = False
 ) -> tuple[list, list, float]:
-    """Vector verdicts for lhs <= rhs (or < when strict); returns
-    (violations, indeterminate, max value ratio)."""
+    """Vector verdicts for lhs <= rhs (or < when strict) at x = lo, lo + 1, ...;
+    the rhs may be scalars.  Returns (violations, indeterminate, max value ratio)."""
     ok = (
         (lhs_val + lhs_err < rhs_val - rhs_err)
         if strict
@@ -109,16 +120,30 @@ def _classify(
         else (lhs_val - lhs_err > rhs_val + rhs_err)
     )
     und = ~ok & ~bad
-    violations = [
-        (int(xs[i]), float(lhs_val[i]), float(rhs_val[i])) for i in np.nonzero(bad)[0]
-    ]
-    indeterminate = [
-        (int(xs[i]), float(lhs_val[i]), float(rhs_val[i])) for i in np.nonzero(und)[0]
-    ]
+    rv = np.broadcast_to(rhs_val, lhs_val.shape)
+    violations = [(lo + int(i), float(lhs_val[i]), float(rv[i])) for i in np.flatnonzero(bad)]
+    indeterminate = [(lo + int(i), float(lhs_val[i]), float(rv[i])) for i in np.flatnonzero(und)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs_val > 0, lhs_val / rhs_val, np.inf)
-    max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    return violations, indeterminate, max_ratio
+    return violations, indeterminate, float(np.max(ratios))
+
+
+def _scan(lo: int, hi: int, chunk, strict: bool = False) -> tuple[list, list, float]:
+    """``_classify`` over [lo, hi], ``_SCAN_CHUNK`` x at a time.
+
+    ``chunk(a, b)`` gives (lhs, lhs_err, rhs, rhs_err) at x in [a, b), read
+    off the lanes by slice.  The lists come back in ascending x, and the max
+    ratio is the whole range's: NaN if any ratio is NaN, as ``np.max`` gives.
+    """
+    violations: list = []
+    indeterminate: list = []
+    maxima = []
+    for a in range(lo, hi + 1, _SCAN_CHUNK):
+        v, u, r = _classify(a, *chunk(a, min(a + _SCAN_CHUNK, hi + 1)), strict=strict)
+        violations += v
+        indeterminate += u
+        maxima.append(r)
+    return violations, indeterminate, float(np.max(maxima))
 
 
 def check_g_bound(
@@ -154,14 +179,12 @@ def check_g_bound(
                 violations.append((x, float(Fraction(gn[x], L)), 1.0))
         max_ratio = max(max_ratio, float(Fraction(worst, L)))
     if hi > exact_hi:
-        flo = max(lo, exact_hi + 1)
         if tables is None or tables.limit < hi:
             tables = SummatoryTables(hi)
         gv, ge = tables.g_arrays
-        xs = np.arange(flo, hi + 1, dtype=np.int64)
-        av = np.abs(gv[xs])
-        ae = ge[xs]
-        v, u, r = _classify(xs, av, ae, np.ones_like(av), np.zeros_like(av))
+        v, u, r = _scan(
+            max(lo, exact_hi + 1), hi, lambda a, b: (np.abs(gv[a:b]), ge[a:b], 1.0, 0.0)
+        )
         violations += v
         indeterminate += u
         max_ratio = max(max_ratio, r)
@@ -188,15 +211,19 @@ def check_mangoldt_bound(
         tables = SummatoryTables(hi)
     gv, ge = tables.g_arrays
     fv, fe = tables.f_arrays
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    lx = np.log(xs.astype(np.float64))
-    prod = lx * gv[xs]
-    prod_err = np.abs(lx) * ge[xs] + 2.0 * EPS * np.abs(lx) * np.abs(gv[xs]) + EPS * np.abs(prod)
-    lhs = np.abs(prod - fv[xs])
-    lhs_err = (prod_err + fe[xs] + EPS * lhs) * _HEADROOM
     rhs = 3.0 + EULER_GAMMA
     rhs_err = 2.0 * EPS * rhs
-    v, u, r = _classify(xs, lhs, lhs_err, np.full_like(lhs, rhs), np.full_like(lhs, rhs_err))
+
+    def chunk(a: int, b: int) -> tuple:
+        lx = np.log(np.arange(a, b, dtype=np.float64))
+        g = gv[a:b]
+        prod = lx * g
+        prod_err = np.abs(lx) * ge[a:b] + 2.0 * EPS * np.abs(lx) * np.abs(g) + EPS * np.abs(prod)
+        lhs = np.abs(prod - fv[a:b])
+        lhs_err = (prod_err + fe[a:b] + EPS * lhs) * _HEADROOM
+        return lhs, lhs_err, rhs, rhs_err
+
+    v, u, r = _scan(lo, hi, chunk)
     return BoundReport(
         name="mangoldt_bound",
         lo=lo,
@@ -227,20 +254,21 @@ def check_theta_bounds(
     max_ratio = 0.0
     # theta carries history from x = 1, so stream from the start regardless of lo
     for blo, th, errs in _prefix_stream(hi, block_size, _theta_block_terms):
-        s = max(lo - blo, 0)
-        if s >= th.size:
+        if lo >= blo + th.size:
             continue
-        th, errs = th[s:], errs[s:]
-        xs = np.arange(blo + s, blo + s + th.size, dtype=np.int64)
-        two_x = 2.0 * xs.astype(np.float64)
-        v, u, r = _classify(xs, th, errs, two_x, np.zeros_like(two_x), strict=True)
-        violations += v
-        indeterminate += u
-        max_ratio = max(max_ratio, r)
         # non-negativity (eps >= -1): the terms are >= 0 and err is a small
         # multiple of th, so th - err only dips below zero if the scan is broken
-        for i in np.nonzero(th - errs < 0.0)[0]:
-            indeterminate.append((int(xs[i]), float(th[i]), 0.0))
+        negative = []
+
+        def chunk(a: int, b: int) -> tuple:
+            t, e = th[a - blo : b - blo], errs[a - blo : b - blo]
+            negative.extend((a + int(i), float(t[i]), 0.0) for i in np.flatnonzero(t - e < 0.0))
+            return t, e, 2.0 * np.arange(a, b, dtype=np.float64), 0.0
+
+        v, u, r = _scan(max(lo, blo), blo + th.size - 1, chunk, strict=True)
+        violations += v
+        indeterminate += u + negative
+        max_ratio = max(max_ratio, r)
     return BoundReport(
         name="theta_mertens_bounds",
         lo=lo,
@@ -263,12 +291,15 @@ def check_harmonic_bound(
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
     hv, he = tables.harmonic_arrays
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    lx = np.log(xs.astype(np.float64))
-    rhs = lx + 1.0
-    # log(1) = 0 exactly, making rhs exact at x = 1 (the equality case)
-    rhs_err = np.where(lx == 0.0, 0.0, (2.0 * EPS * np.abs(lx) + EPS * rhs) * _HEADROOM)
-    v, u, r = _classify(xs, hv[xs], he[xs], rhs, rhs_err)
+
+    def chunk(a: int, b: int) -> tuple:
+        lx = np.log(np.arange(a, b, dtype=np.float64))
+        rhs = lx + 1.0
+        # log(1) = 0 exactly, making rhs exact at x = 1 (the equality case)
+        rhs_err = np.where(lx == 0.0, 0.0, (2.0 * EPS * np.abs(lx) + EPS * rhs) * _HEADROOM)
+        return hv[a:b], he[a:b], rhs, rhs_err
+
+    v, u, r = _scan(lo, hi, chunk)
     return BoundReport(
         name="harmonic_log_bound",
         lo=lo,
@@ -357,13 +388,10 @@ def tail_bound_scan(
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
     tv, te = tables.tail_arrays
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    lhs = np.abs(tv[xs])
-    lhs_err = te[xs]
     c = log_square_sum_constant()
-    rhs = np.full_like(lhs, 2.0 * c.value)
-    rhs_err = np.full_like(lhs, (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM)
-    v, u, r = _classify(xs, lhs, lhs_err, rhs, rhs_err)
+    rhs = 2.0 * c.value
+    rhs_err = (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM
+    v, u, r = _scan(lo, hi, lambda a, b: (np.abs(tv[a:b]), te[a:b], rhs, rhs_err))
     return BoundReport(
         name="prime_power_tail_bound",
         lo=lo,

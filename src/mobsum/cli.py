@@ -160,11 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     all_ok = True
 
-    div_bad = sum(
-        1
-        for t in range(1, exact_hi + 1)
-        if ident_mod.divisor_sum(t) != (1 if t == 1 else 0)
-    )
+    sums = ident_mod.divisor_sum_scan(exact_hi).tolist()
+    div_bad = sum(1 for t in range(1, exact_hi + 1) if sums[t] != (1 if t == 1 else 0))
     rows.append(
         [
             "divisor_sum_unit",
@@ -203,13 +200,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows.append(row)
     all_ok &= ok
 
-    for report in (
+    # each full-length lane is dropped right after its last reader
+    reports = [
         bounds_mod.check_g_bound(1, limit, cutoff=cutoff, tables=tables, prefix=prefix),
         bounds_mod.check_mangoldt_bound(1, limit, tables=tables),
-        bounds_mod.check_theta_bounds(1, limit, block_size=args.blocksize),
-        bounds_mod.check_harmonic_bound(1, limit, tables=tables),
-        bounds_mod.tail_bound_scan(1, limit, tables=tables),
-    ):
+    ]
+    tables._release("_g", "_f")
+    reports.append(bounds_mod.check_theta_bounds(1, limit, block_size=args.blocksize))
+    reports.append(bounds_mod.check_harmonic_bound(1, limit, tables=tables))
+    tables._release("_H")
+    reports.append(bounds_mod.tail_bound_scan(1, limit, tables=tables))
+    tables._release("_tail")
+    for report in reports:
         row, ok = _bound_row(report)
         rows.append(row)
         all_ok &= ok
@@ -431,6 +433,13 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--cutoff must be >= 1")
     if not 1 <= getattr(args, "blocksize", 1) <= MAX_PREFIX_BLOCK:
         ap.error("--blocksize must lie in [1, 2^28]")
+    if args.command in ("fast", "bench"):
+        # bench's largest base table is twice the default crossover
+        k = 2 * fast_mod.default_crossover(args.limit) if args.command == "bench" else None
+        try:
+            fast_mod._evaluator_crossover(args.limit, k)
+        except ValueError as exc:
+            ap.error(f"--limit {args.limit} is too large for {args.command}: {exc}")
     try:
         return args.fn(args)
     except OSError as exc:

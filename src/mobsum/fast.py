@@ -208,6 +208,23 @@ def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, Flo
     return value, FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
 
 
+def _evaluator_crossover(max_x: int, crossover: int | None) -> int:
+    """The base-table limit of ``MertensEvaluator(max_x, crossover=crossover)``.
+
+    Raises ValueError, having allocated nothing, when max_x lies outside
+    [1, 2^53) or the limit reaches 2^31.
+    """
+    if not 1 <= max_x <= _MERTENS_ROOT_LIMIT:
+        raise ValueError(f"max_x must lie in [1, {_MERTENS_ROOT_LIMIT}], got {max_x}")
+    K = default_crossover(max_x) if crossover is None else min(int(crossover), max_x)
+    K = max(K, isqrt(max_x))
+    if K > _MERTENS_TABLE_LIMIT:
+        raise ValueError(
+            f"Mertens base table limit must lie in [1, {_MERTENS_TABLE_LIMIT}], got {K}"
+        )
+    return K
+
+
 def m_recursive(x: int, *, crossover: int | None = None) -> int:
     """Exact M(x) by the floor-quotient recursion; O(x^(2/3)) time."""
     value, _ = mertens_floor_map(x, crossover=crossover)
@@ -225,11 +242,8 @@ class MertensEvaluator:
     """
 
     def __init__(self, max_x: int, *, crossover: int | None = None):
-        if not 1 <= max_x <= _MERTENS_ROOT_LIMIT:
-            raise ValueError(f"max_x must lie in [1, {_MERTENS_ROOT_LIMIT}], got {max_x}")
         self.max_x = max_x
-        K = default_crossover(max_x) if crossover is None else min(int(crossover), max_x)
-        self.crossover = max(K, isqrt(max_x))
+        self.crossover = _evaluator_crossover(max_x, crossover)
         self.small = _mertens_table(self.crossover)
         self._sf, self._mu_sf = _squarefree_head(self.small, isqrt(max_x))
 

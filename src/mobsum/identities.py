@@ -2,7 +2,8 @@
 
 Verified here, each at a single evaluation point x:
 
-  * the divisor sum  sum_{n|t} mu(n)  (1 at t = 1, else 0);
+  * the divisor sum  sum_{n|t} mu(n)  (1 at t = 1, else 0), at one t or at
+    every t of a range (``divisor_sum_scan``);
   * the unit identity  sum_{nu<=x} (1/nu) g(x/nu) = 1, checked in exact
     rational arithmetic only (a floating version would merely restate the
     rounding model); ``gram_scan`` checks it at every x of a range by
@@ -88,6 +89,23 @@ def divisor_sum(t: int) -> int:
             if e != d:
                 total += moebius_oracle(e)
     return total
+
+
+def divisor_sum_scan(hi: int) -> np.ndarray:
+    """sum_{n|t} mu(n) at index t for every t in [1, hi] (index 0 holds 0).
+
+    mu(d) comes from ``moebius_oracle`` once per d <= hi and is added into
+    every multiple of d, so, like ``divisor_sum``, the scan never reads the
+    sieve; it costs hi oracle calls and about hi log hi adds.
+    """
+    if hi < 1:
+        raise ValueError(f"hi must be >= 1, got {hi}")
+    sums = np.zeros(hi + 1, dtype=np.int64)
+    for d in range(1, hi + 1):
+        m = moebius_oracle(d)
+        if m:
+            sums[d::d] += m
+    return sums
 
 
 # ---------------------------------------------------------------------------

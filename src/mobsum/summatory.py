@@ -444,6 +444,7 @@ class SummatoryTables:
     error bounds are no longer sound, so it raises ``ValueError``.
 
     Immutable once built; safe to share read-only between scan consumers.
+    A lane dropped with ``_release`` is rebuilt bit for bit on its next read.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -612,6 +613,12 @@ class SummatoryTables:
         np.abs(vals, out=errs)
         errs *= rel_err
         return _prefix_with_err(vals, errs, self.block_size)
+
+    def _release(self, *lanes: str) -> None:
+        """Drop the named cached lanes (attribute names such as ``"_g"``) so
+        their memory can go; a later read rebuilds them bit for bit."""
+        for name in lanes:
+            setattr(self, name, None)
 
     @property
     def g_arrays(self) -> tuple[np.ndarray, np.ndarray]:

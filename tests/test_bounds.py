@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mobsum import bounds
 from mobsum.bounds import (
     BoundReport,
     check_g_bound,
@@ -18,6 +19,8 @@ from mobsum.bounds import (
     tail_bound_scan,
 )
 from mobsum.certified import EULER_GAMMA
+from mobsum.cli import _bound_row
+from mobsum.summatory import SummatoryTables
 
 
 def test_g_bound_examples():
@@ -190,3 +193,98 @@ def test_gamma_oracle_agreement():
     g = gamma_oracle()
     assert g.err < 1e-12
     assert abs(g.value - EULER_GAMMA) <= g.err + 1e-12
+
+
+# -- the chunk driver of the certified scans
+
+_SCANS = {
+    "g": lambda lo, hi, t: check_g_bound(lo, hi, cutoff=0, tables=t),
+    "mangoldt": lambda lo, hi, t: check_mangoldt_bound(lo, hi, tables=t),
+    "theta": lambda lo, hi, t: check_theta_bounds(lo, hi, block_size=3000),
+    "harmonic": lambda lo, hi, t: check_harmonic_bound(lo, hi, tables=t),
+    "tail": lambda lo, hi, t: tail_bound_scan(lo, hi, tables=t),
+}
+# the lane each scan reads last (property, cache attribute); theta streams
+_LANES = {
+    "g": ("g_arrays", "_g"),
+    "mangoldt": ("f_arrays", "_f"),
+    "harmonic": ("harmonic_arrays", "_H"),
+    "tail": ("tail_arrays", "_tail"),
+}
+
+
+@pytest.fixture(scope="module")
+def tables_20k() -> SummatoryTables:
+    return SummatoryTables(20000)
+
+
+def _corrupt(scan: str, tables: SummatoryTables, points: dict, monkeypatch) -> None:
+    """Set the (value, err) of ``scan``'s lane at the given x, for this test only."""
+    if scan == "theta":
+        stream = bounds._prefix_stream
+
+        def spiked(n, block_size, block_terms):
+            for blo, th, errs in stream(n, block_size, block_terms):
+                th, errs = th.copy(), errs.copy()
+                for x, (v, e) in points.items():
+                    if blo <= x < blo + th.size:
+                        th[x - blo], errs[x - blo] = v, e
+                yield blo, th, errs
+
+        monkeypatch.setattr(bounds, "_prefix_stream", spiked)
+        return
+    prop, attr = _LANES[scan]
+    v, e = (a.copy() for a in getattr(tables, prop))
+    for x, (pv, pe) in points.items():
+        v[x], e[x] = pv, pe
+    monkeypatch.setattr(tables, attr, (v, e))
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_scan_chunk_size_does_not_change_reports(scan, tables_20k, monkeypatch):
+    hi = 20000
+    for lo in (1, 5, bounds._SCAN_CHUNK + 1):
+        ref = _SCANS[scan](lo, hi, tables_20k)
+        for chunk in (7, hi):
+            monkeypatch.setattr(bounds, "_SCAN_CHUNK", chunk)
+            assert _SCANS[scan](lo, hi, tables_20k) == ref, (lo, chunk)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_scan_reports_each_spike_once_in_x_order(scan, chunk, tables_20k, monkeypatch):
+    hi = 20000
+    if chunk is None:
+        chunk = bounds._SCAN_CHUNK
+    else:
+        monkeypatch.setattr(bounds, "_SCAN_CHUNK", chunk)
+    # lo, the last and first x of the first two chunks, and hi; the chunks
+    # start at lo = 1.  Even spikes break the bound, odd ones straddle it.
+    xs = sorted({1, chunk, chunk + 1, min(2 * chunk, hi), hi})
+    points = {}
+    for i, x in enumerate(xs):
+        if i % 2 == 0:
+            points[x] = (1e6, 0.0)
+        else:  # theta >= 0 is checked too, so its straddle stays positive
+            points[x] = (2.0 * x, 1.0) if scan == "theta" else (0.0, 1e6)
+    _corrupt(scan, tables_20k, points, monkeypatch)
+    r = _SCANS[scan](1, hi, tables_20k)
+    assert [v[0] for v in r.violations] == xs[0::2]
+    assert [u[0] for u in r.indeterminate] == xs[1::2]
+    assert not r.passed
+
+
+@pytest.mark.parametrize("x", [1, 7, 8, 1000, 20000])
+@pytest.mark.parametrize("scan", ["mangoldt", "harmonic", "tail"])
+def test_scan_nan_lane_entry_fails_with_nan_max(scan, x, tables_20k, monkeypatch):
+    # one NaN is one indeterminate point, and the max ratio is NaN, as the
+    # single pass over the whole range gave
+    monkeypatch.setattr(bounds, "_SCAN_CHUNK", 7)
+    _corrupt(scan, tables_20k, {x: (math.nan, 0.0)}, monkeypatch)
+    r = _SCANS[scan](1, 20000, tables_20k)
+    assert [u[0] for u in r.indeterminate] == [x]
+    assert r.violations == []
+    assert math.isnan(r.max_ratio)
+    row, ok = _bound_row(r)
+    assert row[4:8] == ["0", "1", "nan", "FAIL"] and not ok

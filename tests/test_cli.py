@@ -137,6 +137,11 @@ def test_usage_errors_exit_2(capsys):
         ["table", "--limit", "10", "--cutoff", "5"],
         ["fast", "--limit", "100", "--blocksize", "4096"],
         ["bench", "--limit", "1000", "--cutoff", "5", "--blocksize", "7"],
+        # Mertens base tables at or above 2^31 entries, roots at or above 2^53
+        ["fast", "--limit", "100000000000000"],
+        ["bench", "--limit", str(2**45)],
+        ["fast", "--limit", str(2**53)],
+        ["bench", "--limit", str(2**53)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -172,6 +177,20 @@ def test_verify_wide_peak_rss(tmp_path):
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < 160, maxrss_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_verify_frees_lanes_after_last_reader(tmp_path):
+    # the g and f lanes (64 MB together here) go after the Mangoldt scan, H
+    # and the tail after their own scans: at most one pair is alive at a time
+    src = str(Path(mobsum.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
+    argv += ["--limit", "2000000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 128, maxrss_kib
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

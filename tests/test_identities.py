@@ -17,6 +17,7 @@ from mobsum.identities import (
     decomposition_check,
     decomposition_scan,
     divisor_sum,
+    divisor_sum_scan,
     gram_identity,
     gram_scan,
     prime_power_tail,
@@ -45,6 +46,14 @@ def test_divisor_sum_brute_force_cross_check():
 def test_divisor_sum_exhaustive_small():
     for t in range(2, 10**4 + 1):
         assert divisor_sum(t) == 0, t
+
+
+def test_divisor_sum_scan_matches_points():
+    sums = divisor_sum_scan(3000)
+    assert sums.shape == (3001,) and sums[0] == 0
+    assert sums[1:].tolist() == [divisor_sum(t) for t in range(1, 3001)]
+    with pytest.raises(ValueError):
+        divisor_sum_scan(0)
 
 
 def test_gram_examples():
