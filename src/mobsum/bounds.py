@@ -39,7 +39,6 @@ from .certified import (
     EULER_GAMMA,
     CertifiedFloat,
     _HEADROOM,
-    compare_le,
 )
 from .sieve import DEFAULT_BLOCK_CAPACITY
 from .summatory import (
@@ -177,7 +176,7 @@ def check_g_bound(
                 worst = a
             if a > L:
                 violations.append((x, float(Fraction(gn[x], L)), 1.0))
-        max_ratio = max(max_ratio, float(Fraction(worst, L)))
+        max_ratio = float(Fraction(worst, L))
     if hi > exact_hi:
         if tables is None or tables.limit < hi:
             tables = SummatoryTables(hi)
@@ -187,7 +186,7 @@ def check_g_bound(
         )
         violations += v
         indeterminate += u
-        max_ratio = max(max_ratio, r)
+        max_ratio = float(np.max([max_ratio, r]))
     return BoundReport(
         name="g_unit_bound",
         lo=lo,
@@ -268,7 +267,7 @@ def check_theta_bounds(
         v, u, r = _scan(max(lo, blo), blo + th.size - 1, chunk, strict=True)
         violations += v
         indeterminate += u + negative
-        max_ratio = max(max_ratio, r)
+        max_ratio = float(np.max([max_ratio, r]))
     return BoundReport(
         name="theta_mertens_bounds",
         lo=lo,
@@ -349,39 +348,18 @@ def log_square_sum_constant() -> CertifiedFloat:
 def check_tail_bound(
     x: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
-    """Verify |tail(x)| <= 2 sum log(nu)/nu^2 at the single point x, with the
-    tail gathered by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if tables is None:
-        tables = SummatoryTables(x)
-    t = tables.tail_certified(x)
-    lhs = CertifiedFloat(abs(t.value), t.err)
-    c = log_square_sum_constant()
-    rhs = c.scale_exact(2.0)
-    verdict = compare_le(lhs, rhs)
-    entry = (x, lhs.value, rhs.value)
-    return BoundReport(
-        name="prime_power_tail_bound",
-        lo=x,
-        hi=x,
-        passed=verdict == "pass",
-        max_ratio=lhs.value / rhs.value,
-        checked=1,
-        violations=[entry] if verdict == "violation" else [],
-        indeterminate=[entry] if verdict == "indeterminate" else [],
-        note=f"2C with C = {c.value:.12f} +/- {c.err:.2e}",
-    )
+    """Verify |tail(x)| <= 2 sum log(nu)/nu^2 at the single point x:
+    ``tail_bound_scan`` on [x, x] (default tables ``SummatoryTables(x)``)."""
+    return tail_bound_scan(int(x), int(x), tables=tables)
 
 
 def tail_bound_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
-    """check_tail_bound at every integer in [lo, hi], read from the tail lane.
+    """|tail(x)| <= 2 sum log(nu)/nu^2 at every integer in [lo, hi].
 
     The tail comes from the increment lane ``tail_arrays``, which costs about
-    0.77 hi adds, not from the gathers of ``tail_certified``.
+    0.77 hi adds, not from the run sums of ``tail_certified``.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")

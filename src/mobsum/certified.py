@@ -6,8 +6,9 @@ guaranteed to lie in ``[value - err, value + err]``.
 
 Error model
 -----------
-The gathers of h, the tail and F(p, x) in ``mobsum.summatory`` add with a
-summation tree they do not fix (NumPy's pairwise ``sum``), and publish the
+The floor-quotient run sums of ``mobsum.summatory`` (h, the tail and the
+rearranged h - 1, per x by ``np.add.reduceat``) and F(p, x) add with a
+summation tree they do not fix (NumPy's pairwise sums), and publish the
 cheap worst-case estimate
 
     err <= (number of float additions) * EPS * (sum of |terms|) + input errors

@@ -183,19 +183,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows.append(row)
     all_ok &= ok
 
+    # the identity scans read their lanes only up to exact_hi, so their tables stop there
+    ident_tables = SummatoryTables(exact_hi, block_size=args.blocksize)
     row, ok = _ident_row(
         "prime_decomposition",
         1,
         exact_hi,
-        ident_mod.decomposition_scan(1, exact_hi, tables=tables),
+        ident_mod.decomposition_scan(1, exact_hi, tables=ident_tables),
     )
     rows.append(row)
     all_ok &= ok
 
-    # the scan reads the h lane only up to exact_hi, so its tables stop there
-    abel_tables = SummatoryTables(exact_hi, block_size=args.blocksize)
     row, ok = _ident_row(
-        "abel_rearrangement", 1, exact_hi, ident_mod.abel_scan(1, exact_hi, tables=abel_tables)
+        "abel_rearrangement", 1, exact_hi, ident_mod.abel_scan(1, exact_hi, tables=ident_tables)
     )
     rows.append(row)
     all_ok &= ok

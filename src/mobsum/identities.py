@@ -13,10 +13,14 @@ Verified here, each at a single evaluation point x:
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
     the i >= 2 prime powers;
   * the summation-by-parts rearrangement of h(x) - 1 over the increments of
-    theta, including the boundary fact g(x/(floor(x)+1)) = 0; its right
-    side is evaluated over the O(sqrt(x)) floor-quotient runs of x (one
-    kernel for a point and a range, see ``_abel_rhs``), its left side read
-    from the h prefix lane.
+    theta, including the boundary fact g(x/(floor(x)+1)) = 0, its left side
+    read from the h prefix lane.
+
+The decomposition and rearrangement checks at a point are their scans on
+[x, x].  The sums sum_nu w(nu) g(x/nu) behind h, the tail and the
+rearranged right side are evaluated over the O(sqrt(x)) floor-quotient runs
+of x by the one batched run kernel of ``summatory`` (``_run_batches``,
+``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).
 
 Exact checks carry zero tolerance.  Certified checks hold when the observed
 difference is within the combined error bounds plus ``IDENTITY_TOLERANCE``.
@@ -32,20 +36,19 @@ from typing import Union
 import numpy as np
 
 from .certified import EPS, CertifiedFloat, _HEADROOM
-from .fast import _runs, _unit_sum_scaled
+from .fast import _unit_sum_scaled
 from .sieve import is_prime, moebius_oracle
 from .summatory import (
     EXACTNESS_CUTOFF,
     Real,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _reduce_runs,
+    _run_batches,
+    _run_terms,
     floor_arg,
     floor_div,
 )
-
-# Most run positions one batch of ``_abel_rhs`` lays out (at least one x): its
-# twenty-odd arrays then take about 0.7 MB, whatever the range.
-_ABEL_BATCH = 1 << 12
 
 # Absolute tolerance added on top of both error bounds for certified checks;
 # an order below the worst accumulated bound at the exactness cutoff.
@@ -212,9 +215,10 @@ def gram_scan(
 def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> CertifiedFloat:
     """-sum_{i>=1} p^(-i) g(x/p^i), truncated once p^i > x.
 
-    The truncation is lossless: g of an argument below 1 is 0.  One gather
-    over the moduli p^i with weights 1/p^i (``SummatoryTables._gather_point``)
-    on ``tables``, by default ``SummatoryTables(floor(x/p))``.
+    The truncation is lossless: g of an argument below 1 is 0.  g is read
+    off ``tables``, by default ``SummatoryTables(floor(x/p))``; each of the
+    < log2(x) terms is charged its weight's and its product's rounding and g's
+    error, the sum EPS * sum|terms| per addition for (terms + 8) additions.
     """
     p = int(p)
     n = floor_arg(x)
@@ -230,12 +234,17 @@ def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> Cert
     # p^i <= n needs i < n.bit_length()
     mods = np.array([p**i for i in range(1, n.bit_length()) if p**i <= n], dtype=np.int64)
     w = 1.0 / mods  # one rounding each
-    return -tables._gather_point(n, mods, w, EPS * w)
+    gv, ge = tables.g_arrays
+    g, g_err = gv[n // mods], ge[n // mods]
+    terms = w * g
+    ins = float(np.sum(w * g_err + EPS * w * np.abs(g) + EPS * np.abs(terms)))
+    err = (EPS * float(np.sum(np.abs(terms))) * (mods.size + 8) + ins) * _HEADROOM
+    return CertifiedFloat(-float(np.sum(terms)), err)
 
 
 def prime_power_tail(x: Real, *, tables: SummatoryTables | None = None) -> CertifiedFloat:
     """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i),
-    gathered by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
+    summed by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -250,14 +259,10 @@ def decomposition_check(
     tables: SummatoryTables | None = None,
     tolerance: float = IDENTITY_TOLERANCE,
 ) -> IdentityCheck:
-    """Certified check of f(x) = -h(x) - tail(x) (default tables: ``SummatoryTables(x)``)."""
+    """Certified check of f(x) = -h(x) - tail(x): ``decomposition_scan`` on
+    [floor(x), floor(x)] (default tables: ``SummatoryTables(floor(x))``)."""
     n = floor_arg(x)
-    if n < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if tables is None:
-        tables = SummatoryTables(n)
-    rhs = (-tables.h_certified(n)).sub(tables.tail_certified(n))
-    return _certified_check("prime_decomposition", n, tables.f_certified(n), rhs, tolerance)
+    return decomposition_scan(n, n, tables=tables, tolerance=tolerance)[0]
 
 
 def _certified_check(
@@ -307,7 +312,7 @@ def _abel_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right side of the rearrangement and its bound at every x in [lo, hi].
 
-    Over the runs (q, nu_lo, nu_hi) of floor(x/nu) (``fast._runs``, with
+    Over the runs (q, nu_lo, nu_hi) of floor(x/nu) (``_run_batches``, with
     nu = 1 as a run of its own) both sums shrink to one term per run:
 
       * eps(nu) (g(x/nu) - g(x/(nu+1))) is exactly 0, in floats too, unless
@@ -315,60 +320,32 @@ def _abel_rhs(
         next run's quotient and 0 after nu = x.  The kept terms are bit
         for bit those of the sum over every nu;
       * sum_{nu_lo<=m<=nu_hi} eps(m-1)/m g(q) = g(q) (E(nu_hi) - E(nu_lo-1))
-        with the prefix lane E (``SummatoryTables.eps_sum_arrays``); the
-        nu = 1 run adds g(x) (E(1) - E(0)) = 0 exactly.
+        with the prefix lane E (``SummatoryTables.eps_sum_arrays``), the run
+        kernel's terms (``_run_terms``); the nu = 1 run adds
+        g(x) (E(1) - E(0)) = 0 exactly.
 
-    Each term carries its input errors and one rounding per operation.  The
-    terms of consecutive x are laid out in one batch of at most
-    ``_ABEL_BATCH`` positions (at least one x), and each x is reduced by
-    ``np.add.reduceat`` in an order it does not fix, so its sum is charged
-    EPS * sum|t| * (terms + 8), valid for any order.  Every x owns at least
-    its nu = 1 position, so no segment is empty (reduceat would return the
-    next term for an empty one).
+    Each term carries its input errors and one rounding per operation, and
+    ``_reduce_runs`` sums both term sets of each x together.
     """
     gv, ge = tables.g_arrays
     ev, ee = tables.eps_arrays
-    Ev, Ee = tables.eps_sum_arrays
+    E = tables.eps_sum_arrays
     vals = np.empty(hi - lo + 1)
     errs = np.empty(hi - lo + 1)
-    x = lo
-    while x <= hi:
-        first = x
-        qs, his, counts = [], [], []
-        size = 0
-        while x <= hi and (not counts or size + 2 * isqrt(x) + 1 <= _ABEL_BATCH):
-            q, _, nu_hi = _runs(x)
-            qs += ((x,), q)
-            his += ((1,), nu_hi)
-            counts.append(q.size + 1)
-            size += q.size + 1
-            x += 1
-        Q = np.concatenate(qs)
-        HI = np.concatenate(his)
-        counts = np.array(counts)
-        starts = np.cumsum(counts) - counts
-        g1, g1e = gv[Q], ge[Q]
+    for a, q, nu_hi, starts, counts in _run_batches(lo, hi):
+        g1, g1e = gv[q], ge[q]
         g2, g2e = np.empty_like(g1), np.empty_like(g1)  # at the next run's q
         g2[:-1], g2e[:-1] = g1[1:], g1e[1:]
         g2[starts - 1] = g2e[starts - 1] = 0.0  # g(0) after nu = x; [-1] ends the last x
-        E1, E1e = Ev[HI], Ee[HI]
-        E0, E0e = np.empty_like(E1), np.empty_like(E1)  # at nu_lo - 1
-        E0[1:], E0e[1:] = E1[:-1], E1e[:-1]
-        E0[starts] = E0e[starts] = 0.0  # E(0) for the nu = 1 run
         d = g1 - g2
         d_err = g1e + g2e + EPS * np.abs(d)
-        e = ev[HI]
+        e = ev[nu_hi]
         t1 = e * d
-        in1 = np.abs(e) * d_err + ee[HI] * np.abs(d) + EPS * np.abs(t1)
-        w = E1 - E0
-        w_err = E1e + E0e + EPS * np.abs(w)
-        t2 = g1 * w
-        in2 = np.abs(g1) * w_err + g1e * (np.abs(w) + w_err) + EPS * np.abs(t2)
-        val = np.add.reduceat(t1, starts) + np.add.reduceat(t2, starts)
-        mag = np.add.reduceat(np.abs(t1) + np.abs(t2), starts)
-        ins = np.add.reduceat(in1 + in2, starts)
-        vals[first - lo : x - lo] = val
-        errs[first - lo : x - lo] = (EPS * mag * (2.0 * counts + 8.0) + ins) * _HEADROOM
+        in1 = np.abs(e) * d_err + ee[nu_hi] * np.abs(d) + EPS * np.abs(t1)
+        b = a - lo
+        vals[b : b + counts.size], errs[b : b + counts.size] = _reduce_runs(
+            starts, counts, (t1, in1), _run_terms(g1, g1e, E, nu_hi, starts)
+        )
     return vals, errs
 
 
@@ -384,20 +361,27 @@ def decomposition_scan(
     tables: SummatoryTables | None = None,
     tolerance: float = IDENTITY_TOLERANCE,
 ) -> list[IdentityCheck]:
-    """decomposition_check at every integer in [lo, hi], vectorised."""
+    """decomposition_check at every integer in [lo, hi].
+
+    The left side f(x) reads the f prefix lane.  h(x) and the tail come from
+    the g lane over the floor-quotient runs of x (``SummatoryTables._run_sums``
+    with the weight lanes P and T), O(sqrt(x)) terms per x, so the scan costs
+    O(hi^1.5); both share no sum with the f lane.
+    """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None:
         tables = SummatoryTables(hi)
+    elif tables.limit < hi:
+        raise ValueError(f"tables cover [1, {tables.limit}] < x = {hi}")
     fv, fe = tables.f_arrays
-    hv, he = tables.h_dense_arrays(hi)
-    tv, te = tables.tail_dense_arrays(hi)
+    (hv, he), (tv, te) = tables._run_sums(lo, hi, tables.P_arrays, tables.T_arrays)
     out = []
-    for x in range(lo, hi + 1):
+    for i, x in enumerate(range(lo, hi + 1)):
         lhs = CertifiedFloat(float(fv[x]), float(fe[x]))
-        rv = -hv[x] - tv[x]
+        rv = -hv[i] - tv[i]
         rhs = CertifiedFloat(
-            float(rv), float((he[x] + te[x] + 2.0 * EPS * abs(rv)) * _HEADROOM)
+            float(rv), float((he[i] + te[i] + 2.0 * EPS * abs(rv)) * _HEADROOM)
         )
         out.append(_certified_check("prime_decomposition", x, lhs, rhs, tolerance))
     return out

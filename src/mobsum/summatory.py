@@ -37,7 +37,6 @@ from .certified import (
     ZERO,
     _HEADROOM,
     from_exact,
-    log_certified,
 )
 from .sieve import (
     DEFAULT_BLOCK_CAPACITY,
@@ -431,13 +430,15 @@ class SummatoryTables:
         H, H_err    certified harmonic prefix
         h, h_err    certified prefix of x^-1 sum_{p|x} log p mu(x/p)
         tail, tail_err      certified prefix of x^-1 sum_{p^i|x, i>=2} log p mu(x/p^i)
+        P, P_err    certified prefix P(k) = sum_{p<=k} log p / p
+        T, T_err    certified prefix T(k) = sum_{p^i<=k, i>=2} log p / p^i
 
     The h and tail lanes are h(x) and the prime-power tail summed by their
-    increments, which need only mu; ``h_certified`` and ``tail_certified``
-    gather the same quantities from the g lane at one x, and
-    ``h_dense_arrays``/``tail_dense_arrays`` at every x up to a bound (the
-    decomposition check f = -h - tail needs them: summed by increments it
-    reduces to -mu(x) log x and would check nothing).
+    increments, which need only mu.  ``h_certified``, ``tail_certified`` and
+    ``_run_sums`` (at every x of a range) sum the same quantities from the g
+    lane instead, over the floor-quotient runs of x with the weight lanes P
+    and T; the decomposition check f = -h - tail needs that form, because
+    summed by increments it reduces to -mu(x) log x and would check nothing.
 
     ``block_size`` is the length of one ``np.cumsum`` in the prefix lanes; it
     changes their low-order bits, and above ``MAX_PREFIX_BLOCK`` (2^28) the
@@ -465,10 +466,8 @@ class SummatoryTables:
         self._h: tuple[np.ndarray, np.ndarray] | None = None
         self._tail: tuple[np.ndarray, np.ndarray] | None = None
         self._primes: np.ndarray | None = None
-        self._prime_weights: tuple[np.ndarray, np.ndarray] | None = None
-        self._powers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._h_dense: tuple[int, np.ndarray, np.ndarray] | None = None
-        self._tail_dense: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._P: tuple[np.ndarray, np.ndarray] | None = None
+        self._T: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- integer lanes
 
@@ -559,10 +558,8 @@ class SummatoryTables:
             big=(ps[small:], logs[small:]),
         )
 
-    def _build_tail(self) -> tuple[np.ndarray, np.ndarray]:
-        # a numerator is 0 unless x = p^v m with m squarefree and prime to
-        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
-        # exact, so only the log (2 EPS) and the division (u) err
+    def _prime_powers(self) -> tuple[list[int], list[float]]:
+        """The prime powers p^i <= limit, i >= 2, in (p, i) order, with log p."""
         n = self.limit
         ps = self.primes
         ps = ps[: int(np.searchsorted(ps, isqrt(n), side="right"))]
@@ -573,7 +570,27 @@ class SummatoryTables:
                 mods.append(q)
                 logs.append(lp)
                 q *= p
-        return self._increment_lane(mods, logs, 2.5 * EPS)
+        return mods, logs
+
+    def _build_tail(self) -> tuple[np.ndarray, np.ndarray]:
+        # a numerator is 0 unless x = p^v m with m squarefree and prime to
+        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
+        # exact, so only the log (2 EPS) and the division (u) err
+        return self._increment_lane(*self._prime_powers(), 2.5 * EPS)
+
+    def _build_P(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._weight_lane(self.primes, np.log(self.primes.astype(np.float64)))
+
+    def _build_T(self) -> tuple[np.ndarray, np.ndarray]:
+        mods, logs = self._prime_powers()
+        return self._weight_lane(np.array(mods, dtype=np.int64), np.array(logs))
+
+    def _weight_lane(self, mods: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Certified prefix of the weights log p / m at the moduli m = p^i, 0
+        elsewhere; each is charged 2 ulp for the log and 1 for the division."""
+        terms = np.zeros(self.limit + 1, dtype=np.float64)
+        terms[mods] = logs / mods
+        return _prefix_with_err(terms, terms * (3.0 * EPS), self.block_size)
 
     def _increment_lane(
         self,
@@ -670,16 +687,18 @@ class SummatoryTables:
         return self._tail
 
     @property
-    def prime_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log p / p, its input error) aligned with ``primes``."""
-        if self._prime_weights is None:
-            ps = self.primes.astype(np.float64)
-            w = np.log(ps) / ps
-            werr = 3.0 * EPS * w
-            w.flags.writeable = False
-            werr.flags.writeable = False
-            self._prime_weights = (w, werr)
-        return self._prime_weights
+    def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(k) = sum_{p<=k} log p / p, the weights of h's run sums."""
+        if self._P is None:
+            self._P = self._build_P()
+        return self._P
+
+    @property
+    def T_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """T(k) = sum_{p^i<=k, i>=2} log p / p^i, the weights of the tail's run sums."""
+        if self._T is None:
+            self._T = self._build_T()
+        return self._T
 
     # -- pointwise certified accessors
 
@@ -688,9 +707,9 @@ class SummatoryTables:
         return CertifiedFloat(float(v[k]), float(e[k]))
 
     def h_certified(self, x: int) -> CertifiedFloat:
-        """h(x) via one vectorised pass over the primes <= x."""
-        self._check_arg(x)
-        return self._gather_point(x, *self._prime_lane(x))
+        """h(x) over the runs of x with the prime weight lane ``P_arrays``."""
+        [(v, e)] = self._run_sums(x, x, self.P_arrays)
+        return CertifiedFloat(float(v[0]), float(e[0]))
 
     def h_point(self, x: int) -> CertifiedFloat:
         """h(x) from the increment lane ``h_arrays``."""
@@ -699,104 +718,121 @@ class SummatoryTables:
         return CertifiedFloat(float(hv[x]), float(he[x]))
 
     def tail_certified(self, x: int) -> CertifiedFloat:
-        """sum_{p<=x} log p * sum_{i>=2, p^i<=x} g(x/p^i)/p^i, certified (signed)."""
-        self._check_arg(x)
-        return self._gather_point(x, *self._power_lane(x))
-
-    # -- dense per-x arrays for exhaustive identity scans
-
-    def h_dense_arrays(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """h(x) and its error for every x in [0, upto], one pass per prime.
-
-        Cost is ~pi(upto) * upto element operations; intended for exhaustive
-        checks at x up to the exactness cutoff, not for large sparse scans.
-        """
-        self._check_arg(upto)
-        if self._h_dense is None or self._h_dense[0] < upto:
-            self._h_dense = (upto, *self._gather_dense(upto, *self._prime_lane(upto)))
-        _, hv, he = self._h_dense
-        return hv[: upto + 1], he[: upto + 1]
-
-    def tail_dense_arrays(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Signed prime-power tail and its error for every x in [0, upto]."""
-        self._check_arg(upto)
-        if self._tail_dense is None or self._tail_dense[0] < upto:
-            self._tail_dense = (upto, *self._gather_dense(upto, *self._power_lane(upto)))
-        _, tv, te = self._tail_dense
-        return tv[: upto + 1], te[: upto + 1]
-
-    # -- the prime-power gather shared by h (i = 1) and the tail (i >= 2): a
-    # lane of moduli m, weights w >= 0 and weight errors sums w * g(x // m);
-    # each term is charged its product error plus one rounding, the sum
-    # EPS * sum|terms| per addition for (terms + 8) additions.
+        """sum_{p<=x} log p * sum_{i>=2, p^i<=x} g(x/p^i)/p^i, certified (signed),
+        over the runs of x with the prime-power weight lane ``T_arrays``."""
+        [(v, e)] = self._run_sums(x, x, self.T_arrays)
+        return CertifiedFloat(float(v[0]), float(e[0]))
 
     def _check_arg(self, x: int) -> None:
         if x < 1 or x > self.limit:
             raise ValueError(f"x must lie in [1, {self.limit}], got {x}")
 
-    def _prime_lane(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Primes p <= upto with weights log p / p."""
-        cnt = int(np.searchsorted(self.primes, upto, side="right"))
-        w, werr = self.prime_weights
-        return self.primes[:cnt], w[:cnt], werr[:cnt]
+    def _run_sums(self, lo: int, hi: int, *lanes) -> list[tuple[np.ndarray, np.ndarray]]:
+        """sum_nu w(nu) g(floor(x/nu)) and its bound at every x in [lo, hi], one
+        pair of arrays per weight prefix lane W (``P_arrays``, ``T_arrays``).
 
-    def _power_lane(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Prime powers p^i <= upto, i >= 2, in (p, i) order, weights log p / p^i."""
-        if self._powers is None:
-            mods, w, werr = [], [], []
-            for p in _primes_upto(isqrt(self.limit)).tolist():
-                lp = log_certified(p)
-                pi = p * p
-                while pi <= self.limit:
-                    wv = lp.value / pi
-                    mods.append(pi)
-                    w.append(wv)
-                    werr.append(lp.err / pi + EPS * wv)
-                    pi *= p
-            self._powers = (np.array(mods, dtype=np.int64), np.array(w), np.array(werr))
-        mods, w, werr = self._powers
-        sel = mods <= upto
-        return mods[sel], w[sel], werr[sel]
-
-    def _gather_point(
-        self, x: int, mods: np.ndarray, w: np.ndarray, werr: np.ndarray
-    ) -> CertifiedFloat:
-        """The gather of one lane (moduli <= x) at the single point x."""
-        gv, ge = self.g_arrays
-        idx = x // mods
-        gvals = gv[idx]
-        terms = w * gvals
-        mag = float(np.sum(np.abs(terms)))
-        input_err = float(np.sum(w * ge[idx] + werr * np.abs(gvals) + EPS * np.abs(terms)))
-        val = float(np.sum(terms))
-        err = (EPS * mag * (mods.size + 8) + input_err) * _HEADROOM
-        return CertifiedFloat(val, err)
-
-    def _gather_dense(
-        self, upto: int, mods: np.ndarray, w: np.ndarray, werr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The gather of one lane (moduli <= upto) at every x in [0, upto].
-
-        Terms accumulate modulus by modulus in lane order.  The loop iterates
-        Python floats; indexing the NumPy weight arrays per modulus is slower.
+        Each x is summed over its floor-quotient runs (``_run_batches``), the
+        terms built by ``_run_terms`` and reduced by ``_reduce_runs``; the runs
+        are laid out once for all the lanes.
         """
+        self._check_arg(lo)
+        self._check_arg(hi)
         gv, ge = self.g_arrays
-        vals = np.zeros(upto + 1, dtype=np.float64)
-        mag = np.zeros(upto + 1, dtype=np.float64)
-        ins = np.zeros(upto + 1, dtype=np.float64)
-        nterms = np.zeros(upto + 1, dtype=np.float64)
-        for m, wm, em in zip(mods.tolist(), w.tolist(), werr.tolist()):
-            idx = np.arange(m, upto + 1, dtype=np.int64) // m
-            gval = gv[idx]
-            term = wm * gval
-            vals[m:] += term
-            mag[m:] += np.abs(term)
-            ins[m:] += wm * ge[idx] + em * np.abs(gval) + EPS * np.abs(term)
-            nterms[m:] += 1.0
-        errs = (EPS * mag * (nterms + 8.0) + ins) * _HEADROOM
-        vals.flags.writeable = False
-        errs.flags.writeable = False
-        return vals, errs
+        out = [(np.empty(hi - lo + 1), np.empty(hi - lo + 1)) for _ in lanes]
+        for a, q, nu_hi, starts, counts in _run_batches(lo, hi):
+            gq, gq_err = gv[q], ge[q]
+            b = a - lo
+            for (vals, errs), lane in zip(out, lanes):
+                terms = _run_terms(gq, gq_err, lane, nu_hi, starts)
+                vals[b : b + counts.size], errs[b : b + counts.size] = _reduce_runs(
+                    starts, counts, terms
+                )
+        return out
+
+
+# ---------------------------------------------------------------------------
+# The floor-quotient run kernel
+# ---------------------------------------------------------------------------
+
+# Most run positions one batch of ``_run_batches`` lays out (at least one x):
+# the kernels' twenty-odd batch arrays then take about 0.7 MB, whatever the range.
+_RUN_BATCH = 1 << 12
+
+
+def _run_batches(lo: int, hi: int) -> Iterator[tuple]:
+    """The floor-quotient runs of every x in [lo, hi], in batches of consecutive x.
+
+    Yields (a, q, nu_hi, starts, counts) for the x in [a, a + counts.size):
+    x owns counts[i] positions from starts[i] on, a nu = 1 head (q, nu_hi) =
+    (x, 1) and then ``fast._runs(x)``'s (q, nu_hi), so a run's nu_lo - 1 is
+    the nu_hi of the position before it.  A batch holds at most
+    ``_RUN_BATCH`` positions unless its one x needs more.
+    """
+    xs = np.arange(lo, hi + 1, dtype=np.int64)
+    s = np.sqrt(xs).astype(np.int64)  # isqrt(x), after one correction each way
+    s -= s * s > xs
+    s += (s + 1) * (s + 1) <= xs
+    # the head, the single nu in [2, s], and one run per q <= x // (s + 1)
+    counts = s + xs // (s + 1)
+    ends = np.cumsum(counts)
+    i = 0
+    while i < xs.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[i] + _RUN_BATCH, side="right")))
+        c = counts[i:j]
+        starts = np.cumsum(c) - c
+        pos = np.arange(int(c.sum()), dtype=np.int64) - np.repeat(starts, c)
+        x = np.repeat(xs[i:j], c)
+        sx = np.repeat(s[i:j], c)
+        single = pos < sx  # nu = pos + 1
+        q = np.where(single, x // (pos + 1), x // (sx + 1) - (pos - sx))
+        nu_hi = np.where(single, pos + 1, x // q)
+        yield lo + i, q, nu_hi, starts, c
+        i = j
+
+
+def _run_terms(
+    gq: np.ndarray,
+    gq_err: np.ndarray,
+    lane: tuple[np.ndarray, np.ndarray],
+    nu_hi: np.ndarray,
+    starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms g(q) (W(nu_hi) - W(nu_lo - 1)) of a ``_run_batches`` layout, and
+    their input errors, for g read at the runs' q and a certified prefix lane W
+    of the weights.  Each term carries the errors of g and of the two lane
+    entries, and one rounding for the difference and one for the product."""
+    Wv, We = lane
+    W1, W1e = Wv[nu_hi], We[nu_hi]
+    W0, W0e = np.empty_like(W1), np.empty_like(W1)  # at nu_lo - 1
+    W0[1:], W0e[1:] = W1[:-1], W1e[:-1]
+    W0[starts] = W0e[starts] = 0.0  # W(0) for the nu = 1 head
+    w = W1 - W0
+    w_err = W1e + W0e + EPS * np.abs(w)
+    t = gq * w
+    return t, np.abs(gq) * w_err + gq_err * (np.abs(w) + w_err) + EPS * np.abs(t)
+
+
+def _reduce_runs(
+    starts: np.ndarray, counts: np.ndarray, *term_sets: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-x sums of k term sets laid out alike, and their bounds.
+
+    Each set is reduced by ``np.add.reduceat`` in an order it does not fix,
+    and the k sums are added, so x's sum is charged EPS * sum|t| *
+    (k * counts + 8), valid for any order, plus the terms' input errors.
+    Every x owns at least its head position, so no segment is empty
+    (reduceat would return the next term for an empty one).
+    """
+    (t, ins), *rest = term_sets
+    val = np.add.reduceat(t, starts)
+    mag = np.abs(t)
+    for t2, ins2 in rest:
+        val += np.add.reduceat(t2, starts)
+        mag += np.abs(t2)
+        ins = ins + ins2
+    mag = np.add.reduceat(mag, starts)
+    ins = np.add.reduceat(ins, starts)
+    return val, (EPS * mag * (len(term_sets) * counts + 8.0) + ins) * _HEADROOM
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +896,7 @@ def series_scan(
 
     Each record agrees with the pointwise operations: exactly for the integer
     lanes, within combined error bounds for the certified lanes.  h comes
-    from the increment lane ``h_arrays``, not from per-sample gathers, so its
+    from the increment lane ``h_arrays``, not from per-sample run sums, so its
     low-order bits differ from ``h_certified``'s while the intervals overlap.
     """
     if limit < 1 or stride < 1:

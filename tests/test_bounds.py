@@ -276,13 +276,18 @@ def test_scan_reports_each_spike_once_in_x_order(scan, chunk, tables_20k, monkey
 
 
 @pytest.mark.parametrize("x", [1, 7, 8, 1000, 20000])
-@pytest.mark.parametrize("scan", ["mangoldt", "harmonic", "tail"])
+@pytest.mark.parametrize("scan", ["g", "mangoldt", "harmonic", "theta", "tail"])
 def test_scan_nan_lane_entry_fails_with_nan_max(scan, x, tables_20k, monkeypatch):
     # one NaN is one indeterminate point, and the max ratio is NaN, as the
-    # single pass over the whole range gave
+    # single pass over the whole range gave, also when g's exact part or
+    # theta's other blocks have ratios of their own
     monkeypatch.setattr(bounds, "_SCAN_CHUNK", 7)
     _corrupt(scan, tables_20k, {x: (math.nan, 0.0)}, monkeypatch)
-    r = _SCANS[scan](1, 20000, tables_20k)
+    if scan == "g" and x > 1:
+        # the lane's g(1) = 1 +/- EPS is indeterminate, so x = 1 goes exact
+        r = check_g_bound(1, 20000, cutoff=1, tables=tables_20k)
+    else:
+        r = _SCANS[scan](1, 20000, tables_20k)
     assert [u[0] for u in r.indeterminate] == [x]
     assert r.violations == []
     assert math.isnan(r.max_ratio)

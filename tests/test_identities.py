@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobsum import identities
+from mobsum import identities, summatory
 from mobsum.certified import EPS, _HEADROOM
 from mobsum.fast import _runs
 from mobsum.identities import (
-    _ABEL_BATCH,
     CutoffExceededError,
     IdentityCheck,
     abel_rearrangement_check,
@@ -194,6 +193,11 @@ def test_abel_rejects_undersized_tables():
         abel_rearrangement_check(500, tables=SummatoryTables(100))
     with pytest.raises(ValueError):
         abel_scan(1, 500, tables=SummatoryTables(100))
+    # before any work: building any lane of these tables would raise TypeError
+    short = SummatoryTables(100)
+    short._build_g = short._build_f = short._build_P = short._build_T = None
+    with pytest.raises(ValueError):
+        decomposition_scan(1, 500, tables=short)
 
 
 def _dense_abel_rhs(n: int, tables: SummatoryTables) -> tuple[float, float]:
@@ -230,11 +234,26 @@ def test_abel_scan_equals_point_checks(tables_2k):
     # [1201, 2000] and [1, 2000] need more run positions than one batch holds
     for lo, hi in ((1201, 2000), (1, 2000)):
         positions = sum(q.size + 1 for q, _, _ in map(_runs, range(lo, hi + 1)))
-        assert positions > 2 * _ABEL_BATCH
+        assert positions > 2 * summatory._RUN_BATCH
     for lo, hi in ((1, 1), (1, 40), (613, 700), (1201, 2000), (1, 2000)):
         scan = abel_scan(lo, hi, tables=tables_2k)
         assert [c.x for c in scan] == list(range(lo, hi + 1))
         assert scan == [abel_rearrangement_check(x, tables=tables_2k) for x in range(lo, hi + 1)]
+
+
+def test_run_batch_size_does_not_change_scans(tables_2k, monkeypatch):
+    # each x's terms are reduced on their own, so the batch layout leaves
+    # every bit of every check as it is
+    scans = (decomposition_scan, abel_scan)
+    ref = {(s, lo): s(lo, 2000, tables=tables_2k) for s in scans for lo in (1, 1500)}
+    sums = tables_2k._run_sums(1, 2000, tables_2k.P_arrays, tables_2k.T_arrays)
+    monkeypatch.setattr(summatory, "_RUN_BATCH", 7)
+    for (s, lo), checks in ref.items():
+        assert s(lo, 2000, tables=tables_2k) == checks, (s.__name__, lo)
+    for (v, e), (v7, e7) in zip(
+        sums, tables_2k._run_sums(1, 2000, tables_2k.P_arrays, tables_2k.T_arrays)
+    ):
+        assert np.array_equal(v, v7) and np.array_equal(e, e7)
 
 
 def test_abel_scan_holds(tables_2k):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobsum.identities import abel_rearrangement_check
+from mobsum.identities import abel_rearrangement_check, decomposition_scan
 from mobsum.sieve import _primes_upto
 from mobsum.summatory import (
     MAX_PREFIX_BLOCK,
@@ -145,21 +145,35 @@ def _contains_decimal(v, e, ref: Decimal, slack: Decimal) -> bool:
 
 
 def test_h_and_tail_lanes_contain_decimal_reference(tables_20k):
-    # the increment lanes and the dense gathers, which share no sum
+    # the increment lanes and the run sums over the g lane, which share no sum
     xs = _sampled_xs()
     href, tref = _decimal_references(xs)
     # the references sum at most pi(2e4) terms of 45 digits
     slack = Decimal("1e-38")
     for tables in (tables_20k, SummatoryTables(N, block_size=1000)):
+        # the run sums' arrays start at x = 1; pad them to be indexed by x
+        runs = [
+            (np.concatenate(([0.0], v)), np.concatenate(([0.0], e)))
+            for v, e in tables._run_sums(1, N, tables.P_arrays, tables.T_arrays)
+        ]
         lanes = (
             (href, tables.h_arrays),
             (tref, tables.tail_arrays),
-            (href, tables.h_dense_arrays(N)),
-            (tref, tables.tail_dense_arrays(N)),
+            (href, runs[0]),
+            (tref, runs[1]),
         )
         for ref, (v, e) in lanes:
             for x in xs:
                 assert _contains_decimal(v[x], e[x], ref[x], slack), x
+
+
+def test_run_sums_and_decomposition_are_tight(tables_20k):
+    # at least ten times under the identity tolerance at every x
+    (_, he), (_, te) = tables_20k._run_sums(1, N, tables_20k.P_arrays, tables_20k.T_arrays)
+    assert he.max() < 1e-10 and te.max() < 1e-10
+    checks = decomposition_scan(1, N, tables=tables_20k)
+    assert all(c.holds for c in checks)
+    assert max(c.slack for c in checks) < 1e-10
 
 
 def test_f_theta_harmonic_lanes_contain_decimal_reference(tables_20k):

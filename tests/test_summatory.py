@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobsum.certified import CertifiedFloat
-from mobsum.sieve import DEFAULT_BLOCK_CAPACITY
+from mobsum.certified import EPS, CertifiedFloat, _HEADROOM, log_certified
+from mobsum.sieve import DEFAULT_BLOCK_CAPACITY, _primes_upto
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
@@ -297,23 +297,72 @@ def test_tables_h_matches_h_direct(tables_2k):
         assert abs(a.value - b.value) <= a.err + b.err, x
 
 
+def _dense_gather(
+    tables: SummatoryTables, upto: int, mods: list[int], w: list[float], werr: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_m w_m g(x // m) at every x in [0, upto], one term per modulus m,
+    with its bound: each term charged its product error plus one rounding,
+    the sum EPS * sum|terms| per addition for (terms + 8) additions."""
+    gv, ge = tables.g_arrays
+    vals = np.zeros(upto + 1)
+    mag = np.zeros(upto + 1)
+    ins = np.zeros(upto + 1)
+    nterms = np.zeros(upto + 1)
+    for m, wm, em in zip(mods, w, werr):
+        idx = np.arange(m, upto + 1, dtype=np.int64) // m
+        gval = gv[idx]
+        term = wm * gval
+        vals[m:] += term
+        mag[m:] += np.abs(term)
+        ins[m:] += wm * ge[idx] + em * np.abs(gval) + EPS * np.abs(term)
+        nterms[m:] += 1.0
+    return vals, (EPS * mag * (nterms + 8.0) + ins) * _HEADROOM
+
+
+def _dense_h(tables: SummatoryTables, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """h at every x in [0, upto], one term per prime."""
+    ps = _primes_upto(upto).tolist()
+    w = [math.log(p) / p for p in ps]
+    return _dense_gather(tables, upto, ps, w, [3.0 * EPS * v for v in w])
+
+
+def _dense_tail(tables: SummatoryTables, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime-power tail at every x in [0, upto], one term per p^i, i >= 2."""
+    mods, w, werr = [], [], []
+    for p in _primes_upto(math.isqrt(upto)).tolist():
+        lp = log_certified(p)
+        q = p * p
+        while q <= upto:
+            mods.append(q)
+            w.append(lp.value / q)
+            werr.append(lp.err / q + EPS * lp.value / q)
+            q *= p
+    return _dense_gather(tables, upto, mods, w, werr)
+
+
 def test_tables_h_dense_matches_gather_path(tables_2k):
-    hv, he = tables_2k.h_dense_arrays(800)
-    for x in range(1, 801):
-        point = tables_2k.h_certified(x)
-        assert abs(hv[x] - point.value) <= he[x] + point.err, x
+    # the run sums overlap the direct sum over the primes at every x
+    hv, he = _dense_h(tables_2k, 2000)
+    (rv, re), _ = tables_2k._run_sums(1, 2000, tables_2k.P_arrays, tables_2k.T_arrays)
+    for x in range(1, 2001):
+        assert abs(hv[x] - rv[x - 1]) <= he[x] + re[x - 1], x
+    for x in (1, 2, 3, 50, 777, 2000):
+        assert tables_2k.h_certified(x) == CertifiedFloat(float(rv[x - 1]), float(re[x - 1]))
 
 
 def test_tables_tail_lanes_match_scalar_tail(tables_2k):
-    # prime_power_tail without tables gathers on its own SummatoryTables(x)
+    # prime_power_tail without tables sums on its own SummatoryTables(x)
     from mobsum.identities import prime_power_tail
 
-    tv, te = tables_2k.tail_dense_arrays(2000)
+    tv, te = _dense_tail(tables_2k, 2000)
+    _, (rv, re) = tables_2k._run_sums(1, 2000, tables_2k.P_arrays, tables_2k.T_arrays)
     for x in range(1, 2001):
         ref = prime_power_tail(x)
-        point = tables_2k.tail_certified(x)
         assert abs(tv[x] - ref.value) <= te[x] + ref.err, x
-        assert abs(point.value - ref.value) <= point.err + ref.err, x
+        assert abs(rv[x - 1] - tv[x]) <= re[x - 1] + te[x], x
+    for x in (1, 4, 8, 9, 777, 2000):
+        point = tables_2k.tail_certified(x)
+        assert point == CertifiedFloat(float(rv[x - 1]), float(re[x - 1])), x
 
 
 def test_scalars_equal_lane_entries_across_blocks():
