@@ -348,12 +348,15 @@ def _g_float_sum(
         g[:k], gerr[:k] = np.array([by_val[qq] for qq in q[:k].tolist()]).T
     w = 1.0 / hi
     werr = EPS * w
-    seg = hi > lo
-    hv, he = _harmonic_arrays(hi[seg])
-    lv, le = _harmonic_arrays(lo[seg] - 1)
-    hseg = hv - lv
-    w[seg] = hseg
-    werr[seg] = (he + le + EPS * np.abs(hseg)) * _HEADROOM
+    # the first s - 1 runs are the single nu <= s = isqrt(y); past them each
+    # run's H(lo - 1) is the H(hi) of the run before, so one evaluation at
+    # [s, hi...] serves both ends
+    s = isqrt(y)
+    Hv, He = _harmonic_arrays(np.concatenate(([s], hi[s - 1 :])))
+    seg = np.flatnonzero(hi[s - 1 :] > lo[s - 1 :])
+    hseg = Hv[seg + 1] - Hv[seg]
+    w[seg + (s - 1)] = hseg
+    werr[seg + (s - 1)] = (He[seg + 1] + He[seg] + EPS * np.abs(hseg)) * _HEADROOM
     terms = w * g
     ins = float(np.sum(w * gerr + werr * np.abs(g) + EPS * np.abs(terms)))
     mag = float(np.sum(np.abs(terms)))

@@ -3,7 +3,11 @@
 The Moebius function mu(k) is +1 for squarefree k with an even number of
 prime factors, -1 for an odd number, and 0 when a square > 1 divides k
 (mu(1) = 1).  Blocks over arbitrary offsets [lo, hi] are sieved with the
-primes up to sqrt(hi), so spot checks at large k never re-sieve from 1.
+primes up to max(sqrt(hi), 80), so spot checks at large k never re-sieve
+from 1.  Each sieving prime flips the sign of its multiples, zeroes the
+multiples of its square and adds its scaled base-2 log to a one-byte lane;
+a k whose lane falls short of log k carries one more prime factor, above
+the sieving primes, and its sign flips once more.  No k is divided.
 
 `moebius_oracle` is a deterministic trial-division evaluator, kept free of
 any sieve machinery so tests can use it as an independent cross-check.
@@ -18,9 +22,17 @@ from typing import Iterator
 
 import numpy as np
 
-# Default segment length for block sieving; one int8 plus one 8-byte lane
-# per entry, so ~9 MB of scratch at the default.
+# Default segment length for block sieving; one int8 and one uint8 lane per
+# entry, so ~2 MB of scratch at the default.
 DEFAULT_BLOCK_CAPACITY = 1 << 20
+
+# The byte-log test of ``_moebius_values``: prime p adds round(_LOG_SCALE *
+# log2 p) to the lane, k in [2^e, 2^(e+1)) has a prime cofactor above the
+# sieving primes when its lane is below _LOG_SCALE * e - _LOG_SLACK, and the
+# sieving primes reach at least _MIN_ROOT.  Sound for every k < 2^63.
+_LOG_SCALE = 3
+_LOG_SLACK = 7
+_MIN_ROOT = 80
 
 
 class RangeTooLargeError(ValueError):
@@ -84,25 +96,53 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=_primes_upto(int(limit)))
 
 
+def _root_limit(hi: int) -> int:
+    """The largest prime a block ending at hi is sieved with."""
+    return max(isqrt(hi), _MIN_ROOT)
+
+
 def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
-    """mu over [lo, hi] given the primes up to sqrt(hi)."""
+    """mu over [lo, hi], hi < 2^63, given the primes up to R = max(isqrt(hi), 80).
+
+    Every prime p <= R flips the sign of its multiples, zeroes those of p^2
+    and adds a_p = round(3 log2 p) to their byte lane L (3, 7 and 80 are
+    ``_LOG_SCALE``, ``_LOG_SLACK`` and ``_MIN_ROOT``).  A k left with
+    mu != 0 is squarefree, k = m c with m the product of its w primes <= R
+    and c = 1 or one prime > R (R >= sqrt(hi) makes this hold for every k
+    of the block; the argument needs nothing more).  Then L = sum a_p =
+    3 log2 m + d with |d| <= w/2 (the float log2 errs far below the
+    margins).  Below 2^63 at most 15 primes divide k (the first 16 multiply
+    to more than 2^63), so L <= 3 * 63 + 7.5 < 256 and the uint8
+    lane never wraps.  For k in the segment [2^e, 2^(e+1)):
+
+        c = 1:   L >= 3 log2 k - 7.5 >= 3e - 7.5, so L >= 3e - 7 as an integer
+        c > R:   L <= 3 log2 k - 3 log2 c + 7 < 3(e + 1) - 3 log2 80 + 7 < 3e - 8.9
+
+    (with c > 1, m has at most 14 primes).  So c > 1 exactly when
+    L < 3e - 7, and then the sign of mu(k) flips once more.  Only the
+    ``root_primes`` up to R are used.
+    """
     n = hi - lo + 1
     mu = np.ones(n, dtype=np.int8)
-    # k with each prime <= sqrt(hi) divided out once; below 2^53 every
-    # quotient is an exact float64, and float division is the faster one
-    rem = np.arange(lo, hi + 1, dtype=np.float64 if hi < 1 << 53 else np.int64)
-    div = np.true_divide if rem.dtype == np.float64 else np.floor_divide
-    for p in root_primes.tolist():
-        if p * p > hi:
-            break
+    lane = np.zeros(n, dtype=np.uint8)
+    ps = root_primes[: int(np.searchsorted(root_primes, _root_limit(hi), side="right"))]
+    logs = np.rint(_LOG_SCALE * np.log2(ps.astype(np.float64))).astype(np.uint8)
+    for p, a in zip(ps.tolist(), logs):
         start = (-lo) % p
-        mu[start::p] *= -1
-        r = rem[start::p]
-        div(r, p, out=r)
+        v = mu[start::p]
+        np.negative(v, out=v)
+        w = lane[start::p]
+        np.add(w, a, out=w)
         p2 = p * p
         mu[(-lo) % p2 :: p2] = 0
-    # entries with a leftover cofactor > 1 carry exactly one more prime factor
-    np.negative(mu, out=mu, where=rem > 1)
+    # the lane becomes the cofactor flag, one power-of-two segment at a time
+    for e in range(lo.bit_length() - 1, hi.bit_length()):
+        seg = lane[max(lo, 1 << e) - lo : min(hi + 1, 2 << e) - lo]
+        np.less(seg, max(_LOG_SCALE * e - _LOG_SLACK, 0), out=seg)
+    flip = lane.view(np.int8)
+    flip *= mu
+    flip <<= 1
+    mu -= flip
     mu.flags.writeable = False
     return mu
 
@@ -114,18 +154,21 @@ def sieve_moebius(
 
     Values are independent of how a larger range is partitioned into blocks.
     Raises RangeTooLargeError when the range exceeds ``block_capacity`` and
-    ValueError when lo < 1 or hi < lo.
+    ValueError when lo < 1, hi < lo or hi >= 2^63.
     """
     lo, hi = int(lo), int(hi)
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    if hi >= 1 << 63:
+        raise ValueError(f"hi must be below 2^63, got {hi}")
     if hi - lo + 1 > block_capacity:
         raise RangeTooLargeError(
             f"range length {hi - lo + 1} exceeds block capacity {block_capacity}"
         )
-    return MoebiusBlock(lo=lo, hi=hi, values=_moebius_values(lo, hi, _primes_upto(isqrt(hi))))
+    root = _primes_upto(_root_limit(hi))
+    return MoebiusBlock(lo=lo, hi=hi, values=_moebius_values(lo, hi, root))
 
 
 def iter_moebius_blocks(
@@ -136,9 +179,9 @@ def iter_moebius_blocks(
     Blocks are aligned to absolute multiples of ``block_size`` so the values
     (and any float accumulation order built on them) do not depend on lo.
     """
-    if lo < 1 or hi < lo:
+    if lo < 1 or hi < lo or hi >= 1 << 63:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    root = _primes_upto(isqrt(hi))
+    root = _primes_upto(_root_limit(hi))
     b = (lo - 1) // block_size
     while True:
         blo = max(lo, b * block_size + 1)

@@ -273,11 +273,16 @@ MAX_PREFIX_BLOCK = 1 << 28
 _CHUNK = 1 << 16
 
 
-def _add_scaled_abs(acc: np.ndarray, v: np.ndarray, c: float) -> None:
-    """acc += c * |v|, through chunk-sized temporaries."""
+def _add_scaled_abs(
+    acc: np.ndarray, v: np.ndarray, c: float, where: np.ndarray | None = None
+) -> None:
+    """acc += c * |v| (only where ``where`` is set, if given), through
+    chunk-sized temporaries."""
     for lo in range(0, v.size, _CHUNK):
         t = np.abs(v[lo : lo + _CHUNK])
         t *= c
+        if where is not None:
+            t *= where[lo : lo + _CHUNK]
         acc[lo : lo + _CHUNK] += t
 
 
@@ -291,8 +296,10 @@ def _prefix_step(
     block-local).  ``carry`` is None for the block that starts at k = 1.
     """
     u = 0.5 * EPS
+    # adding an exact 0 rounds nothing, so only the nonzero terms' adds are charged
+    nonzero = v[1:] != 0.0
     np.cumsum(v, out=v)
-    _add_scaled_abs(e[1:], v[1:], u)
+    _add_scaled_abs(e[1:], v[1:], u, nonzero)
     np.cumsum(e, out=e)
     if last_only:
         v, e = v[-1:], e[-1:]
@@ -319,11 +326,12 @@ def _prefix_with_err(
     u = EPS/2, so element k of a block is charged Wilkinson's running bound
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.3)
 
-        sum_{j<=k} (e_j + u * |l_j| [j >= 2]) + c * (u * |s_k| + err_carry),
+        sum_{j<=k} (e_j + u * |l_j| [j >= 2, t_j != 0]) + c * (u * |s_k| + err_carry),
 
     times ``_HEADROOM``.  Here e_j is the term's input error, l_j the
     block's own prefix sums (a block's first element is a term, not a sum,
-    and costs nothing, which keeps exact singletons at +/- 0), and c = 1 in
+    and costs nothing, which keeps exact singletons at +/- 0; an add of a
+    zero term t_j returns l_{j-1} exactly and costs nothing), and c = 1 in
     every block but the first (the carry add and the carry's own error).
     ``_HEADROOM`` covers the float error of the bound's own cumsum, below
     block_size * u; hence ``MAX_PREFIX_BLOCK``.  ``_prefix_stream`` runs the

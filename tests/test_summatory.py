@@ -107,6 +107,12 @@ def test_theta_examples():
     assert abs(r2.value - LOG2) <= r2.err + EPS_SLOP
 
 
+def test_theta_bound_charges_only_prime_adds():
+    # theta's terms are 0 off the primes, and adding an exact 0 rounds nothing;
+    # charging every add as well would publish about 5.5e-5 here
+    assert theta(10**6).err <= 1e-5
+
+
 def test_theta_steps_only_at_primes():
     from mobsum.sieve import is_prime
 
