@@ -127,6 +127,24 @@ def _classify(
     return violations, indeterminate, float(np.max(ratios))
 
 
+def _report(
+    name: str, lo: int, hi: int, violations: list, indeterminate: list, max_ratio: float, **extra
+) -> BoundReport:
+    """The report of a scan of [lo, hi]: it passes with no violations and no
+    indeterminate points."""
+    return BoundReport(
+        name=name,
+        lo=lo,
+        hi=hi,
+        passed=not violations and not indeterminate,
+        max_ratio=max_ratio,
+        checked=hi - lo + 1,
+        violations=violations,
+        indeterminate=indeterminate,
+        **extra,
+    )
+
+
 def _scan(lo: int, hi: int, chunk, strict: bool = False) -> tuple[list, list, float]:
     """``_classify`` over [lo, hi], ``_SCAN_CHUNK`` x at a time.
 
@@ -187,17 +205,8 @@ def check_g_bound(
         violations += v
         indeterminate += u
         max_ratio = float(np.max([max_ratio, r]))
-    return BoundReport(
-        name="g_unit_bound",
-        lo=lo,
-        hi=hi,
-        passed=not violations and not indeterminate,
-        max_ratio=max_ratio,
-        checked=hi - lo + 1,
-        violations=violations,
-        indeterminate=indeterminate,
-        note=f"exact below {exact_hi + 1}; certified above",
-    )
+    note = f"exact below {exact_hi + 1}; certified above"
+    return _report("g_unit_bound", lo, hi, violations, indeterminate, max_ratio, note=note)
 
 
 def check_mangoldt_bound(
@@ -222,18 +231,8 @@ def check_mangoldt_bound(
         lhs_err = (prod_err + fe[a:b] + EPS * lhs) * _HEADROOM
         return lhs, lhs_err, rhs, rhs_err
 
-    v, u, r = _scan(lo, hi, chunk)
-    return BoundReport(
-        name="mangoldt_bound",
-        lo=lo,
-        hi=hi,
-        passed=not v and not u,
-        max_ratio=r,
-        checked=hi - lo + 1,
-        violations=v,
-        indeterminate=u,
-        gamma=EULER_GAMMA,
-        note=GAMMA_PROVENANCE,
+    return _report(
+        "mangoldt_bound", lo, hi, *_scan(lo, hi, chunk), gamma=EULER_GAMMA, note=GAMMA_PROVENANCE
     )
 
 
@@ -268,17 +267,8 @@ def check_theta_bounds(
         violations += v
         indeterminate += u + negative
         max_ratio = float(np.max([max_ratio, r]))
-    return BoundReport(
-        name="theta_mertens_bounds",
-        lo=lo,
-        hi=hi,
-        passed=not violations and not indeterminate,
-        max_ratio=max_ratio,
-        checked=hi - lo + 1,
-        violations=violations,
-        indeterminate=indeterminate,
-        note="theta < 2x strict; theta >= 0 certifies eps >= -1",
-    )
+    note = "theta < 2x strict; theta >= 0 certifies eps >= -1"
+    return _report("theta_mertens_bounds", lo, hi, violations, indeterminate, max_ratio, note=note)
 
 
 def check_harmonic_bound(
@@ -298,17 +288,7 @@ def check_harmonic_bound(
         rhs_err = np.where(lx == 0.0, 0.0, (2.0 * EPS * np.abs(lx) + EPS * rhs) * _HEADROOM)
         return hv[a:b], he[a:b], rhs, rhs_err
 
-    v, u, r = _scan(lo, hi, chunk)
-    return BoundReport(
-        name="harmonic_log_bound",
-        lo=lo,
-        hi=hi,
-        passed=not v and not u,
-        max_ratio=r,
-        checked=hi - lo + 1,
-        violations=v,
-        indeterminate=u,
-    )
+    return _report("harmonic_log_bound", lo, hi, *_scan(lo, hi, chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +350,8 @@ def tail_bound_scan(
     rhs = 2.0 * c.value
     rhs_err = (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM
     v, u, r = _scan(lo, hi, lambda a, b: (np.abs(tv[a:b]), te[a:b], rhs, rhs_err))
-    return BoundReport(
-        name="prime_power_tail_bound",
-        lo=lo,
-        hi=hi,
-        passed=not v and not u,
-        max_ratio=r,
-        checked=hi - lo + 1,
-        violations=v,
-        indeterminate=u,
-        note=f"2C with C = {c.value:.12f} +/- {c.err:.2e}",
-    )
+    note = f"2C with C = {c.value:.12f} +/- {c.err:.2e}"
+    return _report("prime_power_tail_bound", lo, hi, v, u, r, note=note)
 
 
 # ---------------------------------------------------------------------------

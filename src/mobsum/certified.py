@@ -65,28 +65,11 @@ class CertifiedFloat:
         if self.err < 0.0 or math.isnan(self.err):
             raise ValueError(f"error bound must be non-negative, got {self.err}")
 
-    @property
-    def lower(self) -> float:
-        return self.value - self.err
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.err
-
-    @property
-    def abs_upper(self) -> float:
-        """Upper bound on the absolute value of the true quantity."""
-        return abs(self.value) + self.err
-
     def __neg__(self) -> "CertifiedFloat":
         return CertifiedFloat(-self.value, self.err)
 
     def add(self, other: "CertifiedFloat") -> "CertifiedFloat":
         v = self.value + other.value
-        return CertifiedFloat(v, (self.err + other.err + EPS * abs(v)) * _HEADROOM)
-
-    def sub(self, other: "CertifiedFloat") -> "CertifiedFloat":
-        v = self.value - other.value
         return CertifiedFloat(v, (self.err + other.err + EPS * abs(v)) * _HEADROOM)
 
     def add_exact(self, c: float) -> "CertifiedFloat":
@@ -103,11 +86,6 @@ class CertifiedFloat:
             + EPS * abs(v)
         )
         return CertifiedFloat(v, e * _HEADROOM)
-
-    def scale_exact(self, c: float) -> "CertifiedFloat":
-        """Multiply by an exactly representable constant."""
-        v = self.value * c
-        return CertifiedFloat(v, (self.err * abs(c) + EPS * abs(v)) * _HEADROOM)
 
     def div_exact(self, d: float) -> "CertifiedFloat":
         """Divide by an exactly representable nonzero constant."""
@@ -128,32 +106,3 @@ def from_exact(q) -> CertifiedFloat:
     if v == q:
         return CertifiedFloat(v, 0.0)
     return CertifiedFloat(v, EPS * abs(v))
-
-
-def log_certified(x: float) -> CertifiedFloat:
-    """Platform log with the 1-ulp correctness assumption charged as 2 ulp."""
-    v = math.log(x)
-    return CertifiedFloat(v, 2.0 * EPS * abs(v))
-
-
-def compare_le(lhs: CertifiedFloat, rhs: CertifiedFloat) -> str:
-    """Certified verdict for ``lhs <= rhs``.
-
-    Returns ``"pass"`` when the inequality holds for every pair of true values
-    in the two intervals, ``"violation"`` when it fails for every pair, and
-    ``"indeterminate"`` when the intervals straddle the boundary.
-    """
-    if lhs.upper <= rhs.lower:
-        return "pass"
-    if lhs.lower > rhs.upper:
-        return "violation"
-    return "indeterminate"
-
-
-def compare_lt(lhs: CertifiedFloat, rhs: CertifiedFloat) -> str:
-    """Certified verdict for the strict inequality ``lhs < rhs``."""
-    if lhs.upper < rhs.lower:
-        return "pass"
-    if lhs.lower >= rhs.upper:
-        return "violation"
-    return "indeterminate"

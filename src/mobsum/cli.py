@@ -20,6 +20,7 @@ Exit status: 0 all checks passed; 1 any check failed or was indeterminate;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -51,10 +52,12 @@ def _fmt_err(v: float) -> str:
     return format(float(v), ".16e")
 
 
-def _open_out(path: str | None):
+def _output(path: str | None):
+    """A context manager giving stdout for None or "-", else the file at
+    ``path``, which it closes."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_rows(out: IO[str], rows: Iterable[list[str]]) -> None:
@@ -92,12 +95,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     tables = SummatoryTables(args.limit, block_size=args.blocksize)
     series = series_scan(args.limit, args.stride, tables=tables)
     del tables
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.writelines(_table_lines(series))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -106,37 +105,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ident_row(name: str, lo: int, hi: int, checks) -> tuple[list[str], bool]:
-    failures = [c for c in checks if not c.holds]
-    max_slack = max((c.slack for c in checks), default=0.0)
-    ok = not failures
-    row = [
-        name,
-        str(lo),
-        str(hi),
-        str(len(checks)),
-        str(len(failures)),
-        "0",
-        _fmt_err(max_slack),
-        "pass" if ok else "FAIL",
-        "",
-    ]
-    return row, ok
+_VERIFY_HEADER = "check,lo,hi,items,failures,indeterminate,max_metric,verdict,note\n"
 
 
-def _bound_row(report) -> tuple[list[str], bool]:
-    row = [
-        report.name,
-        str(report.lo),
-        str(report.hi),
-        str(report.checked),
-        str(len(report.violations)),
-        str(len(report.indeterminate)),
-        _fmt(report.max_ratio),
-        "pass" if report.passed else "FAIL",
-        report.note,
-    ]
-    return row, report.passed
+def _check_row(
+    name: str, lo: int, hi: int, items: int, failures: int, indeterminate: int, metric: str, note=""
+) -> tuple[list[str], bool]:
+    """One row of ``verify`` and whether its check passed: with no failures
+    and no indeterminate items."""
+    ok = failures == indeterminate == 0
+    cells = (name, lo, hi, items, failures, indeterminate, metric, "pass" if ok else "FAIL", note)
+    return [str(c) for c in cells], ok
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -145,60 +124,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     exact_hi = min(limit, cutoff)
     tables = SummatoryTables(limit, block_size=args.blocksize)
     prefix = ScaledMoebiusPrefix(exact_hi)
-    rows = [
-        [
-            "check",
-            "lo",
-            "hi",
-            "items",
-            "failures",
-            "indeterminate",
-            "max_metric",
-            "verdict",
-            "note",
-        ]
-    ]
-    all_ok = True
 
     sums = ident_mod.divisor_sum_scan(exact_hi).tolist()
     div_bad = sum(1 for t in range(1, exact_hi + 1) if sums[t] != (1 if t == 1 else 0))
-    rows.append(
-        [
-            "divisor_sum_unit",
-            "1",
-            str(exact_hi),
-            str(exact_hi),
-            str(div_bad),
-            "0",
-            _fmt(0.0),
-            "pass" if div_bad == 0 else "FAIL",
-            "",
-        ]
-    )
-    all_ok &= div_bad == 0
-
-    row, ok = _ident_row(
-        "gram_unit_sum", 1, exact_hi, ident_mod.gram_scan(1, exact_hi, prefix=prefix)
-    )
-    rows.append(row)
-    all_ok &= ok
+    results = [_check_row("divisor_sum_unit", 1, exact_hi, exact_hi, div_bad, 0, _fmt(0.0))]
 
     # the identity scans read their lanes only up to exact_hi, so their tables stop there
     ident_tables = SummatoryTables(exact_hi, block_size=args.blocksize)
-    row, ok = _ident_row(
-        "prime_decomposition",
-        1,
-        exact_hi,
-        ident_mod.decomposition_scan(1, exact_hi, tables=ident_tables),
-    )
-    rows.append(row)
-    all_ok &= ok
-
-    row, ok = _ident_row(
-        "abel_rearrangement", 1, exact_hi, ident_mod.abel_scan(1, exact_hi, tables=ident_tables)
-    )
-    rows.append(row)
-    all_ok &= ok
+    for name, scan, kw in (
+        ("gram_unit_sum", ident_mod.gram_scan, {"prefix": prefix}),
+        ("prime_decomposition", ident_mod.decomposition_scan, {"tables": ident_tables}),
+        ("abel_rearrangement", ident_mod.abel_scan, {"tables": ident_tables}),
+    ):
+        checks = scan(1, exact_hi, **kw)
+        failures = sum(not c.holds for c in checks)
+        slack = _fmt_err(max((c.slack for c in checks), default=0.0))
+        results.append(_check_row(name, 1, exact_hi, len(checks), failures, 0, slack))
+        del checks
 
     # each full-length lane is dropped right after its last reader
     reports = [
@@ -211,18 +153,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tables._release("_H")
     reports.append(bounds_mod.tail_bound_scan(1, limit, tables=tables))
     tables._release("_tail")
-    for report in reports:
-        row, ok = _bound_row(report)
-        rows.append(row)
-        all_ok &= ok
+    for r in reports:
+        counts = (r.checked, len(r.violations), len(r.indeterminate))
+        results.append(_check_row(r.name, r.lo, r.hi, *counts, _fmt(r.max_ratio), r.note))
 
-    out, close = _open_out(args.out)
-    try:
-        _write_rows(out, rows)
+    all_ok = all(ok for _, ok in results)
+    with _output(args.out) as out:
+        out.write(_VERIFY_HEADER)
+        _write_rows(out, (row for row, _ in results))
         out.write(f"# gamma={_fmt(EULER_GAMMA)} cutoff={cutoff} verdict={'pass' if all_ok else 'FAIL'}\n")
-    finally:
-        if close:
-            out.close()
     return 0 if all_ok else 1
 
 
@@ -243,16 +182,12 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     for x, ratio_m in mrep.samples:
         rh = h_by_x.get(x)
         rows.append([str(x), _fmt(rh) if rh is not None else "", _fmt(ratio_m)])
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_rows(out, rows)
         g_str = str(grep.G) if grep.G is not None else "none"
         xi_h = str(hrep.xi) if hrep.xi is not None else "none"
         xi_m = str(mrep.xi) if mrep.xi is not None else "none"
         out.write(f"G={g_str},xi_h={xi_h},xi_M={xi_m}\n")
-    finally:
-        if close:
-            out.close()
     # absent thresholds are empirical findings, not check failures; only a
     # broken exact identity or a violated envelope bound fails the run
     ok = hrep.bound_ok in (True, None) and mrep.abel_ok
@@ -264,66 +199,33 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _timed(fn, x: int):
+    """fn(x) and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(x), time.perf_counter() - t0
+
+
 def _cmd_fast(args: argparse.Namespace) -> int:
     x = args.limit
-    rows = [["quantity", "recursive", "direct", "agrees", "sec_recursive", "sec_direct"]]
-    t0 = time.perf_counter()
-    m_rec = fast_mod.m_recursive(x)
-    t1 = time.perf_counter()
-    m_dir = big_m(x)
-    t2 = time.perf_counter()
-    rows.append(
-        [
-            f"M({x})",
-            str(m_rec),
-            str(m_dir),
-            str(m_rec == m_dir).lower(),
-            f"{t1 - t0:.3f}",
-            f"{t2 - t1:.3f}",
-        ]
-    )
-    ok = m_rec == m_dir
+    m_rec, t_rec = _timed(fast_mod.m_recursive, x)
+    m_dir, t_dir = _timed(big_m, x)
+    checks = [(f"M({x})", str(m_rec), str(m_dir), m_rec == m_dir, t_rec, t_dir)]
     if x <= args.cutoff:
-        t0 = time.perf_counter()
-        g_rec = fast_mod.g_recursive_exact(x)
-        t1 = time.perf_counter()
-        g_dir = g_exact(x)
-        t2 = time.perf_counter()
+        g_rec, t_rec = _timed(fast_mod.g_recursive_exact, x)
+        g_dir, t_dir = _timed(g_exact, x)
         agree = g_rec == g_dir
-        rows.append(
-            [
-                f"g({x})",
-                _fmt(float(g_rec)),
-                _fmt(float(g_dir)),
-                str(agree).lower(),
-                f"{t1 - t0:.3f}",
-                f"{t2 - t1:.3f}",
-            ]
-        )
+        g_rec, g_dir = float(g_rec), float(g_dir)
     else:
-        t0 = time.perf_counter()
-        g_rec = fast_mod.g_recursive_float(x)
-        t1 = time.perf_counter()
-        g_dir = g_float(x)
-        t2 = time.perf_counter()
+        g_rec, t_rec = _timed(fast_mod.g_recursive_float, x)
+        g_dir, t_dir = _timed(g_float, x)
         agree = abs(g_rec.value - g_dir.value) <= g_rec.err + g_dir.err
-        rows.append(
-            [
-                f"g({x})",
-                _fmt(g_rec.value),
-                _fmt(g_dir.value),
-                str(agree).lower(),
-                f"{t1 - t0:.3f}",
-                f"{t2 - t1:.3f}",
-            ]
-        )
-    ok &= agree
-    out, close = _open_out(args.out)
-    try:
+        g_rec, g_dir = g_rec.value, g_dir.value
+    checks.append((f"g({x})", _fmt(g_rec), _fmt(g_dir), agree, t_rec, t_dir))
+    rows = [["quantity", "recursive", "direct", "agrees", "sec_recursive", "sec_direct"]]
+    rows += [[q, r, d, str(a).lower(), f"{tr:.3f}", f"{td:.3f}"] for q, r, d, a, tr, td in checks]
+    ok = all(c[3] for c in checks)
+    with _output(args.out) as out:
         _write_rows(out, rows)
-    finally:
-        if close:
-            out.close()
     return 0 if ok else 1
 
 
@@ -349,12 +251,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         m = fast_mod.m_recursive(args.limit, crossover=k)
         dt = time.perf_counter() - t0
         rows.append(["m_recursive", f"crossover={factor}({k})", f"{dt:.3f}", f"M={m}"])
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_rows(out, rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -11,19 +11,23 @@ crossover K (default ~x^(2/3)) and recursing on the values above it gives
 O(x^(2/3)) work overall.  The memo is filled iteratively, never by deep
 call chains.
 
-M works by chain index.  The values above K are y_j = floor(x/j) for j <= J
-= floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)), so the terms of y_j's
-sum with j nu <= J are the chain entries j nu, filled from J down to 1, and
-the rest come off an int32 base table.  Above s = isqrt(y) the quotients are
-the q <= Q = floor(y/(s+1)), each taken floor(y/q) - floor(y/(q+1)) times;
-summation by parts turns their sum into sum_{q<=Q} floor(y/q) mu(q) - s M(Q),
-a sum over the squarefree q <= sqrt(x) with mu read off the table as M(q) -
-M(q-1).
+Both recursions work by chain index.  The values above K are y_j =
+floor(x/j) for j <= J = floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)),
+so the terms of y_j's sum with j nu <= J are the chain entries j nu, filled
+from J down to 1, and the rest come off a base table.  Both raise a
+crossover below isqrt(x) to it: below it chain indices repeat values.
+
+For M, above s = isqrt(y) the quotients are the q <= Q = floor(y/(s+1)),
+each taken floor(y/q) - floor(y/(q+1)) times; summation by parts turns their
+sum into sum_{q<=Q} floor(y/q) mu(q) - s M(Q), a sum over the squarefree
+q <= sqrt(x) with mu read off the int32 table as M(q) - M(q-1).
 
 For g, one enumerator, ``_runs``, yields the runs of equal quotient as
 arrays; the exact and the certified g sums and the exact unit identity are
 reductions over its output.  A run's weight is its harmonic segment
-H(nu_hi) - H(nu_lo - 1); a single nu has weight 1/nu.
+H(nu_hi) - H(nu_lo - 1); a single nu has weight 1/nu.  Since K >= isqrt(x),
+only single nu reach above K, the head nu = 2 .. m with m = min(J // j, s),
+read from the chain as M's are.
 
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
@@ -58,6 +62,13 @@ def default_crossover(x: int) -> int:
     """Crossover K for root x: ~x^(2/3), at least sqrt(x)+1, below x."""
     k = max(round(x ** (2.0 / 3.0)), isqrt(x) + 1)
     return max(1, min(k, x - 1)) if x > 1 else 1
+
+
+def _crossover(x: int, crossover: int | None) -> int:
+    """The crossover K of both recursions at root x >= 1: ``crossover`` (by
+    default ``default_crossover(x)``) capped at x and raised to isqrt(x)."""
+    K = default_crossover(x) if crossover is None else min(int(crossover), x)
+    return max(K, isqrt(x))
 
 
 def _runs(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,14 +125,6 @@ class FloorValueMap:
         q, _, _ = _runs(self.x)
         small_args = int(np.count_nonzero(q <= self.crossover)) + (self.x <= self.crossover)
         return small_args + len(self.large)
-
-
-def _chain_values(x: int, crossover: int) -> list[int]:
-    """Distinct values x//j above the crossover, ascending."""
-    if x <= crossover:
-        return []
-    q, _, _ = _runs(x)
-    return q[q > crossover][::-1].tolist() + [x]
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,7 @@ def _evaluator_crossover(max_x: int, crossover: int | None) -> int:
     """
     if not 1 <= max_x <= _MERTENS_ROOT_LIMIT:
         raise ValueError(f"max_x must lie in [1, {_MERTENS_ROOT_LIMIT}], got {max_x}")
-    K = default_crossover(max_x) if crossover is None else min(int(crossover), max_x)
-    K = max(K, isqrt(max_x))
+    K = _crossover(max_x, crossover)
     if K > _MERTENS_TABLE_LIMIT:
         raise ValueError(
             f"Mertens base table limit must lie in [1, {_MERTENS_TABLE_LIMIT}], got {K}"
@@ -286,16 +288,16 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unit_sum_scaled(y: int, K: int, prefix: ScaledMoebiusPrefix, by_val: dict) -> int:
-    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), scaled by L^2, as an integer.
+def _unit_sum_scaled(y: int, j: int, K: int, prefix: ScaledMoebiusPrefix, chain: list) -> int:
+    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) for y = x // j, scaled by L^2, as an integer.
 
-    g(q) * L comes off ``prefix`` for q <= K and from ``by_val`` above.
+    g(q) * L comes off ``prefix`` for q <= K and off chain entry j nu_hi above.
     """
     gl = prefix.scaled_g
     hl = prefix.scaled_harmonic
     total = 0
     for qq, a, b in zip(*(arr.tolist() for arr in _runs(y))):
-        total += (hl[b] - hl[a - 1]) * (gl[qq] if qq <= K else by_val[qq])
+        total += (hl[b] - hl[a - 1]) * (gl[qq] if qq <= K else chain[j * b])
     return total
 
 
@@ -305,53 +307,50 @@ def g_recursive_exact(
     """Exact g(x) by the floor-quotient recursion in scaled integers.
 
     ``tables`` is an exact prefix covering x; its values g(k) * L for
-    k <= crossover are the base table, the rest come from the recursion.
+    k <= crossover are the base table, the rest come from the chain.
     """
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    K = default_crossover(x) if crossover is None else max(1, min(int(crossover), x))
+    K = _crossover(x, crossover)
     if tables is None:
         tables = ScaledMoebiusPrefix(x)
     elif tables.limit < x:
         raise ValueError(f"tables cover [1, {tables.limit}] < x = {x}")
     L = tables.denominator
-    by_val: dict[int, int] = {}
-    for y in _chain_values(x, K):
-        t = _unit_sum_scaled(y, K, tables, by_val)
+    J = x // (K + 1)
+    chain = [0] * (J + 1)
+    for j in range(J, 0, -1):
+        t = _unit_sum_scaled(x // j, j, K, tables, chain)
         # t = L * (L - g(y) L); exact divisibility is a structural invariant
         if t % L:
-            raise AssertionError(f"scaled recursion lost exact divisibility at {y}")
-        by_val[y] = L - t // L
-    scaled = tables.scaled_g[x] if x <= K else by_val[x]
-    return Fraction(scaled, L)
+            raise AssertionError(f"scaled recursion lost exact divisibility at {x // j}")
+        chain[j] = L - t // L
+    return Fraction(chain[1] if J else tables.scaled_g[x], L)
 
 
 # ---------------------------------------------------------------------------
 # g recursion, certified float mode
 # ---------------------------------------------------------------------------
 
-# memoized values are plain (value, err) tuples
-
 
 def _g_float_sum(
-    y: int, K: int, gv, ge, by_val: dict
+    y: int, j: int, J: int, gv, ge, cv: np.ndarray, ce: np.ndarray
 ) -> tuple[float, float]:
-    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) with a propagated error bound."""
+    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) for y = x // j, with a propagated
+    error bound: the head nu = 2 .. m, m = min(J // j, isqrt(y)), off the
+    chain (cv, ce) at j nu, the rest off the base lane (gv, ge)."""
     q, lo, hi = _runs(y)
-    k = int(np.count_nonzero(q > K))
-    g = np.empty(len(q))
-    gerr = np.empty(len(q))
-    g[k:] = gv[q[k:]]
-    gerr[k:] = ge[q[k:]]
-    if k:
-        g[:k], gerr[:k] = np.array([by_val[qq] for qq in q[:k].tolist()]).T
+    s = isqrt(y)
+    m = min(J // j, s)
+    head = slice(2 * j, m * j + 1, j)
+    g = np.concatenate((cv[head], gv[q[m - 1 :]]))
+    gerr = np.concatenate((ce[head], ge[q[m - 1 :]]))
     w = 1.0 / hi
     werr = EPS * w
-    # the first s - 1 runs are the single nu <= s = isqrt(y); past them each
-    # run's H(lo - 1) is the H(hi) of the run before, so one evaluation at
+    # the first s - 1 runs are the single nu <= s; past them each run's
+    # H(lo - 1) is the H(hi) of the run before, so one evaluation at
     # [s, hi...] serves both ends
-    s = isqrt(y)
     Hv, He = _harmonic_arrays(np.concatenate(([s], hi[s - 1 :])))
     seg = np.flatnonzero(hi[s - 1 :] > lo[s - 1 :])
     hseg = Hv[seg + 1] - Hv[seg]
@@ -371,19 +370,19 @@ def g_recursive_float(
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    K = default_crossover(x) if crossover is None else max(1, min(int(crossover), x))
+    K = _crossover(x, crossover)
     if tables is None or tables.limit < K:
         tables = SummatoryTables(K)
     gv, ge = tables.g_arrays
-    by_val: dict[int, tuple[float, float]] = {}
-    for y in _chain_values(x, K):
-        sv, serr = _g_float_sum(y, K, gv, ge, by_val)
-        v = 1.0 - sv
-        by_val[y] = (v, (serr + EPS * abs(v)) * _HEADROOM)
-    if x <= K:
+    J = x // (K + 1)
+    if not J:
         return CertifiedFloat(float(gv[x]), float(ge[x]))
-    v, e = by_val[x]
-    return CertifiedFloat(v, e)
+    cv, ce = np.zeros(J + 1), np.zeros(J + 1)
+    for j in range(J, 0, -1):
+        sv, serr = _g_float_sum(x // j, j, J, gv, ge, cv, ce)
+        v = 1.0 - sv
+        cv[j], ce[j] = v, (serr + EPS * abs(v)) * _HEADROOM
+    return CertifiedFloat(float(cv[1]), float(ce[1]))
 
 
 def g_recursive(

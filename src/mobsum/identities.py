@@ -139,7 +139,7 @@ def gram_identity(
     elif n > prefix.limit:
         raise ValueError(f"prefix covers [1, {prefix.limit}] < x = {n}")
     # the nu = 1 term L * g(n) L plus the g recursion's own sum over nu >= 2
-    ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, n, prefix, {})
+    ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, 1, n, prefix, [])
     return _unit_check(n, ssum, prefix.denominator * prefix.denominator)
 
 

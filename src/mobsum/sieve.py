@@ -126,6 +126,7 @@ def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
     mu = np.ones(n, dtype=np.int8)
     lane = np.zeros(n, dtype=np.uint8)
     ps = root_primes[: int(np.searchsorted(root_primes, _root_limit(hi), side="right"))]
+    ps = ps[(-lo) % ps < n]  # a prime with no multiple in the block changes nothing
     logs = np.rint(_LOG_SCALE * np.log2(ps.astype(np.float64))).astype(np.uint8)
     for p, a in zip(ps.tolist(), logs):
         start = (-lo) % p

@@ -22,6 +22,8 @@ All tables are immutable after construction and safe to share read-only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,6 +106,25 @@ def lcm_upto(n: int) -> int:
     return out
 
 
+def _lane(attr: str):
+    """Decorator making a builder method a lazy lane: a ``property`` that
+    builds on first read and caches the result in attribute ``attr``, where
+    ``_release`` may drop it for the next read to rebuild."""
+
+    def lane(build):
+        @functools.wraps(build)
+        def get(self):
+            value = getattr(self, attr, None)
+            if value is None:
+                value = build(self)
+                setattr(self, attr, value)
+            return value
+
+        return property(get)
+
+    return lane
+
+
 class ScaledMoebiusPrefix:
     """Exact prefix sums of mu(k)/k, scaled by L = lcm(1..limit).
 
@@ -129,36 +150,20 @@ class ScaledMoebiusPrefix:
                 acc += m * (L // k)
             gn[k] = acc
         self.scaled_g = gn
-        self._scaled_harmonic: list[int] | None = None
-        self._scaled_g_cumsum: list[int] | None = None
 
     def g_fraction(self, k: int) -> Fraction:
         return Fraction(self.scaled_g[k], self.denominator)
 
-    @property
+    @_lane("_scaled_harmonic")
     def scaled_harmonic(self) -> list[int]:
         """H(k) * L as integers, H the harmonic number."""
-        if self._scaled_harmonic is None:
-            L = self.denominator
-            hl = [0] * (self.limit + 1)
-            acc = 0
-            for k in range(1, self.limit + 1):
-                acc += L // k
-                hl[k] = acc
-            self._scaled_harmonic = hl
-        return self._scaled_harmonic
+        L = self.denominator
+        return [0, *itertools.accumulate(L // k for k in range(1, self.limit + 1))]
 
-    @property
+    @_lane("_scaled_g_cumsum")
     def scaled_g_cumsum(self) -> list[int]:
         """(sum_{j<=k} g(j)) * L as integers."""
-        if self._scaled_g_cumsum is None:
-            sg = [0] * (self.limit + 1)
-            acc = 0
-            for k in range(1, self.limit + 1):
-                acc += self.scaled_g[k]
-                sg[k] = acc
-            self._scaled_g_cumsum = sg
-        return self._scaled_g_cumsum
+        return list(itertools.accumulate(self.scaled_g))
 
 
 def moebius_values_upto(limit: int) -> np.ndarray:
@@ -463,55 +468,46 @@ class SummatoryTables:
             raise ValueError(f"block_size must lie in [1, 2^28], got {block_size}")
         self.limit = int(limit)
         self.block_size = int(block_size)
-        self._mu: np.ndarray | None = None
-        self._M: np.ndarray | None = None
-        self._g: tuple[np.ndarray, np.ndarray] | None = None
-        self._f: tuple[np.ndarray, np.ndarray] | None = None
-        self._theta: tuple[np.ndarray, np.ndarray] | None = None
-        self._eps: tuple[np.ndarray, np.ndarray] | None = None
-        self._eps_sum: tuple[np.ndarray, np.ndarray] | None = None
-        self._H: tuple[np.ndarray, np.ndarray] | None = None
-        self._h: tuple[np.ndarray, np.ndarray] | None = None
-        self._tail: tuple[np.ndarray, np.ndarray] | None = None
-        self._primes: np.ndarray | None = None
-        self._P: tuple[np.ndarray, np.ndarray] | None = None
-        self._T: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _release(self, *lanes: str) -> None:
+        """Drop the named cached lanes (attribute names such as ``"_g"``) so
+        their memory can go; a later read rebuilds them bit for bit."""
+        for name in lanes:
+            setattr(self, name, None)
 
     # -- integer lanes
 
-    @property
+    @_lane("_mu")
     def mu(self) -> np.ndarray:
-        if self._mu is None:
-            self._mu = moebius_values_upto(self.limit)
-        return self._mu
+        return moebius_values_upto(self.limit)
 
-    @property
+    @_lane("_M")
     def mertens(self) -> np.ndarray:
-        if self._M is None:
-            m = self.mu.astype(np.int64)
-            np.cumsum(m, out=m)
-            m.flags.writeable = False
-            self._M = m
-        return self._M
+        m = self.mu.astype(np.int64)
+        np.cumsum(m, out=m)
+        m.flags.writeable = False
+        return m
 
-    @property
+    @_lane("_primes")
     def primes(self) -> np.ndarray:
-        if self._primes is None:
-            self._primes = _primes_upto(self.limit)
-        return self._primes
+        return _primes_upto(self.limit)
 
-    # -- certified lanes
+    # -- certified lanes, each a (values, bounds) pair
 
-    def _build_g(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_g")
+    def g_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return _prefix_with_err(*_g_terms(0, self.mu), self.block_size)
 
-    def _build_f(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_f")
+    def f_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return _prefix_with_err(*_f_terms(0, self.mu), self.block_size)
 
-    def _build_theta(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_theta")
+    def theta_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return _prefix_with_err(*_theta_terms(0, self.limit, self.primes), self.block_size)
 
-    def _build_eps(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_eps")
+    def eps_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         # (th_err / x + EPS th / x + EPS |vals|) * _HEADROOM, in place
         th, th_err = self.theta_arrays
         xs = _ks(0, self.limit)
@@ -528,7 +524,9 @@ class SummatoryTables:
         errs.flags.writeable = False
         return vals, errs
 
-    def _build_eps_sum(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_eps_sum")
+    def eps_sum_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """E(k) = sum_{m=2}^{k} eps(m-1)/m, the weights of the summation by parts."""
         # term m is eps(m-1)/m: the eps error scaled by 1/m plus one rounding
         ev, ee = self.eps_arrays
         ms = _ks(0, self.limit)
@@ -540,10 +538,12 @@ class SummatoryTables:
         _add_scaled_abs(ins, terms, EPS)
         return _prefix_with_err(terms, ins, self.block_size)
 
-    def _build_H(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_H")
+    def harmonic_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return _prefix_with_err(*_H_terms(0, self.limit), self.block_size)
 
-    def _build_h(self) -> tuple[np.ndarray, np.ndarray]:
+    @_lane("_h")
+    def h_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         # the logs L_p in one numerator all carry one sign: for squarefree x
         # every mu(x/p) is -mu(x), and for x = p^2 m with m squarefree only p
         # contributes.  So its c <= omega_max logs add without cancellation:
@@ -566,6 +566,24 @@ class SummatoryTables:
             big=(ps[small:], logs[small:]),
         )
 
+    @_lane("_tail")
+    def tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # a numerator is 0 unless x = p^v m with m squarefree and prime to
+        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
+        # exact, so only the log (2 EPS) and the division (u) err
+        return self._increment_lane(*self._prime_powers(), 2.5 * EPS)
+
+    @_lane("_P")
+    def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(k) = sum_{p<=k} log p / p, the weights of h's run sums."""
+        return self._weight_lane(self.primes, np.log(self.primes.astype(np.float64)))
+
+    @_lane("_T")
+    def T_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """T(k) = sum_{p^i<=k, i>=2} log p / p^i, the weights of the tail's run sums."""
+        mods, logs = self._prime_powers()
+        return self._weight_lane(np.array(mods, dtype=np.int64), np.array(logs))
+
     def _prime_powers(self) -> tuple[list[int], list[float]]:
         """The prime powers p^i <= limit, i >= 2, in (p, i) order, with log p."""
         n = self.limit
@@ -579,19 +597,6 @@ class SummatoryTables:
                 logs.append(lp)
                 q *= p
         return mods, logs
-
-    def _build_tail(self) -> tuple[np.ndarray, np.ndarray]:
-        # a numerator is 0 unless x = p^v m with m squarefree and prime to
-        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
-        # exact, so only the log (2 EPS) and the division (u) err
-        return self._increment_lane(*self._prime_powers(), 2.5 * EPS)
-
-    def _build_P(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._weight_lane(self.primes, np.log(self.primes.astype(np.float64)))
-
-    def _build_T(self) -> tuple[np.ndarray, np.ndarray]:
-        mods, logs = self._prime_powers()
-        return self._weight_lane(np.array(mods, dtype=np.int64), np.array(logs))
 
     def _weight_lane(self, mods: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Certified prefix of the weights log p / m at the moduli m = p^i, 0
@@ -638,75 +643,6 @@ class SummatoryTables:
         np.abs(vals, out=errs)
         errs *= rel_err
         return _prefix_with_err(vals, errs, self.block_size)
-
-    def _release(self, *lanes: str) -> None:
-        """Drop the named cached lanes (attribute names such as ``"_g"``) so
-        their memory can go; a later read rebuilds them bit for bit."""
-        for name in lanes:
-            setattr(self, name, None)
-
-    @property
-    def g_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._g is None:
-            self._g = self._build_g()
-        return self._g
-
-    @property
-    def f_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._f is None:
-            self._f = self._build_f()
-        return self._f
-
-    @property
-    def theta_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._theta is None:
-            self._theta = self._build_theta()
-        return self._theta
-
-    @property
-    def eps_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eps is None:
-            self._eps = self._build_eps()
-        return self._eps
-
-    @property
-    def eps_sum_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """E(k) = sum_{m=2}^{k} eps(m-1)/m, the weights of the summation by parts."""
-        if self._eps_sum is None:
-            self._eps_sum = self._build_eps_sum()
-        return self._eps_sum
-
-    @property
-    def harmonic_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._H is None:
-            self._H = self._build_H()
-        return self._H
-
-    @property
-    def h_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._h is None:
-            self._h = self._build_h()
-        return self._h
-
-    @property
-    def tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tail is None:
-            self._tail = self._build_tail()
-        return self._tail
-
-    @property
-    def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """P(k) = sum_{p<=k} log p / p, the weights of h's run sums."""
-        if self._P is None:
-            self._P = self._build_P()
-        return self._P
-
-    @property
-    def T_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """T(k) = sum_{p^i<=k, i>=2} log p / p^i, the weights of the tail's run sums."""
-        if self._T is None:
-            self._T = self._build_T()
-        return self._T
 
     # -- pointwise certified accessors
 

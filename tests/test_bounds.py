@@ -19,7 +19,7 @@ from mobsum.bounds import (
     tail_bound_scan,
 )
 from mobsum.certified import EULER_GAMMA
-from mobsum.cli import _bound_row
+from mobsum.cli import _check_row, _fmt
 from mobsum.summatory import SummatoryTables
 
 
@@ -291,5 +291,6 @@ def test_scan_nan_lane_entry_fails_with_nan_max(scan, x, tables_20k, monkeypatch
     assert [u[0] for u in r.indeterminate] == [x]
     assert r.violations == []
     assert math.isnan(r.max_ratio)
-    row, ok = _bound_row(r)
+    counts = (r.checked, len(r.violations), len(r.indeterminate))
+    row, ok = _check_row(r.name, r.lo, r.hi, *counts, _fmt(r.max_ratio), r.note)
     assert row[4:8] == ["0", "1", "nan", "FAIL"] and not ok

@@ -1,13 +1,6 @@
 import pytest
 
-from mobsum.certified import (
-    EPS,
-    EULER_GAMMA,
-    CertifiedFloat,
-    compare_le,
-    compare_lt,
-    from_exact,
-)
+from mobsum.certified import EPS, EULER_GAMMA, CertifiedFloat, from_exact
 
 
 def test_negative_err_rejected():
@@ -34,13 +27,6 @@ def test_from_exact_is_tight():
     third = from_exact(Fraction(1, 3))
     assert abs(third.value - 1 / 3) == 0.0
     assert 0 < third.err <= EPS
-
-
-def test_compare_verdicts():
-    assert compare_le(CertifiedFloat(1.0, 0.1), CertifiedFloat(2.0, 0.1)) == "pass"
-    assert compare_le(CertifiedFloat(3.0, 0.1), CertifiedFloat(2.0, 0.1)) == "violation"
-    assert compare_le(CertifiedFloat(2.0, 0.2), CertifiedFloat(2.1, 0.2)) == "indeterminate"
-    assert compare_lt(CertifiedFloat(1.0, 0.0), CertifiedFloat(1.0, 0.0)) == "violation"
 
 
 def test_gamma_constant_digits():

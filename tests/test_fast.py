@@ -187,8 +187,11 @@ def test_g_recursive_dispatch():
 
 def test_g_recursive_crossover_knob():
     expect = g_exact(3000)
-    for k in (60, 300, 2000):
+    # 1 and 10 lie below isqrt(3000) = 54, where the crossover is raised to 54
+    for k in (1, 10, 60, 300, 2000):
         assert g_recursive_exact(3000, crossover=k) == expect
+    low, clamped = g_recursive_float(3000, crossover=10), g_recursive_float(3000, crossover=54)
+    assert (low.value.hex(), low.err.hex()) == (clamped.value.hex(), clamped.err.hex())
 
 
 def test_g_recursive_float_crossover_knob():

@@ -193,9 +193,9 @@ def test_abel_rejects_undersized_tables():
         abel_rearrangement_check(500, tables=SummatoryTables(100))
     with pytest.raises(ValueError):
         abel_scan(1, 500, tables=SummatoryTables(100))
-    # before any work: building any lane of these tables would raise TypeError
+    # before any work: these lanes read as 0, so using any of them raises TypeError
     short = SummatoryTables(100)
-    short._build_g = short._build_f = short._build_P = short._build_T = None
+    short._g = short._f = short._P = short._T = 0
     with pytest.raises(ValueError):
         decomposition_scan(1, 500, tables=short)
 

@@ -269,3 +269,42 @@ def test_eps_sum_lane_contains_exact_sum(tables_20k, block):
         widen += Fraction(math.nextafter(float(ee[m - 1]) / m, math.inf)) + u * abs(Fraction(t))
         if m in ks:
             assert abs(Fraction(float(Ev[m])) - exact) + widen <= Fraction(float(Ee[m])), m
+
+
+# every lazy lane of SummatoryTables and the attribute that caches it
+_LANE_CACHES = {
+    "mu": "_mu",
+    "mertens": "_M",
+    "primes": "_primes",
+    "g_arrays": "_g",
+    "f_arrays": "_f",
+    "theta_arrays": "_theta",
+    "eps_arrays": "_eps",
+    "eps_sum_arrays": "_eps_sum",
+    "harmonic_arrays": "_H",
+    "h_arrays": "_h",
+    "tail_arrays": "_tail",
+    "P_arrays": "_P",
+    "T_arrays": "_T",
+}
+
+
+def test_lanes_are_cached_properties_rebuilt_after_release():
+    # plain properties (span tracing wraps them), built once, cached under
+    # their attribute, and rebuilt bit for bit once ``_release`` drops them
+    props = {n for n, v in vars(SummatoryTables).items() if isinstance(v, property)}
+    assert props == set(_LANE_CACHES)
+    tables = SummatoryTables(3000, block_size=1000)
+    for lane, attr in _LANE_CACHES.items():
+        first = getattr(tables, lane)
+        assert getattr(tables, lane) is first and getattr(tables, attr) is first, lane
+    released = ("_g", "_f", "_H", "_tail")
+    before = {attr: getattr(tables, attr) for attr in released}
+    tables._release(*released)
+    for lane, attr in _LANE_CACHES.items():
+        if attr not in released:
+            continue
+        assert getattr(tables, attr) is None
+        rebuilt = getattr(tables, lane)
+        assert rebuilt is not before[attr]
+        assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in before[attr]], lane

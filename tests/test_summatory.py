@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobsum.certified import EPS, CertifiedFloat, _HEADROOM, log_certified
+from mobsum.certified import EPS, CertifiedFloat, _HEADROOM
 from mobsum.sieve import DEFAULT_BLOCK_CAPACITY, _primes_upto
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
@@ -330,6 +330,12 @@ def _dense_h(tables: SummatoryTables, upto: int) -> tuple[np.ndarray, np.ndarray
     ps = _primes_upto(upto).tolist()
     w = [math.log(p) / p for p in ps]
     return _dense_gather(tables, upto, ps, w, [3.0 * EPS * v for v in w])
+
+
+def log_certified(x: float) -> CertifiedFloat:
+    """Platform log with the 1-ulp correctness assumption charged as 2 ulp."""
+    v = math.log(x)
+    return CertifiedFloat(v, 2.0 * EPS * abs(v))
 
 
 def _dense_tail(tables: SummatoryTables, upto: int) -> tuple[np.ndarray, np.ndarray]:
