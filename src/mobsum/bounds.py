@@ -13,11 +13,13 @@ A certified comparison treats a bound as violated only when the whole error
 interval sits on the wrong side; a value whose interval straddles the
 boundary is reported as indeterminate and fails the scan conservatively.
 
-Each scan runs in fixed chunks of ``_SCAN_CHUNK`` consecutive x: it reads
-its lanes by slice, classifies the chunk and keeps only the verdicts, so its
-temporaries stay in cache and its memory does not grow with the range.  The
-verdicts, their order and the maximum ratio are those of one pass over the
-whole range.
+Each certified scan reads its lanes as streams of chunks of at most
+``_SCAN_CHUNK`` consecutive x, classifies each chunk and keeps only the
+verdicts.  A lane the given tables hold is read by slice; any other lane is
+streamed from x = 1 by the prefix kernel, bit for bit the held entries, so
+no float lane is built at full length and the memory of a scan does not
+grow with its range beyond the int8 mu lane.  The verdicts, their order and
+the maximum ratio are those of one pass over the whole range.
 
 Convergence reports locate empirical thresholds: the least G with
 |eps(nu)| <= delta/3 on [G, scan_limit], and the least sampled xi beyond
@@ -31,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -45,8 +48,8 @@ from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _chunk_grid,
     _prefix_stream,
-    _theta_block_terms,
 )
 
 GAMMA_PROVENANCE = (
@@ -145,18 +148,35 @@ def _report(
     )
 
 
-def _scan(lo: int, hi: int, chunk, strict: bool = False) -> tuple[list, list, float]:
-    """``_classify`` over [lo, hi], ``_SCAN_CHUNK`` x at a time.
+def _chunks(tables: SummatoryTables, attr: str, lo: int, hi: int) -> Iterator[tuple]:
+    """The certified lane cached in ``attr`` over [lo, hi] as (a, values,
+    bounds) at x in [a, a + values.size), on the ``_chunk_grid`` of
+    ``_SCAN_CHUNK``: slices of the lane if ``tables`` holds it, else its
+    ``_prefix_stream`` from x = 1, which builds no full-length lane."""
+    held = getattr(tables, attr, None)
+    if held is None:
+        terms = tables._lane_terms(attr)
+        chunks = _prefix_stream(hi, tables.block_size, terms, _SCAN_CHUNK)
+    else:
+        vals, errs = held
+        grid = _chunk_grid(hi, tables.block_size, _SCAN_CHUNK)
+        chunks = ((a, vals[a : b + 1], errs[a : b + 1]) for a, b in grid)
+    for a, v, e in chunks:
+        s = max(lo - a, 0)
+        if s < v.size:
+            yield a + s, v[s:], e[s:]
 
-    ``chunk(a, b)`` gives (lhs, lhs_err, rhs, rhs_err) at x in [a, b), read
-    off the lanes by slice.  The lists come back in ascending x, and the max
+
+def _scan(chunks, strict: bool = False) -> tuple[list, list, float]:
+    """``_classify`` over consecutive chunks (a, lhs, lhs_err, rhs, rhs_err) of
+    a range, in ascending x.  The lists come back in ascending x, and the max
     ratio is the whole range's: NaN if any ratio is NaN, as ``np.max`` gives.
     """
     violations: list = []
     indeterminate: list = []
     maxima = []
-    for a in range(lo, hi + 1, _SCAN_CHUNK):
-        v, u, r = _classify(a, *chunk(a, min(a + _SCAN_CHUNK, hi + 1)), strict=strict)
+    for a, *sides in chunks:
+        v, u, r = _classify(a, *sides, strict=strict)
         violations += v
         indeterminate += u
         maxima.append(r)
@@ -198,10 +218,8 @@ def check_g_bound(
     if hi > exact_hi:
         if tables is None or tables.limit < hi:
             tables = SummatoryTables(hi)
-        gv, ge = tables.g_arrays
-        v, u, r = _scan(
-            max(lo, exact_hi + 1), hi, lambda a, b: (np.abs(gv[a:b]), ge[a:b], 1.0, 0.0)
-        )
+        chunks = _chunks(tables, "_g", max(lo, exact_hi + 1), hi)
+        v, u, r = _scan((a, np.abs(g), e, 1.0, 0.0) for a, g, e in chunks)
         violations += v
         indeterminate += u
         max_ratio = float(np.max([max_ratio, r]))
@@ -217,22 +235,23 @@ def check_mangoldt_bound(
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
-    gv, ge = tables.g_arrays
-    fv, fe = tables.f_arrays
     rhs = 3.0 + EULER_GAMMA
     rhs_err = 2.0 * EPS * rhs
 
-    def chunk(a: int, b: int) -> tuple:
-        lx = np.log(np.arange(a, b, dtype=np.float64))
-        g = gv[a:b]
-        prod = lx * g
-        prod_err = np.abs(lx) * ge[a:b] + 2.0 * EPS * np.abs(lx) * np.abs(g) + EPS * np.abs(prod)
-        lhs = np.abs(prod - fv[a:b])
-        lhs_err = (prod_err + fe[a:b] + EPS * lhs) * _HEADROOM
-        return lhs, lhs_err, rhs, rhs_err
+    def chunks() -> Iterator[tuple]:
+        # the g and f streams run on one grid, so their chunks pair up
+        for (a, g, ge), (_, f, fe) in zip(
+            _chunks(tables, "_g", lo, hi), _chunks(tables, "_f", lo, hi)
+        ):
+            lx = np.log(np.arange(a, a + g.size, dtype=np.float64))
+            prod = lx * g
+            prod_err = np.abs(lx) * ge + 2.0 * EPS * np.abs(lx) * np.abs(g) + EPS * np.abs(prod)
+            lhs = np.abs(prod - f)
+            lhs_err = (prod_err + fe + EPS * lhs) * _HEADROOM
+            yield a, lhs, lhs_err, rhs, rhs_err
 
     return _report(
-        "mangoldt_bound", lo, hi, *_scan(lo, hi, chunk), gamma=EULER_GAMMA, note=GAMMA_PROVENANCE
+        "mangoldt_bound", lo, hi, *_scan(chunks()), gamma=EULER_GAMMA, note=GAMMA_PROVENANCE
     )
 
 
@@ -241,32 +260,23 @@ def check_theta_bounds(
 ) -> BoundReport:
     """Verify 0 <= theta(x) < 2x (so |eps(x)| <= 1 with eps > -1 off x=1).
 
-    Streams the theta lane over aligned sieve segments (the kernel of
-    ``SummatoryTables.theta_arrays``, bit for bit at the same block size);
-    memory stays at one block regardless of range size.
+    Streams the theta lane from x = 1 in chunks, sieving the primes of each
+    (the kernel of ``SummatoryTables.theta_arrays``, bit for bit at the same
+    block size); memory stays at one chunk regardless of range size.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    violations: list = []
-    indeterminate: list = []
-    max_ratio = 0.0
-    # theta carries history from x = 1, so stream from the start regardless of lo
-    for blo, th, errs in _prefix_stream(hi, block_size, _theta_block_terms):
-        if lo >= blo + th.size:
-            continue
-        # non-negativity (eps >= -1): the terms are >= 0 and err is a small
-        # multiple of th, so th - err only dips below zero if the scan is broken
-        negative = []
+    # non-negativity (eps >= -1): the terms are >= 0 and err is a small
+    # multiple of th, so th - err only dips below zero if the scan is broken
+    negative = []
 
-        def chunk(a: int, b: int) -> tuple:
-            t, e = th[a - blo : b - blo], errs[a - blo : b - blo]
+    def chunks() -> Iterator[tuple]:
+        for a, t, e in _chunks(SummatoryTables(hi, block_size), "_theta", lo, hi):
             negative.extend((a + int(i), float(t[i]), 0.0) for i in np.flatnonzero(t - e < 0.0))
-            return t, e, 2.0 * np.arange(a, b, dtype=np.float64), 0.0
+            yield a, t, e, 2.0 * np.arange(a, a + t.size, dtype=np.float64), 0.0
 
-        v, u, r = _scan(max(lo, blo), blo + th.size - 1, chunk, strict=True)
-        violations += v
-        indeterminate += u + negative
-        max_ratio = float(np.max([max_ratio, r]))
+    violations, indeterminate, max_ratio = _scan(chunks(), strict=True)
+    indeterminate += negative
     note = "theta < 2x strict; theta >= 0 certifies eps >= -1"
     return _report("theta_mertens_bounds", lo, hi, violations, indeterminate, max_ratio, note=note)
 
@@ -279,16 +289,16 @@ def check_harmonic_bound(
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
-    hv, he = tables.harmonic_arrays
 
-    def chunk(a: int, b: int) -> tuple:
-        lx = np.log(np.arange(a, b, dtype=np.float64))
-        rhs = lx + 1.0
-        # log(1) = 0 exactly, making rhs exact at x = 1 (the equality case)
-        rhs_err = np.where(lx == 0.0, 0.0, (2.0 * EPS * np.abs(lx) + EPS * rhs) * _HEADROOM)
-        return hv[a:b], he[a:b], rhs, rhs_err
+    def chunks() -> Iterator[tuple]:
+        for a, h, he in _chunks(tables, "_H", lo, hi):
+            lx = np.log(np.arange(a, a + h.size, dtype=np.float64))
+            rhs = lx + 1.0
+            # log(1) = 0 exactly, making rhs exact at x = 1 (the equality case)
+            rhs_err = np.where(lx == 0.0, 0.0, (2.0 * EPS * np.abs(lx) + EPS * rhs) * _HEADROOM)
+            yield a, h, he, rhs, rhs_err
 
-    return _report("harmonic_log_bound", lo, hi, *_scan(lo, hi, chunk))
+    return _report("harmonic_log_bound", lo, hi, *_scan(chunks()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +348,18 @@ def tail_bound_scan(
 ) -> BoundReport:
     """|tail(x)| <= 2 sum log(nu)/nu^2 at every integer in [lo, hi].
 
-    The tail comes from the increment lane ``tail_arrays``, which costs about
-    0.77 hi adds, not from the run sums of ``tail_certified``.
+    The tail comes from the increment lane ``tail_arrays`` (or its stream),
+    which costs about 0.77 hi adds, not from the run sums of ``tail_certified``.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if tables is None or tables.limit < hi:
         tables = SummatoryTables(hi)
-    tv, te = tables.tail_arrays
     c = log_square_sum_constant()
     rhs = 2.0 * c.value
     rhs_err = (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM
-    v, u, r = _scan(lo, hi, lambda a, b: (np.abs(tv[a:b]), te[a:b], rhs, rhs_err))
+    chunks = _chunks(tables, "_tail", lo, hi)
+    v, u, r = _scan((a, np.abs(t), e, rhs, rhs_err) for a, t, e in chunks)
     note = f"2C with C = {c.value:.12f} +/- {c.err:.2e}"
     return _report("prime_power_tail_bound", lo, hi, v, u, r, note=note)
 

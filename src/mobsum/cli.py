@@ -14,7 +14,7 @@ line endings, byte-identical across runs for identical configuration
 (timings in ``fast``/``bench`` excepted).
 
 Exit status: 0 all checks passed; 1 any check failed or was indeterminate;
-2 usage or I/O error.
+2 usage or I/O error, or an input whose tables would not fit in memory.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 import time
 from typing import IO, Iterable, Iterator
@@ -108,6 +109,27 @@ def _cmd_table(args: argparse.Namespace) -> int:
 _VERIFY_HEADER = "check,lo,hi,items,failures,indeterminate,max_metric,verdict,note\n"
 
 
+def _verify_bytes(limit: int, cutoff: int) -> int:
+    """Rough peak bytes of ``verify``'s tables: the int8 mu lane of the bound
+    scans, 1 B per x, and the two exact lists of about 0.18 N^2 B each, N =
+    min(limit, cutoff), that the exact checks hold."""
+    n = min(limit, cutoff)
+    return limit + 2 * (18 * n * n // 100)
+
+
+def _available_bytes() -> float:
+    """The lower of RLIMIT_AS and the free physical memory, or inf where the
+    platform reports neither."""
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, AttributeError, ValueError, OSError):
+        return math.inf
+    return min(free, math.inf if soft == resource.RLIM_INFINITY else soft)
+
+
 def _check_row(
     name: str, lo: int, hi: int, items: int, failures: int, indeterminate: int, metric: str, note=""
 ) -> tuple[list[str], bool]:
@@ -121,7 +143,16 @@ def _check_row(
 def _cmd_verify(args: argparse.Namespace) -> int:
     limit = args.limit
     cutoff = args.cutoff
+    need, avail = _verify_bytes(limit, cutoff), _available_bytes()
+    if need > avail:
+        print(
+            f"mobsum: verify --limit {limit} --cutoff {cutoff} needs about "
+            f"{need / 2**20:.0f} MiB, more than the {avail / 2**20:.0f} MiB available",
+            file=sys.stderr,
+        )
+        return 2
     exact_hi = min(limit, cutoff)
+    # the bound scans stream their lanes from mu, the one full-length lane built here
     tables = SummatoryTables(limit, block_size=args.blocksize)
     prefix = ScaledMoebiusPrefix(exact_hi)
 
@@ -142,17 +173,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results.append(_check_row(name, 1, exact_hi, len(checks), failures, 0, slack))
         del checks
 
-    # each full-length lane is dropped right after its last reader
     reports = [
         bounds_mod.check_g_bound(1, limit, cutoff=cutoff, tables=tables, prefix=prefix),
         bounds_mod.check_mangoldt_bound(1, limit, tables=tables),
+        bounds_mod.check_theta_bounds(1, limit, block_size=args.blocksize),
+        bounds_mod.check_harmonic_bound(1, limit, tables=tables),
+        bounds_mod.tail_bound_scan(1, limit, tables=tables),
     ]
-    tables._release("_g", "_f")
-    reports.append(bounds_mod.check_theta_bounds(1, limit, block_size=args.blocksize))
-    reports.append(bounds_mod.check_harmonic_bound(1, limit, tables=tables))
-    tables._release("_H")
-    reports.append(bounds_mod.tail_bound_scan(1, limit, tables=tables))
-    tables._release("_tail")
     for r in reports:
         counts = (r.checked, len(r.violations), len(r.indeterminate))
         results.append(_check_row(r.name, r.lo, r.hi, *counts, _fmt(r.max_ratio), r.note))

@@ -108,8 +108,7 @@ def lcm_upto(n: int) -> int:
 
 def _lane(attr: str):
     """Decorator making a builder method a lazy lane: a ``property`` that
-    builds on first read and caches the result in attribute ``attr``, where
-    ``_release`` may drop it for the next read to rebuild."""
+    builds on first read and caches the result in attribute ``attr``."""
 
     def lane(build):
         @functools.wraps(build)
@@ -292,20 +291,39 @@ def _add_scaled_abs(
 
 
 def _prefix_step(
-    v: np.ndarray, e: np.ndarray, carry: tuple[float, float] | None, last_only: bool = False
-) -> tuple[float, float]:
-    """One block of ``_prefix_with_err``, in place; returns the next carry.
+    v: np.ndarray,
+    e: np.ndarray,
+    carry: tuple[float, float] | None,
+    local: tuple[float, float] | None = None,
+    last_only: bool = False,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """One chunk of a block of ``_prefix_with_err``, in place.
 
-    The block's terms ``v`` and input errors ``e`` become its prefix values
+    The chunk's terms ``v`` and input errors ``e`` become its prefix values
     and bounds (with ``last_only`` only the last entry of each; the rest stay
-    block-local).  ``carry`` is None for the block that starts at k = 1.
+    block-local).  ``carry`` is the last (value, bound) of the block before,
+    None for the block that starts at k = 1.  ``local`` is None for a chunk
+    that starts its block, and otherwise the block-local (prefix, error sum)
+    where the block's chunk before ended: the chunk continues that sum, so a
+    block run as several chunks gets the bits of one run as a whole.
+
+    Returns the block-local (prefix, error sum) at the chunk's end, the
+    ``local`` of the next chunk, and its last (value, bound), the carry of
+    the next block when the chunk ends its block.
     """
     u = 0.5 * EPS
-    # adding an exact 0 rounds nothing, so only the nonzero terms' adds are charged
-    nonzero = v[1:] != 0.0
+    # adding an exact 0 rounds nothing, so only the nonzero terms' adds are
+    # charged; the block's own first element is a term, not a sum
+    s = 1 if local is None else 0
+    nonzero = v[s:] != 0.0
+    if local is not None:
+        v[0] += local[0]
     np.cumsum(v, out=v)
-    _add_scaled_abs(e[1:], v[1:], u, nonzero)
+    _add_scaled_abs(e[s:], v[s:], u, nonzero)
+    if local is not None:
+        e[0] += local[1]
     np.cumsum(e, out=e)
+    local = float(v[-1]), float(e[-1])
     if last_only:
         v, e = v[-1:], e[-1:]
     if carry is not None:
@@ -313,7 +331,7 @@ def _prefix_step(
         e += carry[1]
         _add_scaled_abs(e, v, u)
     e *= _HEADROOM
-    return float(v[-1]), float(e[-1])
+    return local, (float(v[-1]), float(e[-1]))
 
 
 def _prefix_with_err(
@@ -340,28 +358,39 @@ def _prefix_with_err(
     every block but the first (the carry add and the carry's own error).
     ``_HEADROOM`` covers the float error of the bound's own cumsum, below
     block_size * u; hence ``MAX_PREFIX_BLOCK``.  ``_prefix_stream`` runs the
-    same step over blocks built one at a time.
+    same step over chunks of the blocks built one at a time.
     """
     terms[0] = input_err_terms[0] = 0.0
     carry = None
     for lo in range(1, terms.size, block_size):
         hi = lo + block_size
-        carry = _prefix_step(terms[lo:hi], input_err_terms[lo:hi], carry)
+        _, carry = _prefix_step(terms[lo:hi], input_err_terms[lo:hi], carry)
     terms.flags.writeable = False
     input_err_terms.flags.writeable = False
     return terms, input_err_terms
 
 
-def _prefix_stream(n: int, block_size: int, block_terms) -> Iterator[tuple]:
-    """A prefix lane over [1, n], one aligned block at a time, keeping only the carry.
+def _chunk_grid(n: int, block_size: int, chunk: int) -> Iterator[tuple[int, int]]:
+    """The (lo, hi) of the chunks of at most ``chunk`` entries that each
+    ``block_size`` block of [1, n] splits into, in order."""
+    for blo in range(1, n + 1, block_size):
+        bhi = min(blo + block_size - 1, n)
+        for lo in range(blo, bhi + 1, chunk):
+            yield lo, min(lo + chunk - 1, bhi)
+
+
+def _prefix_stream(n: int, block_size: int, block_terms, chunk: int) -> Iterator[tuple]:
+    """A prefix lane over [1, n] on ``_chunk_grid``, keeping only two carries.
 
     ``block_terms(lo, hi)`` gives the terms of [lo, hi] and their input errors;
     yields (lo, values, bounds), bit for bit ``_prefix_with_err``'s entries lo..hi.
     """
-    carry = None
-    for lo in range(1, n + 1, block_size):
-        v, e = block_terms(lo, min(lo + block_size - 1, n))
-        carry = _prefix_step(v, e, carry)
+    carry = local = last = None
+    for lo, hi in _chunk_grid(n, block_size, chunk):
+        if (lo - 1) % block_size == 0:
+            carry, local = last, None
+        v, e = block_terms(lo, hi)
+        local, last = _prefix_step(v, e, carry, local)
         yield lo, v, e
 
 
@@ -371,7 +400,7 @@ def _stream_at(n: int, block_terms) -> CertifiedFloat:
     carry = None
     for lo in range(1, n + 1, DEFAULT_BLOCK_CAPACITY):
         hi = min(lo + DEFAULT_BLOCK_CAPACITY - 1, n)
-        carry = _prefix_step(*block_terms(lo, hi), carry, last_only=True)
+        _, carry = _prefix_step(*block_terms(lo, hi), carry, last_only=True)
     return CertifiedFloat(*carry)
 
 
@@ -428,6 +457,48 @@ def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return terms, ins
 
 
+def _increment_terms(
+    lo: int,
+    hi: int,
+    mu: np.ndarray,
+    mods: np.ndarray,
+    logs: np.ndarray,
+    rel_err: float,
+    big: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms x^-1 sum_{q|x} L_q mu(x/q) over the moduli q at x in [lo, hi],
+    and their input errors ``rel_err`` |term|; ``mu`` is indexed by x.
+
+    Numerators add one slice per modulus with a multiple in [lo, hi], in the
+    given order, so every x gets the same adds whatever range holds it.
+    ``big`` (read with lo = 0 only) holds further moduli above sqrt(hi),
+    ascending, with their logs; they go by cofactor j <= hi / sqrt(hi), which
+    makes about 2 sqrt(hi) NumPy calls where one per prime would make pi(hi).
+    A numerator still receives its adds in modulus order, because it has at
+    most one such prime factor.  Only the two returned arrays have full length.
+    """
+    vals = np.zeros(hi - lo + 1, dtype=np.float64)
+    errs = np.empty_like(vals)  # scratch until the end
+    m0 = np.maximum(-(-lo // mods), 1)  # the first cofactor of each modulus
+    ks = hi // mods - m0 + 1
+    some = ks > 0
+    for q, lq, m, k in zip(*(a[some].tolist() for a in (mods, logs, m0, ks))):
+        np.multiply(mu[m : m + k], lq, out=errs[:k])
+        vals[m * q - lo :: q] += errs[:k]
+    if big is not None and big[0].size:
+        ps, ls = big
+        for j in range(1, hi // int(ps[0]) + 1):
+            m = int(mu[j])
+            if m:
+                k = int(np.searchsorted(ps, hi // j, side="right"))
+                vals[ps[:k] * j] += m * ls[:k]
+    for a in range(0, vals.size, _CHUNK):
+        vals[a : a + _CHUNK] /= _ks(lo + a, min(lo + a + _CHUNK, hi + 1) - 1)
+    np.abs(vals, out=errs)
+    errs *= rel_err
+    return vals, errs
+
+
 class SummatoryTables:
     """Shared certified prefix tables over [1, limit].
 
@@ -458,7 +529,8 @@ class SummatoryTables:
     error bounds are no longer sound, so it raises ``ValueError``.
 
     Immutable once built; safe to share read-only between scan consumers.
-    A lane dropped with ``_release`` is rebuilt bit for bit on its next read.
+    ``_lane_terms`` gives the terms of the g, f, theta, H and tail lanes over
+    any [lo, hi], so that a scan can stream a lane it does not hold.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -468,12 +540,6 @@ class SummatoryTables:
             raise ValueError(f"block_size must lie in [1, 2^28], got {block_size}")
         self.limit = int(limit)
         self.block_size = int(block_size)
-
-    def _release(self, *lanes: str) -> None:
-        """Drop the named cached lanes (attribute names such as ``"_g"``) so
-        their memory can go; a later read rebuilds them bit for bit."""
-        for name in lanes:
-            setattr(self, name, None)
 
     # -- integer lanes
 
@@ -559,19 +625,20 @@ class SummatoryTables:
             if primorial > n:
                 break
             omega_max += 1
-        return self._increment_lane(
-            ps[:small].tolist(),
-            logs[:small].tolist(),
+        terms = _increment_terms(
+            0,
+            n,
+            self.mu,
+            ps[:small],
+            logs[:small],
             (2.0 + 0.5 * omega_max) * EPS,
             big=(ps[small:], logs[small:]),
         )
+        return _prefix_with_err(*terms, self.block_size)
 
     @_lane("_tail")
     def tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # a numerator is 0 unless x = p^v m with m squarefree and prime to
-        # p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3):
-        # exact, so only the log (2 EPS) and the division (u) err
-        return self._increment_lane(*self._prime_powers(), 2.5 * EPS)
+        return _prefix_with_err(*self._lane_terms("_tail")(0, self.limit), self.block_size)
 
     @_lane("_P")
     def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -581,14 +648,12 @@ class SummatoryTables:
     @_lane("_T")
     def T_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """T(k) = sum_{p^i<=k, i>=2} log p / p^i, the weights of the tail's run sums."""
-        mods, logs = self._prime_powers()
-        return self._weight_lane(np.array(mods, dtype=np.int64), np.array(logs))
+        return self._weight_lane(*self._prime_powers())
 
-    def _prime_powers(self) -> tuple[list[int], list[float]]:
+    def _prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """The prime powers p^i <= limit, i >= 2, in (p, i) order, with log p."""
         n = self.limit
-        ps = self.primes
-        ps = ps[: int(np.searchsorted(ps, isqrt(n), side="right"))]
+        ps = _primes_upto(isqrt(n))
         mods, logs = [], []
         for p, lp in zip(ps.tolist(), np.log(ps.astype(np.float64)).tolist()):
             q = p * p
@@ -596,7 +661,7 @@ class SummatoryTables:
                 mods.append(q)
                 logs.append(lp)
                 q *= p
-        return mods, logs
+        return np.array(mods, dtype=np.int64), np.array(logs)
 
     def _weight_lane(self, mods: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Certified prefix of the weights log p / m at the moduli m = p^i, 0
@@ -605,44 +670,24 @@ class SummatoryTables:
         terms[mods] = logs / mods
         return _prefix_with_err(terms, terms * (3.0 * EPS), self.block_size)
 
-    def _increment_lane(
-        self,
-        mods: list[int],
-        logs: list[float],
-        rel_err: float,
-        big: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Certified prefix of x^-1 sum_{q|x} L_q mu(x/q) over the moduli q.
-
-        Numerators add one slice per modulus, in the given order.  ``big``
-        holds further moduli above sqrt(limit), ascending, with their logs;
-        they go by cofactor j <= limit / sqrt(limit), which makes about
-        2 sqrt(limit) NumPy calls where one per prime would make pi(limit).
-        A numerator still receives its adds in modulus order, because it has
-        at most one such prime factor.  The terms are charged ``rel_err``
-        each, relative.  Only the two returned arrays have full length.
-        """
-        n = self.limit
+    def _lane_terms(self, attr: str):
+        """``block_terms(lo, hi)`` of the lane cached in ``attr`` (``"_g"``,
+        ``"_f"``, ``"_theta"``, ``"_H"`` or ``"_tail"``) for ``_prefix_stream``:
+        the lane's terms over [lo, hi] and their input errors."""
+        if attr == "_theta":
+            return _theta_block_terms
+        if attr == "_H":
+            return _H_terms
         mu = self.mu
-        vals = np.zeros(n + 1, dtype=np.float64)
-        errs = np.empty(n + 1, dtype=np.float64)  # scratch until the prefix
-        for q, lq in zip(mods, logs):
-            k = n // q
-            np.multiply(mu[1 : k + 1], lq, out=errs[:k])
-            vals[q::q] += errs[:k]
-        if big is not None and big[0].size:
-            ps, ls = big
-            for j in range(1, n // int(ps[0]) + 1):
-                m = int(mu[j])
-                if m:
-                    k = int(np.searchsorted(ps, n // j, side="right"))
-                    vals[ps[:k] * j] += m * ls[:k]
-        for lo in range(1, n + 1, _CHUNK):
-            hi = min(lo + _CHUNK, n + 1)
-            vals[lo:hi] /= np.arange(lo, hi, dtype=np.float64)
-        np.abs(vals, out=errs)
-        errs *= rel_err
-        return _prefix_with_err(vals, errs, self.block_size)
+        if attr == "_g":
+            return lambda lo, hi: _g_terms(lo, mu[lo : hi + 1])
+        if attr == "_f":
+            return lambda lo, hi: _f_terms(lo, mu[lo : hi + 1])
+        # the tail: a numerator is 0 unless x = p^v m with m squarefree and
+        # prime to p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0
+        # (v >= 3): exact, so only the log (2 EPS) and the division (u) err
+        mods, logs = self._prime_powers()
+        return lambda lo, hi: _increment_terms(lo, hi, mu, mods, logs, 2.5 * EPS)
 
     # -- pointwise certified accessors
 

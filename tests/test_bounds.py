@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mobsum import bounds
@@ -213,6 +214,29 @@ _LANES = {
 }
 
 
+@pytest.mark.parametrize("lo", [1, 1234])
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_streamed_scan_reports_equal_held_lane_reports(scan, lo):
+    # with tables=None a scan streams its lanes from mu and builds none of
+    # them; with every lane built it reads slices: the reports are equal
+    hi = 30_000
+    if scan == "theta":
+        # theta takes no tables: its ratio is the held lane's, bit for bit
+        tv, _ = SummatoryTables(hi).theta_arrays
+        held = np.max(tv[lo : hi + 1] / (2.0 * np.arange(lo, hi + 1, dtype=np.float64)))
+        r = check_theta_bounds(lo, hi)
+        assert r.passed and r.max_ratio.hex() == float(held).hex()
+        return
+    full = SummatoryTables(hi)
+    for prop, _ in _LANES.values():
+        getattr(full, prop)
+    held = _SCANS[scan](lo, hi, full)
+    streamed = _SCANS[scan](lo, hi, None)
+    # (g(1) = 1 +/- EPS is indeterminate, as the lane always gave it)
+    assert held == streamed and not held.violations
+    assert held.max_ratio.hex() == streamed.max_ratio.hex()
+
+
 @pytest.fixture(scope="module")
 def tables_20k() -> SummatoryTables:
     return SummatoryTables(20000)
@@ -223,8 +247,8 @@ def _corrupt(scan: str, tables: SummatoryTables, points: dict, monkeypatch) -> N
     if scan == "theta":
         stream = bounds._prefix_stream
 
-        def spiked(n, block_size, block_terms):
-            for blo, th, errs in stream(n, block_size, block_terms):
+        def spiked(n, block_size, block_terms, chunk):
+            for blo, th, errs in stream(n, block_size, block_terms, chunk):
                 th, errs = th.copy(), errs.copy()
                 for x, (v, e) in points.items():
                     if blo <= x < blo + th.size:

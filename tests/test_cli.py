@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -181,8 +182,8 @@ def test_verify_wide_peak_rss(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_verify_frees_lanes_after_last_reader(tmp_path):
-    # the g and f lanes (64 MB together here) go after the Mangoldt scan, H
-    # and the tail after their own scans: at most one pair is alive at a time
+    # the bound scans stream their lanes in chunks, so the 2 MB mu lane is the
+    # only one of full length; held g and f lanes would take 64 MB here
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "2000000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
@@ -191,6 +192,38 @@ def test_verify_frees_lanes_after_last_reader(tmp_path):
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < 128, maxrss_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_verify_streamed_scans_peak_rss(tmp_path):
+    # held lanes took about 35 B per x, 346 MiB here; streamed, the bound
+    # scans keep only the 10 MB mu lane at full length
+    src = str(Path(mobsum.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
+    argv += ["--limit", "10000000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 80, maxrss_kib
+
+
+def test_verify_beyond_memory_exits_2_before_allocating(capsys):
+    # a mu lane of 10^13 bytes, and exact lists of about 0.18 N^2 bytes each
+    # at N = 10^6, exceed any memory this runs in
+    tracemalloc.start()
+    try:
+        codes = [
+            main(["verify", "--limit", str(10**13)]),
+            main(["verify", "--limit", str(10**6), "--cutoff", str(10**6)]),
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes == [2, 2]
+    assert peak < 1 << 20, peak
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("MiB available") == 2
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

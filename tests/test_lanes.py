@@ -12,12 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mobsum import bounds
 from mobsum.identities import abel_rearrangement_check, decomposition_scan
 from mobsum.sieve import _primes_upto
 from mobsum.summatory import (
     MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _prefix_stream,
     _prefix_with_err,
     lcm_upto,
     moebius_values_upto,
@@ -289,22 +291,58 @@ _LANE_CACHES = {
 }
 
 
-def test_lanes_are_cached_properties_rebuilt_after_release():
-    # plain properties (span tracing wraps them), built once, cached under
-    # their attribute, and rebuilt bit for bit once ``_release`` drops them
+def test_lanes_are_cached_properties():
+    # plain properties (span tracing wraps them), built once and cached under
+    # their attribute
     props = {n for n, v in vars(SummatoryTables).items() if isinstance(v, property)}
     assert props == set(_LANE_CACHES)
     tables = SummatoryTables(3000, block_size=1000)
     for lane, attr in _LANE_CACHES.items():
         first = getattr(tables, lane)
         assert getattr(tables, lane) is first and getattr(tables, attr) is first, lane
-    released = ("_g", "_f", "_H", "_tail")
-    before = {attr: getattr(tables, attr) for attr in released}
-    tables._release(*released)
-    for lane, attr in _LANE_CACHES.items():
-        if attr not in released:
-            continue
-        assert getattr(tables, attr) is None
-        rebuilt = getattr(tables, lane)
-        assert rebuilt is not before[attr]
-        assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in before[attr]], lane
+
+
+# the lanes a bound scan may stream, by cache attribute
+_STREAMED = {
+    "_g": "g_arrays",
+    "_f": "f_arrays",
+    "_H": "harmonic_arrays",
+    "_theta": "theta_arrays",
+    "_tail": "tail_arrays",
+}
+
+
+@pytest.mark.parametrize("block_size", [1 << 20, 1000, 7])
+def test_prefix_stream_chunks_are_the_held_lane_bit_for_bit(block_size):
+    # every chunk of the stream, a block split into chunks or not, has the
+    # bytes of the held lane's entries
+    n = 30_000
+    tables = SummatoryTables(n, block_size=block_size)
+    for attr, lane in _STREAMED.items():
+        held = getattr(tables, lane)
+        for chunk in (1 << 14, 333):
+            end = 1
+            for lo, *got in _prefix_stream(n, block_size, tables._lane_terms(attr), chunk):
+                assert lo == end and 0 < got[0].size <= chunk, (attr, chunk, lo)
+                for part, whole in zip(got, held):
+                    assert part.tobytes() == whole[lo : lo + part.size].tobytes(), (attr, chunk, lo)
+                end = lo + got[0].size
+            assert end == n + 1
+
+
+@pytest.mark.parametrize("block_size", [1 << 20, 1000])
+def test_scan_chunks_from_mid_block_match_held_lane(block_size, monkeypatch):
+    # a range that starts inside a block streams from x = 1 and is cut at lo;
+    # the lane stays unbuilt, and a held lane is read on the same grid
+    n, lo, hi = 30_000, 1500, 29_999
+    monkeypatch.setattr(bounds, "_SCAN_CHUNK", 333)
+    held = SummatoryTables(n, block_size=block_size)
+    for attr, lane in _STREAMED.items():
+        streamed = SummatoryTables(n, block_size=block_size)
+        got = list(bounds._chunks(streamed, attr, lo, hi))
+        assert getattr(streamed, attr, None) is None, attr
+        vals, errs = getattr(held, lane)
+        assert got[0][0] == lo
+        assert np.concatenate([c[1] for c in got]).tobytes() == vals[lo : hi + 1].tobytes()
+        assert np.concatenate([c[2] for c in got]).tobytes() == errs[lo : hi + 1].tobytes()
+        assert [c[0] for c in bounds._chunks(held, attr, lo, hi)] == [c[0] for c in got]
