@@ -15,11 +15,12 @@ boundary is reported as indeterminate and fails the scan conservatively.
 
 Each certified scan reads its lanes as streams of chunks of at most
 ``_SCAN_CHUNK`` consecutive x, classifies each chunk and keeps only the
-verdicts.  A lane the given tables hold is read by slice; any other lane is
-streamed from x = 1 by the prefix kernel, bit for bit the held entries, so
-no float lane is built at full length and the memory of a scan does not
-grow with its range beyond the int8 mu lane.  The verdicts, their order and
-the maximum ratio are those of one pass over the whole range.
+verdicts.  ``SummatoryTables._chunks`` gives the chunks: slices of a lane
+the tables hold, else the lane streamed from x = 1 by the prefix kernel, bit
+for bit the held entries.  So no float lane is built at full length and the
+memory of a scan does not grow with its range beyond the int8 mu lane.  The
+verdicts, their order and the maximum ratio are those of one pass over the
+whole range.
 
 Convergence reports locate empirical thresholds: the least G with
 |eps(nu)| <= delta/3 on [G, scan_limit], and the least sampled xi beyond
@@ -43,14 +44,7 @@ from .certified import (
     CertifiedFloat,
     _HEADROOM,
 )
-from .sieve import DEFAULT_BLOCK_CAPACITY
-from .summatory import (
-    EXACTNESS_CUTOFF,
-    ScaledMoebiusPrefix,
-    SummatoryTables,
-    _chunk_grid,
-    _prefix_stream,
-)
+from .summatory import EXACTNESS_CUTOFF, ScaledMoebiusPrefix, SummatoryTables
 
 GAMMA_PROVENANCE = (
     "embedded double 0.5772156649015329 cross-checked against the "
@@ -148,25 +142,6 @@ def _report(
     )
 
 
-def _chunks(tables: SummatoryTables, attr: str, lo: int, hi: int) -> Iterator[tuple]:
-    """The certified lane cached in ``attr`` over [lo, hi] as (a, values,
-    bounds) at x in [a, a + values.size), on the ``_chunk_grid`` of
-    ``_SCAN_CHUNK``: slices of the lane if ``tables`` holds it, else its
-    ``_prefix_stream`` from x = 1, which builds no full-length lane."""
-    held = getattr(tables, attr, None)
-    if held is None:
-        terms = tables._lane_terms(attr)
-        chunks = _prefix_stream(hi, tables.block_size, terms, _SCAN_CHUNK)
-    else:
-        vals, errs = held
-        grid = _chunk_grid(hi, tables.block_size, _SCAN_CHUNK)
-        chunks = ((a, vals[a : b + 1], errs[a : b + 1]) for a, b in grid)
-    for a, v, e in chunks:
-        s = max(lo - a, 0)
-        if s < v.size:
-            yield a + s, v[s:], e[s:]
-
-
 def _scan(chunks, strict: bool = False) -> tuple[list, list, float]:
     """``_classify`` over consecutive chunks (a, lhs, lhs_err, rhs, rhs_err) of
     a range, in ascending x.  The lists come back in ascending x, and the max
@@ -218,7 +193,7 @@ def check_g_bound(
     if hi > exact_hi:
         if tables is None or tables.limit < hi:
             tables = SummatoryTables(hi)
-        chunks = _chunks(tables, "_g", max(lo, exact_hi + 1), hi)
+        chunks = tables._chunks("_g", max(lo, exact_hi + 1), hi, _SCAN_CHUNK)
         v, u, r = _scan((a, np.abs(g), e, 1.0, 0.0) for a, g, e in chunks)
         violations += v
         indeterminate += u
@@ -241,7 +216,7 @@ def check_mangoldt_bound(
     def chunks() -> Iterator[tuple]:
         # the g and f streams run on one grid, so their chunks pair up
         for (a, g, ge), (_, f, fe) in zip(
-            _chunks(tables, "_g", lo, hi), _chunks(tables, "_f", lo, hi)
+            tables._chunks("_g", lo, hi, _SCAN_CHUNK), tables._chunks("_f", lo, hi, _SCAN_CHUNK)
         ):
             lx = np.log(np.arange(a, a + g.size, dtype=np.float64))
             prod = lx * g
@@ -256,22 +231,19 @@ def check_mangoldt_bound(
 
 
 def check_theta_bounds(
-    lo: int, hi: int, *, block_size: int = DEFAULT_BLOCK_CAPACITY
+    lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
-    """Verify 0 <= theta(x) < 2x (so |eps(x)| <= 1 with eps > -1 off x=1).
-
-    Streams the theta lane from x = 1 in chunks, sieving the primes of each
-    (the kernel of ``SummatoryTables.theta_arrays``, bit for bit at the same
-    block size); memory stays at one chunk regardless of range size.
-    """
+    """Verify 0 <= theta(x) < 2x (so |eps(x)| <= 1 with eps > -1 off x=1), certified."""
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
+    if tables is None or tables.limit < hi:
+        tables = SummatoryTables(hi)
     # non-negativity (eps >= -1): the terms are >= 0 and err is a small
     # multiple of th, so th - err only dips below zero if the scan is broken
     negative = []
 
     def chunks() -> Iterator[tuple]:
-        for a, t, e in _chunks(SummatoryTables(hi, block_size), "_theta", lo, hi):
+        for a, t, e in tables._chunks("_theta", lo, hi, _SCAN_CHUNK):
             negative.extend((a + int(i), float(t[i]), 0.0) for i in np.flatnonzero(t - e < 0.0))
             yield a, t, e, 2.0 * np.arange(a, a + t.size, dtype=np.float64), 0.0
 
@@ -291,7 +263,7 @@ def check_harmonic_bound(
         tables = SummatoryTables(hi)
 
     def chunks() -> Iterator[tuple]:
-        for a, h, he in _chunks(tables, "_H", lo, hi):
+        for a, h, he in tables._chunks("_H", lo, hi, _SCAN_CHUNK):
             lx = np.log(np.arange(a, a + h.size, dtype=np.float64))
             rhs = lx + 1.0
             # log(1) = 0 exactly, making rhs exact at x = 1 (the equality case)
@@ -358,7 +330,7 @@ def tail_bound_scan(
     c = log_square_sum_constant()
     rhs = 2.0 * c.value
     rhs_err = (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM
-    chunks = _chunks(tables, "_tail", lo, hi)
+    chunks = tables._chunks("_tail", lo, hi, _SCAN_CHUNK)
     v, u, r = _scan((a, np.abs(t), e, rhs, rhs_err) for a, t, e in chunks)
     note = f"2C with C = {c.value:.12f} +/- {c.err:.2e}"
     return _report("prime_power_tail_bound", lo, hi, v, u, r, note=note)
@@ -446,17 +418,18 @@ def h_convergence(
     samples = []
     ok_ratio = []
     bound_ok: bool | None = None if G is None else True
+    hv, he = tables.h_arrays
     for x in xs:
-        h = tables.h_point(x)
+        h, h_err = float(hv[x]), float(he[x])
         lx = math.log(x)
-        rv = abs(h.value) / lx
-        rerr = (h.err / lx + 3.0 * EPS * rv) * _HEADROOM
+        rv = abs(h) / lx
+        rerr = (h_err / lx + 3.0 * EPS * rv) * _HEADROOM
         samples.append((x, rv))
         ok_ratio.append(rv + rerr <= delta)
         if G is not None:
             env = (3.0 * G - 2.0) + (2.0 / 3.0) * delta + (2.0 / 3.0) * delta * lx
             env_err = 8.0 * EPS * env
-            if abs(h.value) + h.err > env - env_err:
+            if abs(h) + h_err > env - env_err:
                 bound_ok = False
     xi = _least_certified_suffix(xs, ok_ratio)
     return ConvergenceReport(

@@ -176,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [
         bounds_mod.check_g_bound(1, limit, cutoff=cutoff, tables=tables, prefix=prefix),
         bounds_mod.check_mangoldt_bound(1, limit, tables=tables),
-        bounds_mod.check_theta_bounds(1, limit, block_size=args.blocksize),
+        bounds_mod.check_theta_bounds(1, limit, tables=tables),
         bounds_mod.check_harmonic_bound(1, limit, tables=tables),
         bounds_mod.tail_bound_scan(1, limit, tables=tables),
     ]
@@ -314,7 +314,7 @@ def _add_common(
             "--blocksize",
             type=int,
             default=DEFAULT_BLOCK_CAPACITY,
-            help="block length of the sieve and the float prefixes (default %(default)s)",
+            help="block length of the float prefix sums (default %(default)s)",
         )
 
 

@@ -70,21 +70,15 @@ class PrimeTable:
         return int(self.primes.size)
 
 
-def _simple_prime_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
 @functools.lru_cache(maxsize=8)
 def _primes_upto(limit: int) -> np.ndarray:
+    """The primes <= limit, read-only: the flags of ``prime_flags(1, limit)``,
+    which sieves with ``_primes_upto(isqrt(limit))``."""
     if limit < 2:
         arr = np.empty(0, dtype=np.int64)
     else:
-        arr = np.nonzero(_simple_prime_mask(limit))[0].astype(np.int64)
+        arr = np.flatnonzero(prime_flags(1, limit)).astype(np.int64)
+        arr += 1
     arr.flags.writeable = False
     return arr
 

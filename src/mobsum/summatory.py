@@ -48,9 +48,6 @@ from .sieve import (
     sieve_moebius,
 )
 
-# An exact rational value; always in lowest terms with positive denominator.
-ExactRational = Fraction
-
 # Largest x at which exact-rational evaluation is the default contract;
 # common denominators grow like e^x, so costs explode beyond desk scale.
 EXACTNESS_CUTOFF = 10_000
@@ -122,6 +119,16 @@ def _lane(attr: str):
         return property(get)
 
     return lane
+
+
+def _prefix_lane(attr: str) -> property:
+    """The lazy lane cached in ``attr`` of a ``SummatoryTables``: the certified
+    prefix (``_prefix_with_err``) of its ``_lane_terms(attr)`` over [0, limit]."""
+
+    def build(self) -> tuple[np.ndarray, np.ndarray]:
+        return _prefix_with_err(*self._lane_terms(attr)(0, self.limit), self.block_size)
+
+    return _lane(attr)(build)
 
 
 class ScaledMoebiusPrefix:
@@ -227,7 +234,7 @@ def theta(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         return ZERO
-    return _stream_at(n, _theta_block_terms)
+    return _stream_at(n, _theta_terms)
 
 
 def epsilon(x: Real) -> CertifiedFloat:
@@ -274,7 +281,7 @@ def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFl
 MAX_PREFIX_BLOCK = 1 << 28
 
 # Chunk length of the element-wise passes that need a temporary array.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 
 
 def _add_scaled_abs(
@@ -437,15 +444,13 @@ def _f_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms, ins
 
 
-def _theta_terms(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _theta_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     # log p at the primes p in [lo, hi], 0 elsewhere; each log charged 2 ulp
     terms = np.zeros(hi - lo + 1, dtype=np.float64)
+    a = max(lo, 1)
+    primes = np.flatnonzero(prime_flags(a, hi)) + a
     terms[primes - lo] = np.log(primes.astype(np.float64))
     return terms, terms * (2.0 * EPS)
-
-
-def _theta_block_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    return _theta_terms(lo, hi, np.flatnonzero(prime_flags(lo, hi)) + lo)
 
 
 def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -464,18 +469,13 @@ def _increment_terms(
     mods: np.ndarray,
     logs: np.ndarray,
     rel_err: float,
-    big: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The terms x^-1 sum_{q|x} L_q mu(x/q) over the moduli q at x in [lo, hi],
     and their input errors ``rel_err`` |term|; ``mu`` is indexed by x.
 
     Numerators add one slice per modulus with a multiple in [lo, hi], in the
-    given order, so every x gets the same adds whatever range holds it.
-    ``big`` (read with lo = 0 only) holds further moduli above sqrt(hi),
-    ascending, with their logs; they go by cofactor j <= hi / sqrt(hi), which
-    makes about 2 sqrt(hi) NumPy calls where one per prime would make pi(hi).
-    A numerator still receives its adds in modulus order, because it has at
-    most one such prime factor.  Only the two returned arrays have full length.
+    given order, so every x gets the same adds whatever range holds it.  Only
+    the two returned arrays have the range's length.
     """
     vals = np.zeros(hi - lo + 1, dtype=np.float64)
     errs = np.empty_like(vals)  # scratch until the end
@@ -485,17 +485,35 @@ def _increment_terms(
     for q, lq, m, k in zip(*(a[some].tolist() for a in (mods, logs, m0, ks))):
         np.multiply(mu[m : m + k], lq, out=errs[:k])
         vals[m * q - lo :: q] += errs[:k]
-    if big is not None and big[0].size:
-        ps, ls = big
-        for j in range(1, hi // int(ps[0]) + 1):
-            m = int(mu[j])
-            if m:
-                k = int(np.searchsorted(ps, hi // j, side="right"))
-                vals[ps[:k] * j] += m * ls[:k]
     for a in range(0, vals.size, _CHUNK):
         vals[a : a + _CHUNK] /= _ks(lo + a, min(lo + a + _CHUNK, hi + 1) - 1)
     np.abs(vals, out=errs)
     errs *= rel_err
+    return vals, errs
+
+
+def _h_terms(lo: int, hi: int, f_terms, tail_terms) -> tuple[np.ndarray, np.ndarray]:
+    """The terms x^-1 sum_{p|x} L_p mu(x/p) of h at x in [lo, hi], and their
+    input errors, as -(f's term + the tail's term) from ``f_terms`` and
+    ``tail_terms`` (each a ``block_terms``).
+
+    sum_{d|x} Lambda(d) mu(x/d) = -mu(x) log x (mu * Lambda = -mu log) splits
+    into h's numerator and the tail's.  f's term is nonzero only at
+    squarefree x and the tail's only where a square > 1 divides x, so each
+    add, of the terms and of their errors, has an exact 0 operand: exact.
+    The range is done in ``_CHUNK`` pieces, one term set at a time, so only
+    the two returned arrays have its length.
+    """
+    vals = np.empty(hi - lo + 1, dtype=np.float64)
+    errs = np.empty_like(vals)
+    for a in range(lo, hi + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, hi)
+        v, e = vals[a - lo : b - lo + 1], errs[a - lo : b - lo + 1]
+        v[:], e[:] = f_terms(a, b)
+        tv, te = tail_terms(a, b)
+        v += tv
+        np.subtract(0.0, v, out=v)  # not -v, which would make the 0 terms -0
+        e += te
     return vals, errs
 
 
@@ -518,19 +536,21 @@ class SummatoryTables:
         T, T_err    certified prefix T(k) = sum_{p^i<=k, i>=2} log p / p^i
 
     The h and tail lanes are h(x) and the prime-power tail summed by their
-    increments, which need only mu.  ``h_certified``, ``tail_certified`` and
+    increments, which need only mu; h's increment is minus f's and the
+    tail's (``_h_terms``).  ``h_certified``, ``tail_certified`` and
     ``_run_sums`` (at every x of a range) sum the same quantities from the g
     lane instead, over the floor-quotient runs of x with the weight lanes P
     and T; the decomposition check f = -h - tail needs that form, because
-    summed by increments it reduces to -mu(x) log x and would check nothing.
+    summed by increments it holds by construction and would check nothing.
 
     ``block_size`` is the length of one ``np.cumsum`` in the prefix lanes; it
     changes their low-order bits, and above ``MAX_PREFIX_BLOCK`` (2^28) the
     error bounds are no longer sound, so it raises ``ValueError``.
 
     Immutable once built; safe to share read-only between scan consumers.
-    ``_lane_terms`` gives the terms of the g, f, theta, H and tail lanes over
-    any [lo, hi], so that a scan can stream a lane it does not hold.
+    ``_lane_terms`` gives the terms of the g, f, theta, H, h and tail lanes
+    over any [lo, hi]: each held lane is ``_prefix_with_err`` over them, and
+    ``_chunks`` streams a lane the tables do not hold.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -560,17 +580,12 @@ class SummatoryTables:
 
     # -- certified lanes, each a (values, bounds) pair
 
-    @_lane("_g")
-    def g_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*_g_terms(0, self.mu), self.block_size)
-
-    @_lane("_f")
-    def f_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*_f_terms(0, self.mu), self.block_size)
-
-    @_lane("_theta")
-    def theta_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*_theta_terms(0, self.limit, self.primes), self.block_size)
+    g_arrays = _prefix_lane("_g")
+    f_arrays = _prefix_lane("_f")
+    theta_arrays = _prefix_lane("_theta")
+    harmonic_arrays = _prefix_lane("_H")
+    h_arrays = _prefix_lane("_h")
+    tail_arrays = _prefix_lane("_tail")
 
     @_lane("_eps")
     def eps_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -604,42 +619,6 @@ class SummatoryTables:
         _add_scaled_abs(ins, terms, EPS)
         return _prefix_with_err(terms, ins, self.block_size)
 
-    @_lane("_H")
-    def harmonic_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*_H_terms(0, self.limit), self.block_size)
-
-    @_lane("_h")
-    def h_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # the logs L_p in one numerator all carry one sign: for squarefree x
-        # every mu(x/p) is -mu(x), and for x = p^2 m with m squarefree only p
-        # contributes.  So its c <= omega_max logs add without cancellation:
-        # (c - 1) u from the adds, 2 EPS from the logs and u from the
-        # division, EPS (2 + omega_max / 2) relative in all
-        n = self.limit
-        ps = self.primes
-        logs = np.log(ps.astype(np.float64))
-        small = int(np.searchsorted(ps, isqrt(n), side="right"))
-        omega_max, primorial = 0, 1
-        for p in ps:
-            primorial *= int(p)
-            if primorial > n:
-                break
-            omega_max += 1
-        terms = _increment_terms(
-            0,
-            n,
-            self.mu,
-            ps[:small],
-            logs[:small],
-            (2.0 + 0.5 * omega_max) * EPS,
-            big=(ps[small:], logs[small:]),
-        )
-        return _prefix_with_err(*terms, self.block_size)
-
-    @_lane("_tail")
-    def tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*self._lane_terms("_tail")(0, self.limit), self.block_size)
-
     @_lane("_P")
     def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """P(k) = sum_{p<=k} log p / p, the weights of h's run sums."""
@@ -671,40 +650,58 @@ class SummatoryTables:
         return _prefix_with_err(terms, terms * (3.0 * EPS), self.block_size)
 
     def _lane_terms(self, attr: str):
-        """``block_terms(lo, hi)`` of the lane cached in ``attr`` (``"_g"``,
-        ``"_f"``, ``"_theta"``, ``"_H"`` or ``"_tail"``) for ``_prefix_stream``:
-        the lane's terms over [lo, hi] and their input errors."""
+        """``block_terms(lo, hi)`` of the prefix lane cached in ``attr``
+        (``"_g"``, ``"_f"``, ``"_theta"``, ``"_H"``, ``"_h"`` or ``"_tail"``):
+        the lane's terms over [lo, hi] and their input errors, with lo = 0
+        (the zero pad) for the held lane."""
         if attr == "_theta":
-            return _theta_block_terms
+            return _theta_terms
         if attr == "_H":
             return _H_terms
         mu = self.mu
         if attr == "_g":
             return lambda lo, hi: _g_terms(lo, mu[lo : hi + 1])
+
+        def f(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            return _f_terms(lo, mu[lo : hi + 1])
+
         if attr == "_f":
-            return lambda lo, hi: _f_terms(lo, mu[lo : hi + 1])
+            return f
         # the tail: a numerator is 0 unless x = p^v m with m squarefree and
         # prime to p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0
         # (v >= 3): exact, so only the log (2 EPS) and the division (u) err
         mods, logs = self._prime_powers()
-        return lambda lo, hi: _increment_terms(lo, hi, mu, mods, logs, 2.5 * EPS)
+
+        def tail(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            return _increment_terms(lo, hi, mu, mods, logs, 2.5 * EPS)
+
+        if attr == "_tail":
+            return tail
+        return lambda lo, hi: _h_terms(lo, hi, f, tail)
+
+    def _chunks(self, attr: str, lo: int, hi: int, chunk: int) -> Iterator[tuple]:
+        """The prefix lane cached in ``attr`` over [lo, hi] as (a, values,
+        bounds) at x in [a, a + values.size), on the ``_chunk_grid`` of
+        ``chunk``: slices of the lane if the tables hold it, else its
+        ``_prefix_stream`` from x = 1, which builds no full-length lane."""
+        held = getattr(self, attr, None)
+        if held is None:
+            chunks = _prefix_stream(hi, self.block_size, self._lane_terms(attr), chunk)
+        else:
+            vals, errs = held
+            grid = _chunk_grid(hi, self.block_size, chunk)
+            chunks = ((a, vals[a : b + 1], errs[a : b + 1]) for a, b in grid)
+        for a, v, e in chunks:
+            s = max(lo - a, 0)
+            if s < v.size:
+                yield a + s, v[s:], e[s:]
 
     # -- pointwise certified accessors
-
-    def f_certified(self, k: int) -> CertifiedFloat:
-        v, e = self.f_arrays
-        return CertifiedFloat(float(v[k]), float(e[k]))
 
     def h_certified(self, x: int) -> CertifiedFloat:
         """h(x) over the runs of x with the prime weight lane ``P_arrays``."""
         [(v, e)] = self._run_sums(x, x, self.P_arrays)
         return CertifiedFloat(float(v[0]), float(e[0]))
-
-    def h_point(self, x: int) -> CertifiedFloat:
-        """h(x) from the increment lane ``h_arrays``."""
-        self._check_arg(x)
-        hv, he = self.h_arrays
-        return CertifiedFloat(float(hv[x]), float(he[x]))
 
     def tail_certified(self, x: int) -> CertifiedFloat:
         """sum_{p<=x} log p * sum_{i>=2, p^i<=x} g(x/p^i)/p^i, certified (signed),

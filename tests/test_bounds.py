@@ -155,10 +155,10 @@ def test_h_convergence_envelope_definition(tables_2k):
     # every sampled |h| sits under 3G - 2 + (2/3) delta (1 + log x)
     delta = 0.9
     rep = h_convergence(delta, 2000, 50, tables=tables_2k)
+    hv, he = tables_2k.h_arrays
     for x, _ in rep.samples:
-        h = tables_2k.h_point(x)
         env = 3.0 * rep.G - 2.0 + (2.0 / 3.0) * delta + (2.0 / 3.0) * delta * math.log(x)
-        assert abs(h.value) + h.err <= env, x
+        assert abs(hv[x]) + he[x] <= env, x
 
 
 def test_h_convergence_validates():
@@ -201,14 +201,15 @@ def test_gamma_oracle_agreement():
 _SCANS = {
     "g": lambda lo, hi, t: check_g_bound(lo, hi, cutoff=0, tables=t),
     "mangoldt": lambda lo, hi, t: check_mangoldt_bound(lo, hi, tables=t),
-    "theta": lambda lo, hi, t: check_theta_bounds(lo, hi, block_size=3000),
+    "theta": lambda lo, hi, t: check_theta_bounds(lo, hi, tables=t),
     "harmonic": lambda lo, hi, t: check_harmonic_bound(lo, hi, tables=t),
     "tail": lambda lo, hi, t: tail_bound_scan(lo, hi, tables=t),
 }
-# the lane each scan reads last (property, cache attribute); theta streams
+# the lane each scan reads last (property, cache attribute)
 _LANES = {
     "g": ("g_arrays", "_g"),
     "mangoldt": ("f_arrays", "_f"),
+    "theta": ("theta_arrays", "_theta"),
     "harmonic": ("harmonic_arrays", "_H"),
     "tail": ("tail_arrays", "_tail"),
 }
@@ -220,13 +221,6 @@ def test_streamed_scan_reports_equal_held_lane_reports(scan, lo):
     # with tables=None a scan streams its lanes from mu and builds none of
     # them; with every lane built it reads slices: the reports are equal
     hi = 30_000
-    if scan == "theta":
-        # theta takes no tables: its ratio is the held lane's, bit for bit
-        tv, _ = SummatoryTables(hi).theta_arrays
-        held = np.max(tv[lo : hi + 1] / (2.0 * np.arange(lo, hi + 1, dtype=np.float64)))
-        r = check_theta_bounds(lo, hi)
-        assert r.passed and r.max_ratio.hex() == float(held).hex()
-        return
     full = SummatoryTables(hi)
     for prop, _ in _LANES.values():
         getattr(full, prop)
@@ -244,19 +238,6 @@ def tables_20k() -> SummatoryTables:
 
 def _corrupt(scan: str, tables: SummatoryTables, points: dict, monkeypatch) -> None:
     """Set the (value, err) of ``scan``'s lane at the given x, for this test only."""
-    if scan == "theta":
-        stream = bounds._prefix_stream
-
-        def spiked(n, block_size, block_terms, chunk):
-            for blo, th, errs in stream(n, block_size, block_terms, chunk):
-                th, errs = th.copy(), errs.copy()
-                for x, (v, e) in points.items():
-                    if blo <= x < blo + th.size:
-                        th[x - blo], errs[x - blo] = v, e
-                yield blo, th, errs
-
-        monkeypatch.setattr(bounds, "_prefix_stream", spiked)
-        return
     prop, attr = _LANES[scan]
     v, e = (a.copy() for a in getattr(tables, prop))
     for x, (pv, pe) in points.items():
@@ -303,8 +284,8 @@ def test_scan_reports_each_spike_once_in_x_order(scan, chunk, tables_20k, monkey
 @pytest.mark.parametrize("scan", ["g", "mangoldt", "harmonic", "theta", "tail"])
 def test_scan_nan_lane_entry_fails_with_nan_max(scan, x, tables_20k, monkeypatch):
     # one NaN is one indeterminate point, and the max ratio is NaN, as the
-    # single pass over the whole range gave, also when g's exact part or
-    # theta's other blocks have ratios of their own
+    # single pass over the whole range gave, also when g's exact part has
+    # ratios of its own
     monkeypatch.setattr(bounds, "_SCAN_CHUNK", 7)
     _corrupt(scan, tables_20k, {x: (math.nan, 0.0)}, monkeypatch)
     if scan == "g" and x > 1:

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobsum import bounds
 from mobsum.identities import abel_rearrangement_check, decomposition_scan
 from mobsum.sieve import _primes_upto
 from mobsum.summatory import (
@@ -234,22 +233,25 @@ def test_series_reads_h_lane(tables_20k):
     s = series_scan(N, 37, tables=tables_20k)
     hv, he = tables_20k.h_arrays
     assert np.array_equal(s.h, hv[s.xs]) and np.array_equal(s.h_err, he[s.xs])
-    assert tables_20k.h_point(N).value == hv[N]
 
 
-def test_h_lane_cofactor_loop_matches_per_prime_slices(tables_20k):
-    # one slice per prime, in prime order, is the direct form of the lane
-    mu = moebius_values_upto(N)
-    num = np.zeros(N + 1)
-    for p in _primes_upto(N).tolist():
-        num[p::p] += mu[1 : N // p + 1] * np.log(np.float64(p))
-    ks = np.arange(N + 1, dtype=np.float64)
-    ks[0] = 1.0
-    terms = num / ks
-    hv, _ = tables_20k.h_arrays
-    ref, _ = _prefix_with_err(terms, np.zeros(N + 1), tables_20k.block_size)
-    assert np.array_equal(hv, ref)
-    assert math.isclose(float(hv[N]), tables_20k.h_certified(N).value, rel_tol=1e-12)
+@pytest.mark.parametrize("block_size", [1 << 20, 1000])
+def test_h_lane_is_the_prefix_of_minus_f_and_tail_terms(block_size):
+    # f's term is nonzero only at squarefree x and the tail's only off them,
+    # so -(f's + the tail's) and the sum of their errors are exact, and the
+    # lane is the prefix of exactly those terms and errors
+    tables = SummatoryTables(N, block_size=block_size)
+    fv, fe = tables._lane_terms("_f")(0, N)
+    tv, te = tables._lane_terms("_tail")(0, N)
+    assert np.all(tables.mu[fv != 0.0] != 0) and np.all(tables.mu[tv != 0.0] == 0)
+    assert not np.any((fv != 0.0) & (tv != 0.0))
+    terms, errs = 0.0 - (fv + tv), fe + te  # 0 - s, so a zero term is +0
+    assert np.array_equal(terms, np.where(fv != 0.0, -fv, -tv))
+    assert np.array_equal(errs, np.where(fv != 0.0, fe, te))
+    hv, he = tables.h_arrays
+    ref = _prefix_with_err(terms, errs, block_size)
+    assert hv.tobytes() == ref[0].tobytes() and he.tobytes() == ref[1].tobytes()
+    assert math.isclose(float(hv[N]), tables.h_certified(N).value, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("block", [None, 1000])
@@ -308,6 +310,7 @@ _STREAMED = {
     "_f": "f_arrays",
     "_H": "harmonic_arrays",
     "_theta": "theta_arrays",
+    "_h": "h_arrays",
     "_tail": "tail_arrays",
 }
 
@@ -331,18 +334,17 @@ def test_prefix_stream_chunks_are_the_held_lane_bit_for_bit(block_size):
 
 
 @pytest.mark.parametrize("block_size", [1 << 20, 1000])
-def test_scan_chunks_from_mid_block_match_held_lane(block_size, monkeypatch):
+def test_scan_chunks_from_mid_block_match_held_lane(block_size):
     # a range that starts inside a block streams from x = 1 and is cut at lo;
     # the lane stays unbuilt, and a held lane is read on the same grid
     n, lo, hi = 30_000, 1500, 29_999
-    monkeypatch.setattr(bounds, "_SCAN_CHUNK", 333)
     held = SummatoryTables(n, block_size=block_size)
     for attr, lane in _STREAMED.items():
         streamed = SummatoryTables(n, block_size=block_size)
-        got = list(bounds._chunks(streamed, attr, lo, hi))
+        got = list(streamed._chunks(attr, lo, hi, 333))
         assert getattr(streamed, attr, None) is None, attr
         vals, errs = getattr(held, lane)
         assert got[0][0] == lo
         assert np.concatenate([c[1] for c in got]).tobytes() == vals[lo : hi + 1].tobytes()
         assert np.concatenate([c[2] for c in got]).tobytes() == errs[lo : hi + 1].tobytes()
-        assert [c[0] for c in bounds._chunks(held, attr, lo, hi)] == [c[0] for c in got]
+        assert [c[0] for c in held._chunks(attr, lo, hi, 333)] == [c[0] for c in got]

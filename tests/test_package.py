@@ -35,3 +35,20 @@ def test_private_helpers_are_used():
                     defined.update(t.id for t in targets if isinstance(t, ast.Name))
     unused = sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
     assert not unused, unused
+
+
+def test_bounds_imports_no_private_summatory_name():
+    # whether a scan reads a held lane or streams it is decided inside
+    # SummatoryTables, so the scans need none of summatory's private helpers
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(mobsum.__file__).parent / "bounds.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("summatory")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
