@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 import time
 from typing import IO, Iterable, Iterator
@@ -30,6 +29,7 @@ from typing import IO, Iterable, Iterator
 from . import bounds as bounds_mod
 from . import fast as fast_mod
 from . import identities as ident_mod
+from . import sieve as sieve_mod
 from .certified import EULER_GAMMA
 from .sieve import DEFAULT_BLOCK_CAPACITY, iter_moebius_blocks
 from .summatory import (
@@ -117,19 +117,6 @@ def _verify_bytes(limit: int, cutoff: int) -> int:
     return limit + 2 * (18 * n * n // 100)
 
 
-def _available_bytes() -> float:
-    """The lower of RLIMIT_AS and the free physical memory, or inf where the
-    platform reports neither."""
-    try:
-        import resource
-
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ImportError, AttributeError, ValueError, OSError):
-        return math.inf
-    return min(free, math.inf if soft == resource.RLIM_INFINITY else soft)
-
-
 def _check_row(
     name: str, lo: int, hi: int, items: int, failures: int, indeterminate: int, metric: str, note=""
 ) -> tuple[list[str], bool]:
@@ -143,7 +130,7 @@ def _check_row(
 def _cmd_verify(args: argparse.Namespace) -> int:
     limit = args.limit
     cutoff = args.cutoff
-    need, avail = _verify_bytes(limit, cutoff), _available_bytes()
+    need, avail = _verify_bytes(limit, cutoff), sieve_mod._available_bytes()
     if need > avail:
         print(
             f"mobsum: verify --limit {limit} --cutoff {cutoff} needs about "
@@ -367,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"--limit {args.limit} is too large for {args.command}: {exc}")
     try:
         return args.fn(args)
+    except sieve_mod.SieveMemoryError as exc:
+        print(f"mobsum: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"mobsum: I/O error: {exc}", file=sys.stderr)
         return 2

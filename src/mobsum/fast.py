@@ -161,15 +161,23 @@ def _squarefree_head(M: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     return q.astype(np.float64), mu[q - 1].astype(np.int64)
 
 
-def _quotients(y: int, d: np.ndarray) -> np.ndarray:
-    """y // d for 1 <= y < 2^53 and float64 integer divisors d.
+def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y // d for 1 <= y < 2^53 and float64 integer divisors d, as int64,
+    written into ``out`` when it is given.
 
     When d does not divide y, y = m d - r with 1 <= r < d, and y / d lies
     r/d below m.  Rounding reaches m only if r/d < m 2^-53, that is only if
     y > r (2^53 - 1), so below 2^53 the correctly rounded y / d truncates
     to y // d.  Float division is about twice as fast as int64 division.
+    The float quotients are written into ``out``'s own memory and cast to
+    int64 there, each element read before it is overwritten.
     """
-    return (y / d).astype(np.int64)
+    if out is None:
+        out = np.empty(d.shape, dtype=np.int64)
+    f = out.view(np.float64)
+    np.divide(y, d, out=f)
+    out[...] = f
+    return out
 
 
 def _mertens_chain(x: int, M: np.ndarray, sf: np.ndarray, mu_sf: np.ndarray) -> np.ndarray:
@@ -185,19 +193,22 @@ def _mertens_chain(x: int, M: np.ndarray, sf: np.ndarray, mu_sf: np.ndarray) -> 
     y//q - y//(q+1) times, summed by parts (y // (Q+1) = s).  y // nu =
     x // (j nu) is chain entry j nu while j nu <= J and a table entry
     beyond, so the chain fills from J down to 1 with no lookup by value.
+    The divisors nu are slices of one float lane and the quotients go to one
+    reused buffer, so an index costs a handful of NumPy calls.
     """
     J = x // M.size
     chain = np.zeros(J + 1, dtype=np.int64)
+    nus = np.arange(isqrt(x) + 1, dtype=np.float64)
+    buf = np.empty(nus.size, dtype=np.int64)
     for j in range(J, 0, -1):
         y = x // j
         s = isqrt(y)
         m = min(J // j, s)
         Q = y // (s + 1)
-        n = int(np.searchsorted(sf, Q, side="right"))
-        total = int(chain[2 * j : m * j + 1 : j].sum())
-        nus = np.arange(m + 1, s + 1, dtype=np.float64)
-        total += int(M[_quotients(y, nus)].sum(dtype=np.int64))
-        total += int(np.dot(_quotients(y, sf[:n]), mu_sf[:n])) - s * int(M[Q])
+        n = int(sf.searchsorted(Q, side="right"))
+        total = int(chain[2 * j : m * j + 1 : j].sum()) if m > 1 else 0
+        total += int(M[_quotients(y, nus[m + 1 : s + 1], buf[: s - m])].sum(dtype=np.int64))
+        total += int(np.dot(_quotients(y, sf[:n], buf[:n]), mu_sf[:n])) - s * int(M[Q])
         chain[j] = 1 - total
     return chain
 
@@ -334,39 +345,116 @@ def g_recursive_exact(
 # ---------------------------------------------------------------------------
 
 
-def _g_float_sum(
-    y: int, j: int, J: int, gv, ge, cv: np.ndarray, ce: np.ndarray
-) -> tuple[float, float]:
-    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) for y = x // j, with a propagated
-    error bound: the head nu = 2 .. m, m = min(J // j, isqrt(y)), off the
-    chain (cv, ce) at j nu, the rest off the base lane (gv, ge)."""
-    q, lo, hi = _runs(y)
-    s = isqrt(y)
-    m = min(J // j, s)
-    head = slice(2 * j, m * j + 1, j)
-    g = np.concatenate((cv[head], gv[q[m - 1 :]]))
-    gerr = np.concatenate((ce[head], ge[q[m - 1 :]]))
+# Runs per batch of g chain indices: the chain-independent part of the run
+# sums is laid out for a batch of consecutive indices at once, in arrays of
+# about this many runs (an index with more runs is a batch alone).
+_G_BATCH = 1 << 14
+
+
+def _g_float_batch(
+    x: int, js: list[int], J: int, gv: np.ndarray, ge: np.ndarray, cv: np.ndarray, ce: np.ndarray
+) -> tuple[np.ndarray, list, list]:
+    """The terms of the sums sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), y = x // j,
+    over the chain indices ``js``, every one above max(js) / 2.
+
+    The runs of y (``_runs(y)``) are the single nu = 2 .. s, s = isqrt(y),
+    then one longer run per quotient q = Q .. 1, Q = y // (s+1), from
+    nu_lo = y // (q+1) + 1 (s + 1 for q = Q) to nu_hi = y // q.  A run weighs
+    w = 1/nu if single, else H(nu_hi) - H(nu_lo - 1), with error werr; its g
+    is the chain entry (cv, ce) at j nu for the head nu = 2 .. m, m =
+    min(J // j, s), and the base lane entry (gv, ge) at q after it.  Since
+    j nu >= 2j > max(js), the head reads only entries filled before the
+    batch.  Returns rows (terms w g, their input errors w gerr + werr |g| +
+    EPS |w g|, |w g|) over the runs of every index: the single nu of all
+    indices first, then the longer runs, index i's at ``singles[i]`` and
+    ``longs[i]`` (slices).  Every element gets the float operations it gets
+    for one index alone.
+    """
+    ys = [x // j for j in js]
+    ss = [isqrt(y) for y in ys]
+    Qs = [y // (s + 1) for y, s in zip(ys, ss)]
+    ns = [s - 1 for s in ss]
+    S, L = sum(ns), sum(Qs)
+    s_end = np.cumsum(ns)
+    l_end = np.cumsum(Qs)
+    # the divisors: nu = 2 .. s per index, then q = Q .. 1 per index
+    d = np.empty(S + L, dtype=np.int64)
+    np.subtract(np.arange(S), np.repeat(s_end - ns - 2, ns), out=d[:S])
+    np.subtract(np.repeat(l_end, Qs), np.arange(L), out=d[S:])
+    z = np.repeat(ys + ys, ns + Qs) // d  # the other end of each run
+    q, hi = np.concatenate((z[:S], d[S:])), np.concatenate((d[:S], z[S:]))
+    del d, z
     w = 1.0 / hi
     werr = EPS * w
-    # the first s - 1 runs are the single nu <= s; past them each run's
-    # H(lo - 1) is the H(hi) of the run before, so one evaluation at
-    # [s, hi...] serves both ends
-    Hv, He = _harmonic_arrays(np.concatenate(([s], hi[s - 1 :])))
-    seg = np.flatnonzero(hi[s - 1 :] > lo[s - 1 :])
-    hseg = Hv[seg + 1] - Hv[seg]
-    w[seg + (s - 1)] = hseg
-    werr[seg + (s - 1)] = (He[seg + 1] + He[seg] + EPS * np.abs(hseg)) * _HEADROOM
-    terms = w * g
-    ins = float(np.sum(w * gerr + werr * np.abs(g) + EPS * np.abs(terms)))
-    mag = float(np.sum(np.abs(terms)))
-    err = (EPS * mag * (len(terms) + 4.0) + ins) * _HEADROOM
-    return fsum(terms.tolist()), err
+    # H(nu_lo - 1) of a longer run is H(s) for the first, else the H(nu_hi)
+    # of the run before; a run with nu_hi > nu_lo weighs its harmonic segment
+    his = hi[S:]
+    firsts = l_end - Qs
+    Hv, He = _harmonic_arrays(np.concatenate((his, ss)))
+    prev_hi, prev, prev_e = np.empty_like(his), np.empty(L), np.empty(L)
+    prev_hi[1:], prev[1:], prev_e[1:] = his[:-1], Hv[: L - 1], He[: L - 1]
+    prev_hi[firsts], prev[firsts], prev_e[firsts] = ss, Hv[L:], He[L:]
+    Hv, He = Hv[:L], He[:L]
+    seg = his > prev_hi + 1
+    hseg = Hv - prev
+    np.copyto(w[S:], hseg, where=seg)
+    He += prev_e
+    He += EPS * np.abs(hseg)
+    He *= _HEADROOM
+    np.copyto(werr[S:], He, where=seg)
+    del hi, his, Hv, He, prev_hi, prev, prev_e, seg, hseg
+    # g off the base lane, then the head's off the chain
+    hs = [min(J // j, s) - 1 for j, s in zip(js, ss)]
+    h_end = np.cumsum(hs)
+    nu = np.arange(int(h_end[-1])) - np.repeat(h_end - hs, hs)  # nu - 2 over each head
+    heads = nu + np.repeat(s_end - ns, hs)
+    nu += 2
+    nu *= np.repeat(js, hs)
+    q[heads] = 0
+    g, gerr = gv[q], ge[q]
+    g[heads], gerr[heads] = cv[nu], ce[nu]
+    rows = np.empty((3, S + L))
+    terms, ins, mags = rows
+    np.multiply(w, g, out=terms)
+    np.multiply(w, gerr, out=ins)
+    np.abs(g, out=g)
+    g *= werr
+    ins += g
+    np.abs(terms, out=mags)
+    ins += EPS * mags
+    singles = [slice(b - n, b) for b, n in zip(s_end.tolist(), ns)]
+    longs = [slice(S + b - Q, S + b) for b, Q in zip(l_end.tolist(), Qs)]
+    return rows, singles, longs
+
+
+def _g_float_batches(x: int, J: int):
+    """The chain indices J, J - 1, ..., 1 in consecutive batches of about
+    ``_G_BATCH`` runs, each index of a batch above half its first."""
+    js, runs = [], 0
+    for j in range(J, 0, -1):
+        if js and (runs >= _G_BATCH or 2 * j <= js[0]):
+            yield js
+            js, runs = [], 0
+        y = x // j
+        s = isqrt(y)
+        js.append(j)
+        runs += s - 1 + y // (s + 1)
+    yield js
 
 
 def g_recursive_float(
     x: int, *, crossover: int | None = None, tables: SummatoryTables | None = None
 ) -> CertifiedFloat:
-    """Certified g(x) by the floor-quotient recursion; O(x^(2/3)) time."""
+    """Certified g(x) by the floor-quotient recursion; O(x^(2/3)) time.
+
+    The sum of y = x // j over its n runs, the head nu = 2 .. m off the
+    chain at j nu and the rest off the base lane, is the ``fsum`` of its
+    terms t, with the bound (EPS sum |t| (n + 4) + sum ins) _HEADROOM over
+    their input errors ins, both sums by ``np.sum`` over the runs in order.
+    The terms are laid out a batch of indices at a time
+    (``_g_float_batch``); per index only the two sums and the ``fsum``
+    remain.
+    """
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -378,10 +466,13 @@ def g_recursive_float(
     if not J:
         return CertifiedFloat(float(gv[x]), float(ge[x]))
     cv, ce = np.zeros(J + 1), np.zeros(J + 1)
-    for j in range(J, 0, -1):
-        sv, serr = _g_float_sum(x // j, j, J, gv, ge, cv, ce)
-        v = 1.0 - sv
-        cv[j], ce[j] = v, (serr + EPS * abs(v)) * _HEADROOM
+    for js in _g_float_batches(x, J):
+        rows, singles, longs = _g_float_batch(x, js, J, gv, ge, cv, ce)
+        for j, sl, ll in zip(js, singles, longs):
+            terms, ins, mags = np.concatenate((rows[:, sl], rows[:, ll]), axis=1)
+            err = (EPS * float(mags.sum()) * (terms.size + 4.0) + float(ins.sum())) * _HEADROOM
+            v = 1.0 - fsum(memoryview(terms))
+            cv[j], ce[j] = v, (err + EPS * abs(v)) * _HEADROOM
     return CertifiedFloat(float(cv[1]), float(ce[1]))
 
 

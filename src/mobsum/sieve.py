@@ -16,6 +16,8 @@ any sieve machinery so tests can use it as an independent cross-check.
 from __future__ import annotations
 
 import functools
+import math
+import os
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -37,6 +39,10 @@ _MIN_ROOT = 80
 
 class RangeTooLargeError(ValueError):
     """Requested sieve range exceeds the configured block capacity."""
+
+
+class SieveMemoryError(ValueError):
+    """The root-prime table of a sieve would not fit in the available memory."""
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,80 @@ def _root_limit(hi: int) -> int:
     return max(isqrt(hi), _MIN_ROOT)
 
 
+def _available_bytes() -> float:
+    """The lower of RLIMIT_AS and the free physical memory, or inf where the
+    platform reports neither."""
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, AttributeError, ValueError, OSError):
+        return math.inf
+    return min(free, math.inf if soft == resource.RLIM_INFINITY else soft)
+
+
+def _root_primes(limit: int) -> np.ndarray:
+    """The primes up to at least ``limit``: the cached table of the next power
+    of two, so that nearby limits (the chunks of one stream) share an entry.
+
+    Raises SieveMemoryError, having allocated nothing, when that table, R
+    bytes of flags and 8 pi(R) bytes of primes with pi(R) < 1.25506 R / ln R
+    (Rosser and Schoenfeld), exceeds the available memory.
+    """
+    if limit < 2:
+        return _primes_upto(1)
+    top = 1 << (limit - 1).bit_length()
+    need = top + 8 * math.ceil(1.25506 * top / math.log(top))
+    avail = _available_bytes()
+    if need > avail:
+        raise SieveMemoryError(
+            f"the primes up to {top} need about {need} bytes, more than the "
+            f"{avail:.0f} bytes available"
+        )
+    return _primes_upto(top)
+
+
+def _log_adds(ps: np.ndarray) -> np.ndarray:
+    """The byte-log adds a_p = round(_LOG_SCALE * log2 p) of the primes ps."""
+    return np.rint(_LOG_SCALE * np.log2(ps.astype(np.float64))).astype(np.uint8)
+
+
+# The primes up to 13 sieve a block through one pattern of period their
+# product, 30030: the sign flips and the byte-log adds of those dividing k.
+_WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])
+_WHEEL = 30030
+
+
+@functools.lru_cache(maxsize=1)
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """The sign and byte-log lanes of the primes up to 13 over k mod 30030."""
+    mu = np.ones(_WHEEL, dtype=np.int8)
+    lane = np.zeros(_WHEEL, dtype=np.uint8)
+    for p, a in zip(_WHEEL_PRIMES.tolist(), _log_adds(_WHEEL_PRIMES)):
+        np.negative(mu[::p], out=mu[::p])
+        np.add(lane[::p], a, out=lane[::p])
+    mu.flags.writeable = lane.flags.writeable = False
+    return mu, lane
+
+
+def _tile(out: np.ndarray, pattern: np.ndarray, lo: int) -> None:
+    """out[i] = pattern[(lo + i) % pattern.size] for every i."""
+    P, n = pattern.size, out.size
+    head = min(P - lo % P, n)
+    out[:head] = pattern[lo % P : lo % P + head]
+    k = (n - head) // P
+    out[head : head + k * P].reshape(k, P)[...] = pattern
+    out[head + k * P :] = pattern[: n - head - k * P]
+
+
 def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
     """mu over [lo, hi], hi < 2^63, given the primes up to R = max(isqrt(hi), 80).
 
     Every prime p <= R flips the sign of its multiples, zeroes those of p^2
     and adds a_p = round(3 log2 p) to their byte lane L (3, 7 and 80 are
-    ``_LOG_SCALE``, ``_LOG_SLACK`` and ``_MIN_ROOT``).  A k left with
+    ``_LOG_SCALE``, ``_LOG_SLACK`` and ``_MIN_ROOT``); the flips and adds of
+    the primes up to 13 are copied from their 30030-periodic pattern.  A k left with
     mu != 0 is squarefree, k = m c with m the product of its w primes <= R
     and c = 1 or one prime > R (R >= sqrt(hi) makes this hold for every k
     of the block; the argument needs nothing more).  Then L = sum a_p =
@@ -117,12 +191,16 @@ def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
     ``root_primes`` up to R are used.
     """
     n = hi - lo + 1
-    mu = np.ones(n, dtype=np.int8)
-    lane = np.zeros(n, dtype=np.uint8)
-    ps = root_primes[: int(np.searchsorted(root_primes, _root_limit(hi), side="right"))]
+    mu = np.empty(n, dtype=np.int8)
+    lane = np.empty(n, dtype=np.uint8)
+    for out, pattern in zip((mu, lane), _wheel()):
+        _tile(out, pattern, lo)
+    for p2 in (_WHEEL_PRIMES**2).tolist():
+        mu[(-lo) % p2 :: p2] = 0
+    first = int(np.searchsorted(root_primes, _WHEEL_PRIMES[-1], side="right"))
+    ps = root_primes[first : int(np.searchsorted(root_primes, _root_limit(hi), side="right"))]
     ps = ps[(-lo) % ps < n]  # a prime with no multiple in the block changes nothing
-    logs = np.rint(_LOG_SCALE * np.log2(ps.astype(np.float64))).astype(np.uint8)
-    for p, a in zip(ps.tolist(), logs):
+    for p, a in zip(ps.tolist(), _log_adds(ps)):
         start = (-lo) % p
         v = mu[start::p]
         np.negative(v, out=v)
@@ -162,7 +240,7 @@ def sieve_moebius(
         raise RangeTooLargeError(
             f"range length {hi - lo + 1} exceeds block capacity {block_capacity}"
         )
-    root = _primes_upto(_root_limit(hi))
+    root = _root_primes(_root_limit(hi))
     return MoebiusBlock(lo=lo, hi=hi, values=_moebius_values(lo, hi, root))
 
 
@@ -176,7 +254,7 @@ def iter_moebius_blocks(
     """
     if lo < 1 or hi < lo or hi >= 1 << 63:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    root = _primes_upto(_root_limit(hi))
+    root = _root_primes(_root_limit(hi))
     b = (lo - 1) // block_size
     while True:
         blo = max(lo, b * block_size + 1)
@@ -245,8 +323,7 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
     flags = np.ones(n, dtype=bool)
     if lo <= 1 <= hi:
         flags[1 - lo] = False
-    for p in _primes_upto(isqrt(hi)):
-        p = int(p)
+    for p in _root_primes(isqrt(hi)).tolist():
         if p * p > hi:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)

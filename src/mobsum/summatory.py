@@ -473,21 +473,28 @@ def _increment_terms(
     """The terms x^-1 sum_{q|x} L_q mu(x/q) over the moduli q at x in [lo, hi],
     and their input errors ``rel_err`` |term|; ``mu`` is indexed by x.
 
-    Numerators add one slice per modulus with a multiple in [lo, hi], in the
-    given order, so every x gets the same adds whatever range holds it.  Only
-    the two returned arrays have the range's length.
+    The range is done in ``_CHUNK`` pieces.  In each, the numerators are one
+    ``np.bincount`` over the multiples m q of the moduli with a multiple in
+    the piece, in the given order of the moduli, so every x gets the same
+    adds whatever range holds it.  Only the two returned arrays have the
+    range's length.
     """
-    vals = np.zeros(hi - lo + 1, dtype=np.float64)
-    errs = np.empty_like(vals)  # scratch until the end
-    m0 = np.maximum(-(-lo // mods), 1)  # the first cofactor of each modulus
-    ks = hi // mods - m0 + 1
-    some = ks > 0
-    for q, lq, m, k in zip(*(a[some].tolist() for a in (mods, logs, m0, ks))):
-        np.multiply(mu[m : m + k], lq, out=errs[:k])
-        vals[m * q - lo :: q] += errs[:k]
-    for a in range(0, vals.size, _CHUNK):
-        vals[a : a + _CHUNK] /= _ks(lo + a, min(lo + a + _CHUNK, hi + 1) - 1)
-    np.abs(vals, out=errs)
+    vals = np.empty(hi - lo + 1, dtype=np.float64)
+    for a in range(lo, hi + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, hi)
+        m0 = np.maximum(-(-a // mods), 1)  # the first cofactor of each modulus
+        ks = b // mods - m0 + 1
+        some = ks > 0
+        q, lq, m0, ks = mods[some], logs[some], m0[some], ks[some]
+        m = np.arange(int(ks.sum())) - np.repeat(np.cumsum(ks) - ks - m0, ks)
+        q = np.repeat(q, ks)
+        terms = mu[m] * np.repeat(lq, ks)
+        m *= q
+        m -= a
+        v = vals[a - lo : b - lo + 1]
+        v[:] = np.bincount(m, weights=terms, minlength=v.size)
+        v /= _ks(a, b)
+    errs = np.abs(vals)
     errs *= rel_err
     return vals, errs
 

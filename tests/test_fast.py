@@ -20,7 +20,7 @@ from mobsum.fast import (
     quotient_blocks,
 )
 from mobsum.sieve import sieve_moebius
-from mobsum.summatory import ScaledMoebiusPrefix, big_m, g_exact, g_float
+from mobsum.summatory import ScaledMoebiusPrefix, SummatoryTables, big_m, g_exact, g_float
 
 
 def test_quotient_blocks_examples():
@@ -115,6 +115,15 @@ def test_float_quotients_exact_below_2_53():
         assert _quotients(y, d).tolist() == [y // dd for dd in ds], y
 
 
+def test_mertens_chain_is_the_sieved_prefix():
+    ev = MertensEvaluator(10**6, crossover=1000)
+    for x in (10**6, 999_983, 123_457, 5000, 1001):
+        chain = ev.chain(x)
+        M = SummatoryTables(x).mertens
+        assert chain.size == x // 1001 + 1
+        assert [int(v) for v in chain[1:]] == [int(M[x // j]) for j in range(1, chain.size)], x
+
+
 def test_oversized_base_table_raises_before_allocating():
     tracemalloc.start()
     try:
@@ -192,6 +201,23 @@ def test_g_recursive_crossover_knob():
         assert g_recursive_exact(3000, crossover=k) == expect
     low, clamped = g_recursive_float(3000, crossover=10), g_recursive_float(3000, crossover=54)
     assert (low.value.hex(), low.err.hex()) == (clamped.value.hex(), clamped.err.hex())
+
+
+# value and error bound of g_recursive_float, bit for bit, as the per-index
+# run loop computed them before its terms were laid out in batches
+_G_FLOAT_GOLDEN = [
+    (10**7, None, "0x1.a9d283f6a6000p-14", "0x1.4959bcb5e22e1p-36"),
+    (10**7 + 35276, None, "0x1.a395ec9848000p-14", "0x1.49d61077182c5p-36"),
+    (10**8, None, "0x1.577fe3d590000p-16", "0x1.182df74ebe39dp-34"),
+    (3000, 10, "-0x1.b3118e9f5f800p-10", "0x1.4fe88b36f3dd7p-42"),
+    (3000, 300, "-0x1.b3118e9f5f400p-10", "0x1.9aecfb78227bcp-43"),
+]
+
+
+@pytest.mark.parametrize("x, crossover, value, err", _G_FLOAT_GOLDEN)
+def test_g_recursive_float_golden_bits(x, crossover, value, err):
+    r = g_recursive_float(x, crossover=crossover)
+    assert (r.value.hex(), r.err.hex()) == (value, err)
 
 
 def test_g_recursive_float_crossover_knob():

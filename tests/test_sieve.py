@@ -12,6 +12,7 @@ from mobsum.sieve import (
     _MIN_ROOT,
     MoebiusBlock,
     RangeTooLargeError,
+    SieveMemoryError,
     _moebius_values,
     _primes_upto,
     is_prime,
@@ -310,3 +311,48 @@ def test_sieve_block_scratch_memory():
         tracemalloc.stop()
     assert block.values.size == 1 << 20
     assert peak < 3 << 20, peak
+
+
+def test_wheel_blocks_agree_with_oracle():
+    # the primes up to 13 come from one pattern of period 30030: blocks
+    # starting at every phase of interest, then one holding two whole periods
+    for base in (30030 * 3, 30030 * 1234):
+        for r in (0, 1, 13, 30029):
+            for n in range(1, 41):
+                lo = base + r
+                block = sieve_moebius(lo, lo + n - 1)
+                assert block.values.tolist() == [moebius_oracle(k) for k in range(lo, lo + n)]
+    lo, hi = 30030 * 3 - 100, 30030 * 5 + 100
+    block = sieve_moebius(lo, hi)
+    assert block.values.tolist() == [moebius_oracle(k) for k in range(lo, hi + 1)]
+
+
+def test_prime_flags_stream_shares_root_primes():
+    # a theta stream's chunks each ask for the primes up to isqrt(hi); they
+    # share one cache entry per power of two, not one per chunk
+    from mobsum.summatory import _prefix_stream, _theta_terms
+
+    hi, chunk = 2 * 10**5, 1 << 12
+    _primes_upto.cache_clear()
+    chunks = sum(1 for _ in _prefix_stream(hi, 1 << 20, _theta_terms, chunk))
+    misses = _primes_upto.cache_info().misses
+    assert chunks > 40
+    assert misses <= 2 * hi.bit_length() and misses < chunks // 2, misses
+
+
+def test_sieve_refuses_root_primes_beyond_memory(monkeypatch):
+    # the root primes of 2^62, about 2.1 GB of flags and 0.8 GB of primes, are
+    # refused before anything is allocated
+    monkeypatch.setattr(mobsum.sieve, "_available_bytes", lambda: 1 << 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SieveMemoryError, match="bytes"):
+            sieve_moebius(2**62, 2**62)
+        with pytest.raises(SieveMemoryError):
+            next(iter_moebius_blocks(2**62, 2**62 + 10))
+        with pytest.raises(SieveMemoryError):
+            prime_flags(2**62, 2**62)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
