@@ -354,9 +354,6 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"--limit {args.limit} is too large for {args.command}: {exc}")
     try:
         return args.fn(args)
-    except sieve_mod.SieveMemoryError as exc:
-        print(f"mobsum: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"mobsum: I/O error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,23 @@ numbers, and each level's division by L is checked to be exact.  Certified
 float mode takes 1/nu for a single nu (charged 1 ulp) and the asymptotic
 harmonic evaluator for longer runs, and propagates error bounds through the
 recursion.
+
+Cost per chain index.  Root y = x // j has about 2 sqrt(y) terms, so the J
+indices above the base table hold O(x^(2/3)) elements in all; but J is only
+O(x^(1/3)), about 200 to 2000 at x = 10^7 .. 10^10, and there a NumPy call
+(1 to 3 microseconds) per index weighs as much as the elements.  So each
+index makes a fixed handful of calls, with the float operations of a plain
+per-index loop in the same order:
+
+- M: one ``searchsorted`` for the squarefree head, one strided chain sum
+  (for j <= J/2), two float divisions into one reused int64 buffer
+  (``_quotients``), one gather-and-sum of the table and one dot product.
+- g: the runs, weights, harmonic segments, table and chain values, terms
+  and input errors of a batch of consecutive indices, about 2^14 runs, are
+  laid out at once (``_g_float_batch``); each index then takes one
+  concatenation, two ``np.sum`` over its terms in run order and one
+  ``fsum``.  A batch ends before an index at or below half its first, so
+  the chain entries its heads read are all filled.
 """
 
 from __future__ import annotations
@@ -345,9 +362,10 @@ def g_recursive_exact(
 # ---------------------------------------------------------------------------
 
 
-# Runs per batch of g chain indices: the chain-independent part of the run
-# sums is laid out for a batch of consecutive indices at once, in arrays of
-# about this many runs (an index with more runs is a batch alone).
+# Runs per batch of g chain indices: the terms of a batch of consecutive
+# indices are laid out at once, in arrays of about this many runs (an index
+# with more runs is a batch alone).  Batches of 2^15 runs took about 2.5
+# times the page faults of 2^14 in g_recursive_float(10**7), and more time.
 _G_BATCH = 1 << 14
 
 
@@ -403,16 +421,15 @@ def _g_float_batch(
     He *= _HEADROOM
     np.copyto(werr[S:], He, where=seg)
     del hi, his, Hv, He, prev_hi, prev, prev_e, seg, hseg
-    # g off the base lane, then the head's off the chain
+    # g off the base lane, then the head's off the chain at j nu
     hs = [min(J // j, s) - 1 for j, s in zip(js, ss)]
     h_end = np.cumsum(hs)
-    nu = np.arange(int(h_end[-1])) - np.repeat(h_end - hs, hs)  # nu - 2 over each head
-    heads = nu + np.repeat(s_end - ns, hs)
-    nu += 2
-    nu *= np.repeat(js, hs)
+    t = np.arange(int(h_end[-1])) - np.repeat(h_end - hs, hs)  # nu - 2 along each head
+    heads = t + np.repeat(s_end - ns, hs)
+    at = (t + 2) * np.repeat(js, hs)
     q[heads] = 0
     g, gerr = gv[q], ge[q]
-    g[heads], gerr[heads] = cv[nu], ce[nu]
+    g[heads], gerr[heads] = cv[at], ce[at]
     rows = np.empty((3, S + L))
     terms, ins, mags = rows
     np.multiply(w, g, out=terms)

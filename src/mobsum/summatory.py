@@ -462,6 +462,12 @@ def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return terms, ins
 
 
+# A modulus with at least this many multiples in the range of
+# ``_increment_terms`` adds them as one strided slice; the few multiples of
+# the others are scattered together, one ``_CHUNK`` piece at a time.
+_STRIDED_MIN = 64
+
+
 def _increment_terms(
     lo: int,
     hi: int,
@@ -470,31 +476,42 @@ def _increment_terms(
     logs: np.ndarray,
     rel_err: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The terms x^-1 sum_{q|x} L_q mu(x/q) over the moduli q at x in [lo, hi],
-    and their input errors ``rel_err`` |term|; ``mu`` is indexed by x.
+    """The terms x^-1 sum_{q|x} L_q mu(x/q) over the prime powers q = p^i,
+    i >= 2, at x in [lo, hi], and their input errors ``rel_err`` |term|;
+    ``mu`` is indexed by x.
 
-    The range is done in ``_CHUNK`` pieces.  In each, the numerators are one
-    ``np.bincount`` over the multiples m q of the moduli with a multiple in
-    the piece, in the given order of the moduli, so every x gets the same
-    adds whatever range holds it.  Only the two returned arrays have the
+    A numerator is 0 unless x = p^v m with m squarefree and prime to p, and
+    then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3): every add
+    is exact, so every x gets the same bits whatever range holds it and in
+    whatever order its adds come.  Only the two returned arrays have the
     range's length.
     """
-    vals = np.empty(hi - lo + 1, dtype=np.float64)
+    vals = np.zeros(hi - lo + 1, dtype=np.float64)
+    errs = np.empty_like(vals)  # scratch until the end
+    m0 = np.maximum(-(-lo // mods), 1)  # the first cofactor of each modulus
+    ks = hi // mods - m0 + 1
+    dense = ks >= _STRIDED_MIN
+    for q, lq, m, k in zip(*(a[dense].tolist() for a in (mods, logs, m0, ks))):
+        np.multiply(mu[m : m + k], lq, out=errs[:k])
+        vals[m * q - lo :: q] += errs[:k]
+    sparse = (ks > 0) & ~dense
+    mods, logs = mods[sparse], logs[sparse]
     for a in range(lo, hi + 1, _CHUNK):
         b = min(a + _CHUNK - 1, hi)
-        m0 = np.maximum(-(-a // mods), 1)  # the first cofactor of each modulus
+        m0 = np.maximum(-(-a // mods), 1)
         ks = b // mods - m0 + 1
         some = ks > 0
         q, lq, m0, ks = mods[some], logs[some], m0[some], ks[some]
-        m = np.arange(int(ks.sum())) - np.repeat(np.cumsum(ks) - ks - m0, ks)
-        q = np.repeat(q, ks)
-        terms = mu[m] * np.repeat(lq, ks)
-        m *= q
+        m = np.arange(int(ks.sum()))
+        m -= np.repeat(np.cumsum(ks) - ks - m0, ks)  # the cofactors, modulus by modulus
+        terms = np.repeat(lq, ks)
+        terms *= mu[m]
+        m *= np.repeat(q, ks)
         m -= a
         v = vals[a - lo : b - lo + 1]
-        v[:] = np.bincount(m, weights=terms, minlength=v.size)
+        np.add.at(v, m, terms)
         v /= _ks(a, b)
-    errs = np.abs(vals)
+    np.abs(vals, out=errs)
     errs *= rel_err
     return vals, errs
 
