@@ -480,11 +480,10 @@ def _increment_terms(
     i >= 2, at x in [lo, hi], and their input errors ``rel_err`` |term|;
     ``mu`` is indexed by x.
 
-    A numerator is 0 unless x = p^v m with m squarefree and prime to p, and
-    then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0 (v >= 3): every add
-    is exact, so every x gets the same bits whatever range holds it and in
-    whatever order its adds come.  Only the two returned arrays have the
-    range's length.
+    Every add of a numerator is exact (see the tail in
+    ``SummatoryTables._lane_terms``), so every x gets the same bits whatever
+    range holds it and in whatever order its adds come.  Only the two
+    returned arrays have the range's length.
     """
     vals = np.zeros(hi - lo + 1, dtype=np.float64)
     errs = np.empty_like(vals)  # scratch until the end

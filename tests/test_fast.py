@@ -203,8 +203,8 @@ def test_g_recursive_crossover_knob():
     assert (low.value.hex(), low.err.hex()) == (clamped.value.hex(), clamped.err.hex())
 
 
-# value and error bound of g_recursive_float, bit for bit, as the per-index
-# run loop computed them before its terms were laid out in batches
+# value and error bound of g_recursive_float, bit for bit: those of a plain
+# loop over each chain index's runs, which the batched layout must keep
 _G_FLOAT_GOLDEN = [
     (10**7, None, "0x1.a9d283f6a6000p-14", "0x1.4959bcb5e22e1p-36"),
     (10**7 + 35276, None, "0x1.a395ec9848000p-14", "0x1.49d61077182c5p-36"),
