@@ -966,14 +966,14 @@ def _harmonic_arrays(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     global _H_SMALL
     if _H_SMALL is None:
         _H_SMALL = _build_small_harmonic()
-    small = n <= _H_SMALL_LIMIT
     nf = np.maximum(n, _H_SMALL_LIMIT).astype(np.float64)
     rem = 1.0 / (252.0 * nf**6)
     v = np.log(nf) + EULER_GAMMA + 0.5 / nf - 1.0 / (12.0 * nf * nf) + 1.0 / (120.0 * nf**4)
     v -= 0.5 * rem
     err = (0.5 * rem + 8.0 * EPS * np.abs(v)) * _HEADROOM
-    idx = np.minimum(n, _H_SMALL_LIMIT)
-    return np.where(small, _H_SMALL[0][idx], v), np.where(small, _H_SMALL[1][idx], err)
+    small = np.flatnonzero(n <= _H_SMALL_LIMIT)
+    v[small], err[small] = _H_SMALL[0][n[small]], _H_SMALL[1][n[small]]
+    return v, err
 
 
 def harmonic_number(n: int) -> CertifiedFloat:
