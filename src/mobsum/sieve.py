@@ -177,9 +177,9 @@ def _moebius_values(lo: int, hi: int, root_primes: np.ndarray) -> np.ndarray:
     the primes up to 13 are copied from their 30030-periodic pattern.  A k
     left with mu != 0 is squarefree, k = m c with m the product of its w
     primes <= R and c = 1 or one prime > R (R >= sqrt(hi) makes this hold
-    for every k of the block; the argument needs nothing more).  Then L = sum a_p =
-    3 log2 m + d with |d| <= w/2 (the float log2 errs far below the
-    margins).  Below 2^63 at most 15 primes divide k (the first 16 multiply
+    for every k of the block; the argument needs nothing more).  Then
+    L = sum a_p = 3 log2 m + d with |d| <= w/2 (the float log2 errs far
+    below the margins).  Below 2^63 at most 15 primes divide k (the first 16 multiply
     to more than 2^63), so L <= 3 * 63 + 7.5 < 256 and the uint8
     lane never wraps.  For k in the segment [2^e, 2^(e+1)):
 
