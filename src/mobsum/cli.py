@@ -53,6 +53,18 @@ def _fmt_err(v: float) -> str:
     return format(float(v), ".16e")
 
 
+def _fits(args: argparse.Namespace, need: int, exact: int = 0) -> bool:
+    """Whether the subcommand's rough peak above the interpreter's own fits in
+    the memory available, and if not, says so: ``need`` bytes plus the exact
+    checks up to ``exact``, two lists of 1.44 n-bit integers, 0.18 n^2 B each."""
+    need += 2 * (18 * exact * exact // 100)
+    avail = sieve_mod._available_bytes()
+    if need > avail:
+        mib = f"about {need / 2**20:.0f} MiB, more than the {avail / 2**20:.0f} MiB available"
+        print(f"mobsum: {args.command} --limit {args.limit} needs {mib}", file=sys.stderr)
+    return need <= avail
+
+
 def _output(path: str | None):
     """A context manager giving stdout for None or "-", else the file at
     ``path``, which it closes."""
@@ -92,6 +104,9 @@ def _table_lines(series: SummatorySeries) -> Iterator[str]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    # the lanes take about 90 B per x, the series about 104 B per sample
+    if not _fits(args, 90 * args.limit + 110 * (args.limit // args.stride)):
+        return 2
     # no reference to the tables is kept: they are freed before the rows are written
     tables = SummatoryTables(args.limit, block_size=args.blocksize)
     series = series_scan(args.limit, args.stride, tables=tables)
@@ -109,14 +124,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 _VERIFY_HEADER = "check,lo,hi,items,failures,indeterminate,max_metric,verdict,note\n"
 
 
-def _verify_bytes(limit: int, cutoff: int) -> int:
-    """Rough peak bytes of ``verify``'s tables: the int8 mu lane of the bound
-    scans, 1 B per x, and the two exact lists of about 0.18 N^2 B each, N =
-    min(limit, cutoff), that the exact checks hold."""
-    n = min(limit, cutoff)
-    return limit + 2 * (18 * n * n // 100)
-
-
 def _check_row(
     name: str, lo: int, hi: int, items: int, failures: int, indeterminate: int, metric: str, note=""
 ) -> tuple[list[str], bool]:
@@ -130,15 +137,10 @@ def _check_row(
 def _cmd_verify(args: argparse.Namespace) -> int:
     limit = args.limit
     cutoff = args.cutoff
-    need, avail = _verify_bytes(limit, cutoff), sieve_mod._available_bytes()
-    if need > avail:
-        print(
-            f"mobsum: verify --limit {limit} --cutoff {cutoff} needs about "
-            f"{need / 2**20:.0f} MiB, more than the {avail / 2**20:.0f} MiB available",
-            file=sys.stderr,
-        )
-        return 2
     exact_hi = min(limit, cutoff)
+    # the int8 mu lane that the bound scans stream from, 1 B per x
+    if not _fits(args, limit, exact=exact_hi):
+        return 2
     # the bound scans stream their lanes from mu, the one full-length lane built here
     tables = SummatoryTables(limit, block_size=args.blocksize)
     prefix = ScaledMoebiusPrefix(exact_hi)
@@ -185,6 +187,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    # the lanes take about 58 B per x, the samples (Python objects) about 673 B each
+    need = 60 * args.limit + 680 * (args.limit // args.stride)
+    if not _fits(args, need, exact=min(args.limit, args.cutoff)):
+        return 2
     tables = SummatoryTables(args.limit, block_size=args.blocksize)
     grep = bounds_mod.empirical_G(args.delta, args.limit, tables=tables)
     hrep = bounds_mod.h_convergence(args.delta, args.limit, args.stride, tables=tables)
@@ -221,6 +227,9 @@ def _timed(fn, x: int):
 
 def _cmd_fast(args: argparse.Namespace) -> int:
     x = args.limit
+    # the base lane of the certified g recursion takes about 22 B per entry
+    if not _fits(args, 24 * fast_mod.default_crossover(x), exact=x if x <= args.cutoff else 0):
+        return 2
     m_rec, t_rec = _timed(fast_mod.m_recursive, x)
     m_dir, t_dir = _timed(big_m, x)
     checks = [(f"M({x})", str(m_rec), str(m_dir), m_rec == m_dir, t_rec, t_dir)]

@@ -22,12 +22,12 @@ each taken floor(y/q) - floor(y/(q+1)) times; summation by parts turns their
 sum into sum_{q<=Q} floor(y/q) mu(q) - s M(Q), a sum over the squarefree
 q <= sqrt(x) with mu read off the int32 table as M(q) - M(q-1).
 
-For g, one enumerator, ``_runs``, yields the runs of equal quotient as
-arrays; the exact and the certified g sums and the exact unit identity are
-reductions over its output.  A run's weight is its harmonic segment
-H(nu_hi) - H(nu_lo - 1); a single nu has weight 1/nu.  Since K >= isqrt(x),
-only single nu reach above K, the head nu = 2 .. m with m = min(J // j, s),
-read from the chain as M's are.
+For g, ``_runs(y)`` gives the runs of equal quotient of one root (the exact
+g sum and unit identity); the certified g sum takes those of many roots at
+once from ``summatory._run_layout``, the layout of the scans.  A run's
+weight is its harmonic segment H(nu_hi) - H(nu_lo - 1); a single nu has
+weight 1/nu.  Since K >= isqrt(x), only single nu reach above K, the head
+nu = 2 .. m with m = min(J // j, s), read from the chain as M's are.
 
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
@@ -46,12 +46,12 @@ per-index loop in the same order:
 - M: one ``searchsorted`` for the squarefree head, one strided chain sum
   (for j <= J/2), two float divisions into one reused int64 buffer
   (``_quotients``), one gather-and-sum of the table and one dot product.
-- g: the runs, weights, harmonic segments, table and chain values, terms
-  and input errors of a batch of consecutive indices, about 2^14 runs, are
-  laid out at once (``_g_float_batch``); each index then takes one
-  concatenation, two ``np.sum`` over its terms in run order and one
-  ``fsum``.  A batch ends before an index at or below half its first, so
-  the chain entries its heads read are all filled.
+- g: the weights, table and chain values, terms and input errors of a
+  batch of consecutive indices, about 2^14 runs, are computed at once over
+  the run layout of their roots (``_g_float_batch``), where each index's
+  terms are one contiguous slice; each index then takes two ``np.sum`` over
+  its slice in run order and one ``fsum``.  A batch ends before an index at
+  or below half its first, so the chain entries its heads read are filled.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ from .summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
     _harmonic_arrays,
+    _run_counts,
+    _run_layout,
 )
 
 Value = Union[int, float, Fraction]
@@ -371,66 +373,42 @@ _G_BATCH = 1 << 14
 
 def _g_float_batch(
     x: int, js: list[int], J: int, gv: np.ndarray, ge: np.ndarray, cv: np.ndarray, ce: np.ndarray
-) -> tuple[np.ndarray, list, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of the sums sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), y = x // j,
     over the chain indices ``js``, every one above max(js) / 2.
 
-    The runs of y (``_runs(y)``) are the single nu = 2 .. s, s = isqrt(y),
-    then one longer run per quotient q = Q .. 1, Q = y // (s+1), from
-    nu_lo = y // (q+1) + 1 (s + 1 for q = Q) to nu_hi = y // q.  A run weighs
-    w = 1/nu if single, else H(nu_hi) - H(nu_lo - 1), with error werr; its g
-    is the chain entry (cv, ce) at j nu for the head nu = 2 .. m, m =
-    min(J // j, s), and the base lane entry (gv, ge) at q after it.  Since
-    j nu >= 2j > max(js), the head reads only entries filled before the
-    batch.  Returns rows (terms w g, their input errors w gerr + werr |g| +
-    EPS |w g|, |w g|) over the runs of every index: the single nu of all
-    indices first, then the longer runs, index i's at ``singles[i]`` and
-    ``longs[i]`` (slices).  Every element gets the float operations it gets
-    for one index alone.
+    Over the ``_run_layout`` of the roots, a run weighs w = H(nu_hi) -
+    H(nu_lo - 1), with error werr, if nu_hi > nu_lo, else 1/nu_hi.  Its g is
+    the chain entry (cv, ce) at j nu for nu = 1 .. min(J // j, isqrt(y)),
+    else the base lane entry (gv, ge) at q.  As j nu >= 2j > max(js) for
+    nu >= 2, the chain entries read were filled before the batch; the head
+    reads the unfilled entry j and is summed by no index.  Returns rows
+    (terms w g, their input errors w gerr + werr |g| + EPS |w g|, |w g|) and
+    the layout's starts and counts: index i's terms are positions
+    starts[i] + 1 .. starts[i] + counts[i] - 1.  Every element gets the
+    float operations it gets for one index alone.
     """
-    ys = [x // j for j in js]
-    ss = [isqrt(y) for y in ys]
-    Qs = [y // (s + 1) for y, s in zip(ys, ss)]
-    ns = [s - 1 for s in ss]
-    S, L = sum(ns), sum(Qs)
-    s_end = np.cumsum(ns)
-    l_end = np.cumsum(Qs)
-    # the divisors: nu = 2 .. s per index, then q = Q .. 1 per index
-    d = np.empty(S + L, dtype=np.int64)
-    np.subtract(np.arange(S), np.repeat(s_end - ns - 2, ns), out=d[:S])
-    np.subtract(np.repeat(l_end, Qs), np.arange(L), out=d[S:])
-    z = np.repeat(ys + ys, ns + Qs) // d  # the other end of each run
-    q, hi = np.concatenate((z[:S], d[S:])), np.concatenate((d[:S], z[S:]))
-    del d, z
+    jb = np.array(js, dtype=np.int64)
+    q, hi, starts, counts = _run_layout(x // jb)
     w = 1.0 / hi
     werr = EPS * w
-    # H(nu_lo - 1) of a longer run is H(s) for the first, else the H(nu_hi)
-    # of the run before; a run with nu_hi > nu_lo weighs its harmonic segment
-    his = hi[S:]
-    firsts = l_end - Qs
-    Hv, He = _harmonic_arrays(np.concatenate((his, ss)))
-    prev_hi, prev, prev_e = np.empty_like(his), np.empty(L), np.empty(L)
-    prev_hi[1:], prev[1:], prev_e[1:] = his[:-1], Hv[: L - 1], He[: L - 1]
-    prev_hi[firsts], prev[firsts], prev_e[firsts] = ss, Hv[L:], He[L:]
-    Hv, He = Hv[:L], He[:L]
-    seg = his > prev_hi + 1
-    hseg = Hv - prev
-    np.copyto(w[S:], hseg, where=seg)
-    He += prev_e
-    He += EPS * np.abs(hseg)
-    He *= _HEADROOM
-    np.copyto(werr[S:], He, where=seg)
-    del hi, his, Hv, He, prev_hi, prev, prev_e, seg, hseg
-    # g off the base lane, then the head's off the chain at j nu
-    hs = [min(J // j, s) - 1 for j, s in zip(js, ss)]
-    h_end = np.cumsum(hs)
-    t = np.arange(int(h_end[-1])) - np.repeat(h_end - hs, hs)  # nu - 2 along each head
-    heads = t + np.repeat(s_end - ns, hs)
-    at = (t + 2) * np.repeat(js, hs)
+    # H is read once at every segment and at the position before it, its nu_lo - 1
+    seg = np.zeros(q.size, dtype=bool)
+    np.greater(hi[1:], hi[:-1] + 1, out=seg[1:])
+    read = seg.copy()
+    read[:-1] |= seg[1:]
+    Hv, He = _harmonic_arrays(hi[read])
+    hseg = Hv[1:] - Hv[:-1]
+    He = (He[1:] + He[:-1] + EPS * np.abs(hseg)) * _HEADROOM
+    pick = seg[read][1:]  # the segments among the pairs of read positions
+    w[seg], werr[seg] = hseg[pick], He[pick]
+    m = np.minimum(J // jb, _run_counts(x // jb)[0])
+    nu = np.arange(1, int(m.sum()) + 1) - np.repeat(np.cumsum(m) - m, m)
+    heads, at = np.repeat(starts - 1, m) + nu, np.repeat(jb, m) * nu
     q[heads] = 0
     g, gerr = gv[q], ge[q]
     g[heads], gerr[heads] = cv[at], ce[at]
-    rows = np.empty((3, S + L))
+    rows = np.empty((3, q.size))
     terms, ins, mags = rows
     np.multiply(w, g, out=terms)
     np.multiply(w, gerr, out=ins)
@@ -439,24 +417,21 @@ def _g_float_batch(
     ins += g
     np.abs(terms, out=mags)
     ins += EPS * mags
-    singles = [slice(b - n, b) for b, n in zip(s_end.tolist(), ns)]
-    longs = [slice(S + b - Q, S + b) for b, Q in zip(l_end.tolist(), Qs)]
-    return rows, singles, longs
+    return rows, starts, counts
 
 
 def _g_float_batches(x: int, J: int):
     """The chain indices J, J - 1, ..., 1 in consecutive batches of about
     ``_G_BATCH`` runs, each index of a batch above half its first."""
-    js, runs = [], 0
-    for j in range(J, 0, -1):
-        if js and (runs >= _G_BATCH or 2 * j <= js[0]):
-            yield js
-            js, runs = [], 0
-        y = x // j
-        s = isqrt(y)
-        js.append(j)
-        runs += s - 1 + y // (s + 1)
-    yield js
+    js = np.arange(J, 0, -1, dtype=np.int64)
+    batch, runs = [], 0
+    for j, c in zip(js.tolist(), _run_counts(x // js)[1].tolist()):
+        if batch and (runs >= _G_BATCH or 2 * j <= batch[0]):
+            yield batch
+            batch, runs = [], 0
+        batch.append(j)
+        runs += c - 1
+    yield batch
 
 
 def g_recursive_float(
@@ -468,9 +443,8 @@ def g_recursive_float(
     chain at j nu and the rest off the base lane, is the ``fsum`` of its
     terms t, with the bound (EPS sum |t| (n + 4) + sum ins) _HEADROOM over
     their input errors ins, both sums by ``np.sum`` over the runs in order.
-    The terms are laid out a batch of indices at a time
-    (``_g_float_batch``); per index only the two sums and the ``fsum``
-    remain.
+    The terms of a batch of indices are computed at once (``_g_float_batch``);
+    per index only the two sums over its slice and the ``fsum`` remain.
     """
     x = int(x)
     if x < 1:
@@ -484,9 +458,9 @@ def g_recursive_float(
         return CertifiedFloat(float(gv[x]), float(ge[x]))
     cv, ce = np.zeros(J + 1), np.zeros(J + 1)
     for js in _g_float_batches(x, J):
-        rows, singles, longs = _g_float_batch(x, js, J, gv, ge, cv, ce)
-        for j, sl, ll in zip(js, singles, longs):
-            terms, ins, mags = np.concatenate((rows[:, sl], rows[:, ll]), axis=1)
+        rows, starts, counts = _g_float_batch(x, js, J, gv, ge, cv, ce)
+        for j, a, b in zip(js, (starts + 1).tolist(), (starts + counts).tolist()):
+            terms, ins, mags = rows[:, a:b]
             err = (EPS * float(mags.sum()) * (terms.size + 4.0) + float(ins.sum())) * _HEADROOM
             v = 1.0 - fsum(memoryview(terms))
             cv[j], ce[j] = v, (err + EPS * abs(v)) * _HEADROOM

@@ -17,10 +17,10 @@ Verified here, each at a single evaluation point x:
     read from the h prefix lane.
 
 The decomposition and rearrangement checks at a point are their scans on
-[x, x].  The sums sum_nu w(nu) g(x/nu) behind h, the tail and the
-rearranged right side are evaluated over the O(sqrt(x)) floor-quotient runs
-of x by the one batched run kernel of ``summatory`` (``_run_batches``,
-``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).
+[x, x].  The sums sum_nu w(nu) g(x/nu) behind h, the tail and the rearranged
+right side run over the O(sqrt(x)) floor-quotient runs of x in the batched
+kernel of ``summatory`` (``_run_layout``, shared with the certified g
+recursion, ``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).
 
 Exact checks carry zero tolerance.  Certified checks hold when the observed
 difference is within the combined error bounds plus ``IDENTITY_TOLERANCE``.

@@ -768,34 +768,51 @@ class SummatoryTables:
 _RUN_BATCH = 1 << 12
 
 
+def _run_counts(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """isqrt(y) of every root y of an int64 array (the float root, corrected
+    by one each way) and the number of positions of y's ``_run_layout``."""
+    s = np.sqrt(ys).astype(np.int64)
+    s -= s * s > ys
+    s += (s + 1) * (s + 1) <= ys
+    return s, s + ys // (s + 1)
+
+
+def _run_layout(ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The floor-quotient runs of every root y of an int64 array, one root
+    after another: (q, nu_hi, starts, counts).
+
+    y owns counts[i] positions p = 0 .. counts[i] - 1 from starts[i] on: a
+    nu = 1 head (q, nu_hi) = (y, 1), each nu = p + 1 <= isqrt(y) on its own,
+    then one run per q = counts[i] - p <= y // (isqrt(y) + 1), which is
+    ``fast._runs(y)``'s (q, nu_hi) after the head.  So a run's nu_lo - 1 is
+    the nu_hi of the position before it.  One int64 division per position.
+    """
+    s, counts = _run_counts(ys)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sizes = np.column_stack((s, counts - s)).ravel()  # the single nu, then the runs
+    d = np.repeat(np.column_stack((starts - 1, ends)).ravel(), sizes)
+    d -= np.arange(d.size)  # -(p + 1) at the single nu, then q = counts - p
+    single = d < 0
+    np.abs(d, out=d)
+    z = np.repeat(ys, counts) // d
+    return np.where(single, z, d), np.where(single, d, z), starts, counts
+
+
 def _run_batches(lo: int, hi: int) -> Iterator[tuple]:
     """The floor-quotient runs of every x in [lo, hi], in batches of consecutive x.
 
-    Yields (a, q, nu_hi, starts, counts) for the x in [a, a + counts.size):
-    x owns counts[i] positions from starts[i] on, a nu = 1 head (q, nu_hi) =
-    (x, 1) and then ``fast._runs(x)``'s (q, nu_hi), so a run's nu_lo - 1 is
-    the nu_hi of the position before it.  A batch holds at most
-    ``_RUN_BATCH`` positions unless its one x needs more.
+    Yields (a, q, nu_hi, starts, counts), the ``_run_layout`` of the x in
+    [a, a + counts.size).  A batch holds at most ``_RUN_BATCH`` positions
+    unless its one x needs more.
     """
     xs = np.arange(lo, hi + 1, dtype=np.int64)
-    s = np.sqrt(xs).astype(np.int64)  # isqrt(x), after one correction each way
-    s -= s * s > xs
-    s += (s + 1) * (s + 1) <= xs
-    # the head, the single nu in [2, s], and one run per q <= x // (s + 1)
-    counts = s + xs // (s + 1)
+    _, counts = _run_counts(xs)
     ends = np.cumsum(counts)
     i = 0
     while i < xs.size:
         j = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[i] + _RUN_BATCH, side="right")))
-        c = counts[i:j]
-        starts = np.cumsum(c) - c
-        pos = np.arange(int(c.sum()), dtype=np.int64) - np.repeat(starts, c)
-        x = np.repeat(xs[i:j], c)
-        sx = np.repeat(s[i:j], c)
-        single = pos < sx  # nu = pos + 1
-        q = np.where(single, x // (pos + 1), x // (sx + 1) - (pos - sx))
-        nu_hi = np.where(single, pos + 1, x // q)
-        yield lo + i, q, nu_hi, starts, c
+        yield (lo + i, *_run_layout(xs[i:j]))
         i = j
 
 

@@ -209,21 +209,25 @@ def test_verify_streamed_scans_peak_rss(tmp_path):
 
 
 def test_verify_beyond_memory_exits_2_before_allocating(capsys):
-    # a mu lane of 10^13 bytes, and exact lists of about 0.18 N^2 bytes each
-    # at N = 10^6, exceed any memory this runs in
+    # a mu lane of 10^13 bytes, lanes of tens of bytes per x to 10^13, and
+    # exact lists of about 0.18 N^2 bytes each at N = 10^6, exceed any memory
+    # this runs in
     tracemalloc.start()
     try:
         codes = [
             main(["verify", "--limit", str(10**13)]),
             main(["verify", "--limit", str(10**6), "--cutoff", str(10**6)]),
+            main(["table", "--limit", str(10**13)]),
+            main(["converge", "--delta", "0.3", "--limit", str(10**13)]),
+            main(["fast", "--limit", str(10**6), "--cutoff", str(10**6)]),
         ]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert codes == [2, 2]
+    assert codes == [2] * 5
     assert peak < 1 << 20, peak
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("MiB available") == 2
+    assert captured.out == "" and captured.err.count("MiB available") == 5
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

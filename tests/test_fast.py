@@ -211,6 +211,9 @@ _G_FLOAT_GOLDEN = [
     (10**8, None, "0x1.577fe3d590000p-16", "0x1.182df74ebe39dp-34"),
     (3000, 10, "-0x1.b3118e9f5f800p-10", "0x1.4fe88b36f3dd7p-42"),
     (3000, 300, "-0x1.b3118e9f5f400p-10", "0x1.9aecfb78227bcp-43"),
+    # a chain root with isqrt 1: no single nu, only the run q = 1
+    (2, None, "0x1.0000000000000p-1", "0x1.2000024000014p-50"),
+    (3, None, "0x1.5555555555558p-3", "0x1.155557eaaaac9p-49"),
 ]
 
 

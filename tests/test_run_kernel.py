@@ -4,6 +4,7 @@ errors are attained."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 
 from mobsum import summatory
 from mobsum.certified import EPS
-from mobsum.fast import _runs
+from mobsum.fast import _crossover, _runs
 from mobsum.identities import _abel_rhs
-from mobsum.summatory import _reduce_runs, _run_batches, _run_terms
+from mobsum.summatory import _reduce_runs, _run_batches, _run_counts, _run_layout, _run_terms
 
 
 def _reference_layout(lo: int, hi: int) -> tuple[list, list, list]:
@@ -50,6 +51,41 @@ def test_run_batches_match_runs(batch, monkeypatch):
     assert sum(2 * int(x**0.5) for x in range(1, 3001)) > 10 * summatory._RUN_BATCH
     for lo, hi in ((1, 1), (1, 70), (997, 1100), (10**6, 10**6 + 50), (1, 3000)):
         assert _layout(lo, hi) == _reference_layout(lo, hi), (lo, hi)
+
+
+def test_run_layout_of_chain_roots_matches_runs():
+    # the chain roots x // j, j = J .. 1, of g_recursive_float(x): not consecutive
+    x = 10**7 + 35276
+    J = x // (_crossover(x, None) + 1)
+    ys = x // np.arange(J, 0, -1, dtype=np.int64)
+    assert J > 100 and (np.diff(ys) > 1).any()
+    q, nu_hi, starts, counts = _run_layout(ys)
+    assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
+    assert q.size == nu_hi.size == int(counts.sum())
+    for y, a, c in zip(ys.tolist(), starts.tolist(), counts.tolist()):
+        rq, _, rh = _runs(y)
+        assert (q[a], nu_hi[a]) == (y, 1)
+        assert q[a + 1 : a + c].tolist() == rq.tolist(), y
+        assert nu_hi[a + 1 : a + c].tolist() == rh.tolist(), y
+
+
+def test_run_counts_isqrt_next_to_squares():
+    # the float root rounds up to s just below s^2 once s is near 2^26, and
+    # past 2^53 the float of n is rounded too; only the isqrt is computed,
+    # no layout of roots this large
+    top = isqrt(2**53)
+    rng = np.random.default_rng(5)
+    s = np.concatenate(
+        (
+            np.arange(1, 1 << 16),
+            rng.integers(1 << 16, top, 1 << 16),
+            np.arange(top - (1 << 16), top + 1),
+            rng.integers(top, 1 << 31, 1 << 12),
+        )
+    ).astype(np.int64)
+    for n in (s * s - 1, s * s, s * s + 2 * s):
+        got, _ = _run_counts(n)
+        assert got.tolist() == [isqrt(v) for v in n.tolist()]
 
 
 # -- synthetic lanes whose true values sit at an edge of their intervals
