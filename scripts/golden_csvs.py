@@ -1,4 +1,4 @@
-"""Print the SHA-256 of the four golden CSVs of this checkout.
+"""Print the SHA-256 of the five golden CSVs of this checkout.
 
 Runs ``python -m mobsum.cli`` from the ``src`` directory next to this
 script, once per configuration, and prints one line per CSV: its digest and
@@ -24,6 +24,7 @@ CONFIGS = [
     ["verify", "--limit", "100000"],
     ["verify", "--limit", "500000", "--cutoff", "200"],
     ["table", "--limit", "200000", "--stride", "20"],
+    ["table", "--limit", "10000", "--stride", "1"],
     ["converge", "--delta", "0.3", "--limit", "100000", "--stride", "100"],
 ]
 

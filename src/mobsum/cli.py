@@ -9,9 +9,14 @@ fast      cross-check the sub-linear evaluators against direct summation
 bench     sieve block-size and crossover timings
 
 All numbers are serialized with 17 significant digits (round-trip safe for
-doubles); error bounds use scientific notation.  Output is UTF-8 with LF
-line endings, byte-identical across runs for identical configuration
-(timings in ``fast``/``bench`` excepted).
+doubles); error bounds use scientific notation.  ``table`` prints its rows
+a chunk at a time through a vectorized kernel that gives the bytes of
+'%.17g' and '%.16e'; a row holding a cell it cannot decide (zero,
+non-finite, outside [1e-292, 1e17), at or just below a power of ten, or
+within 2^-20 of a rounding tie where the scale 10^p is not a double) goes
+through '%' itself.  Output is UTF-8 with LF line endings, byte-identical
+across runs for identical configuration (timings in ``fast``/``bench``
+excepted).
 
 Exit status: 0 all checks passed; 1 any check failed or was indeterminate;
 2 usage or I/O error, or an input whose tables would not fit in memory.
@@ -25,6 +30,8 @@ import math
 import sys
 import time
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import fast as fast_mod
@@ -84,28 +91,233 @@ def _write_rows(out: IO[str], rows: Iterable[list[str]]) -> None:
 
 
 _TABLE_HEADER = "x,g,g_err,f,f_err,M,theta,theta_err,epsilon,h,h_err\n"
-# '%.17g' and '%.16e' are the routines behind _fmt and _fmt_err
+# '%.17g' and '%.16e' are the routines behind _fmt and _fmt_err.  _table_chunk
+# prints the same bytes, and renders a row through this line where it cannot
+# decide a cell: this line is the reference the kernel is tested against.
 _TABLE_ROW = "%d,%.17g,%.16e,%.17g,%.16e,%d,%.17g,%.16e,%.17g,%.17g,%.16e\n"
 _TABLE_CHUNK = 1 << 12
 
 
-def _table_lines(series: SummatorySeries) -> Iterator[str]:
-    """The header, then one formatted line per sample, made as they are written.
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """10^p for p in [0, 308]: the nearest double, and the double nearest
+    the rest, from the exact integers."""
+    near, rest, t = [], [], 1
+    for _ in range(309):
+        near.append(float(t))
+        rest.append(float(t - int(near[-1])))
+        t *= 10
+    return np.array(near), np.array(rest)
 
-    Columns are converted to Python numbers a chunk of rows at a time, so
-    the rows never exist all at once.
+
+_P10, _P10_REST = _powers_of_ten()
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, hi and lo of at most 26 significant bits each
+    (Veltkamp's split, for |a| < 2^996)."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# the split of _P10, taken at a scale where 2^27 * 10^308 does not overflow
+_P10_HI, _P10_LO = (h * 2.0**600 for h in _veltkamp(_P10 * 2.0**-600))
+
+_G4 = np.arange(10**4, dtype=np.int16)
+# "0000" ... "9999" as uint32 words of four ASCII digits
+_DIGITS4 = np.stack([_G4 // 1000, _G4 // 100 % 10, _G4 // 10 % 10, _G4 % 10], axis=-1)
+_DIGITS4 = (_DIGITS4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# trailing zero digits of each four-digit group, 4 for 0000
+_TZ4 = (_G4 % 10 == 0).astype(np.int8) + (_G4 % 100 == 0) + (_G4 % 1000 == 0) + (_G4 == 0)
+
+
+def _field_masks(lo, hi) -> np.ndarray:
+    """Masks over a 20-byte digit field keeping digits j in [lo, hi], one
+    "V20" item per (lo, hi) pair.  Digit j sits at byte 3 + j: j in [0, 16]
+    are D's 17 digits, j in [-3, -1] three leading '0's."""
+    j = np.arange(-3, 17)
+    keep = (j >= np.asarray(lo)[..., None]) & (j <= np.asarray(hi)[..., None])
+    return (keep.astype(np.uint8) * 255).view("V20")[..., 0]
+
+
+# %.17g: the digit after which the point goes, kp = k for k >= -4, where the
+# number is positional ('0.0001...' reads the leading '0's at j < 0), and 0
+# below, where it is scientific; the part before the point, by kp + 4; the
+# part after it, digits kp + 1 ... L (the last nonzero digit), by (kp + 4, L)
+_KP = np.arange(-4, 17)
+_G_INT = _field_masks(np.minimum(_KP, 0).clip(-1), np.maximum(_KP, -1))
+_G_FRAC = _field_masks(_KP[:, None] + 1, np.arange(17)).ravel()
+# %d: the digits from the first nonzero one, by its index (16 for 0)
+_D_INT = _field_masks(np.arange(17), 16)
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+
+
+# the exponent suffix of 10^(16-p) for p in [0, 308], NUL-padded to a uint64
+# word; '%.17g' has one only where it is scientific, 16 - p < -4
+_EXP_E = np.array([b"e%+03d" % (16 - p) for p in range(309)], dtype="S8").view(np.uint64)
+_EXP_G = np.where(np.arange(309) > 20, _EXP_E, np.uint64(0))
+
+
+def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, p, decided) for a float64 array v: where ``decided``, |v| rounded
+    half-even to 17 significant digits, as '%.17g' and '%.16e' round it, is
+    D 10^-p with D in (10^16, 10^17), so its decimal exponent is k = 16 - p.
+
+    p = 16 - floor(log10 |v|), and S = |v| 10^p is formed as hi + lo + c:
+    hi + lo = |v| P exactly (Dekker's TwoProduct over Veltkamp splits), P the
+    double nearest 10^p, and c = fl(|v| fl(10^p - P)).  D = hi + rint(t) with
+    t = fl(lo + c); hi > 2^53 + 32 for every decided D, so hi is an even
+    integer and D's parity is rint(t)'s: rint rounds S half-even whenever t
+    is S - hi or on the same side of the half-integer next to it.
+
+    For p <= 22, 10^p is a double, c = 0 and t = lo = S - hi exactly, so no
+    cell is left undecided as a tie and exact ties round half-even.  For
+    p > 22, |10^p - P| <= 2^-53 P, the rest is stored within 2^-53 of itself
+    and c is rounded once, so |c - |v|(10^p - P)| <= (2^-52 + 2^-105) 2^-53
+    |v| P < 2^-48, as |v| P < 2^56.5 where D < 10^17.  |lo| <= 8 and |c| < 12,
+    so t = fl(lo + c) adds at most 2^-49: t is within 2^-47 of S - hi.  A cell
+    whose t lies within 2^-20 of a half-integer is left undecided; outside
+    that margin, t rounds the way S does.
+
+    Also undecided: zero and non-finite v, p outside [0, 308] (|v| >= 10^17
+    or below 10^-292), and D outside (10^16, 10^17): log10 off by one next
+    to a power of ten, or a rounding carry, makes D <= 10^16 or >= 10^17.
     """
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 16.0 - np.floor(np.log10(a))
+    decided = (p >= 0) & (p <= 308)
+    a = np.where(decided, a, 1.0)
+    p = np.where(decided, p, 16.0).astype(np.intp)
+    ah, al = _veltkamp(a)
+    bh, bl = _P10_HI[p], _P10_LO[p]
+    hi = a * _P10[p]
+    t = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * _P10_REST[p]
+    r = np.rint(t)
+    near_tie = (np.abs(t - r) > 0.5 - 2.0**-20) & (p > 22)
+    D = hi.astype(np.int64) + r.astype(np.int64)
+    decided &= ~near_tie & (D > 10**16) & (D < 10**17)
+    return D, p, decided
+
+
+def _digit_field(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an int64 array 0 <= D < 10^17: its four-digit groups, shape
+    (5, *D.shape), the leading digit alone in the first, and its 20-byte
+    ASCII fields, shape (*D.shape, 5) uint32: '000' and D's 17 digits."""
+    g = np.empty((5,) + D.shape, np.intp)
+    a = D // 10**8
+    b = D - a * 10**8
+    np.floor_divide(a, 10**8, out=g[0])
+    a -= g[0] * 10**8
+    np.floor_divide(a, 10**4, out=g[1])
+    np.subtract(a, g[1] * 10**4, out=g[2])
+    np.floor_divide(b, 10**4, out=g[3])
+    np.subtract(b, g[3] * 10**4, out=g[4])
+    return g, _DIGITS4.take(np.moveaxis(g, 0, -1))
+
+
+def _sign(out: np.ndarray, v: np.ndarray) -> None:
+    out[:, 0] = (v < 0) * np.uint8(ord("-"))
+
+
+# Each cell writer fills ``out``, a fixed-width slot per row, from the column
+# v, its 17 digits D (|v| itself for '%d'), their exponent p (see
+# _decimal17), groups and ASCII field (see _digit_field).  The last byte of
+# the slot is left for the separator.
+
+
+def _cell_g(out, v, D, p, groups, field) -> None:
+    """'%.17g' in 51 bytes: sign, integer part, point, fraction, exponent."""
+    tz = _TZ4[groups[4]]
+    for w in (3, 2, 1):
+        tz += (tz == 4 * (4 - w)) * _TZ4[groups[w]]
+    last = 16 - tz
+    k = 16 - p
+    kp = np.where(k >= -4, k, 0)
+    _sign(out, v)
+    mask = _G_INT.take(kp + 4).view(np.uint32).reshape(-1, 5)
+    np.bitwise_and(field, mask, out=out[:, 1:21].view(np.uint32))
+    out[:, 21] = (last > kp) * np.uint8(ord("."))
+    mask = _G_FRAC.take((kp + 4) * 17 + last).view(np.uint32).reshape(-1, 5)
+    np.bitwise_and(field, mask, out=out[:, 22:42].view(np.uint32))
+    out[:, 42:50].view(np.uint64)[:, 0] = _EXP_G.take(p)
+
+
+def _cell_e(out, v, D, p, groups, field) -> None:
+    """'%.16e' in 28 bytes: sign, first digit, point, 16 digits, exponent."""
+    _sign(out, v)
+    out[:, 1] = field.view(np.uint8)[:, 3]
+    out[:, 2] = ord(".")
+    out[:, 3:19].view(np.uint32)[...] = field[:, 1:]
+    out[:, 19:27].view(np.uint64)[:, 0] = _EXP_E.take(p)
+
+
+def _cell_d(out, v, D, p, groups, field) -> None:
+    """'%d' in 22 bytes: sign, digits from the first nonzero one."""
+    _sign(out, v)
+    first = 17 - np.maximum(np.searchsorted(_POW10_INT, D, side="right"), 1)
+    mask = _D_INT.take(first).view(np.uint32).reshape(-1, 5)
+    np.bitwise_and(field, mask, out=out[:, 1:21].view(np.uint32))
+
+
+_TABLE_CELLS = {"d": (_cell_d, 22), "g": (_cell_g, 51), "e": (_cell_e, 28)}
+_TABLE_KINDS = [c.strip()[-1] for c in _TABLE_ROW.split(",")]
+_TABLE_FLOATS = [i for i, kind in enumerate(_TABLE_KINDS) if kind != "d"]
+_TABLE_INTS = [i for i, kind in enumerate(_TABLE_KINDS) if kind == "d"]
+_TABLE_WIDTH = sum(_TABLE_CELLS[kind][1] for kind in _TABLE_KINDS)
+
+
+def _table_chunk(columns: list[np.ndarray]) -> str:
+    """The _TABLE_ROW lines of the rows in ``columns``, as one string.
+
+    The float columns are decided together, and the digits of every column
+    are made together; each cell is then laid out in a fixed-width slot of
+    ASCII bytes, NUL where a character is left out (the sign of a positive
+    number, a stripped zero, an absent point or exponent), and the NULs are
+    deleted from the whole chunk in one pass.  A row holding a cell that
+    ``_decimal17`` leaves undecided is rendered by ``_TABLE_ROW`` in its place.
+    """
+    n = len(columns[0])
+    D = np.empty((len(columns), n), np.int64)
+    p = np.zeros_like(D)
+    floats = np.stack([columns[i] for i in _TABLE_FLOATS])
+    D[_TABLE_FLOATS], p[_TABLE_FLOATS], decided = _decimal17(floats)
+    D[_TABLE_INTS] = np.abs(np.stack([columns[i] for i in _TABLE_INTS]))
+    groups, field = _digit_field(D)
+    decided = decided.all(axis=0)
+    rows = np.empty((n, _TABLE_WIDTH), np.uint8)
+    o = 0
+    for c, (v, kind) in enumerate(zip(columns, _TABLE_KINDS)):
+        cell, width = _TABLE_CELLS[kind]
+        cell(rows[:, o : o + width], v, D[c], p[c], groups[:, c], field[c])
+        o += width
+        rows[:, o - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    rows[~decided] = 0
+    body = rows.tobytes().translate(None, b"\0").decode("ascii")
+    if decided.all():
+        return body
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    pieces, start = [], 0
+    for i in np.flatnonzero(~decided).tolist():
+        pieces += [body[start : ends[i]], _TABLE_ROW % tuple(c[i].item() for c in columns)]
+        start = ends[i]
+    pieces.append(body[start:])
+    return "".join(pieces)
+
+
+def _table_lines(series: SummatorySeries) -> Iterator[str]:
+    """The header, then the rows a chunk at a time, made as they are written."""
     s = series
     columns = (s.xs, s.g, s.g_err, s.f, s.f_err, s.M, s.theta, s.theta_err, s.epsilon, s.h, s.h_err)
     yield _TABLE_HEADER
     for lo in range(0, len(series), _TABLE_CHUNK):
-        for row in zip(*(c[lo : lo + _TABLE_CHUNK].tolist() for c in columns)):
-            yield _TABLE_ROW % row
+        yield _table_chunk([c[lo : lo + _TABLE_CHUNK] for c in columns])
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # the lanes take about 90 B per x, the series about 104 B per sample
-    if not _fits(args, 90 * args.limit + 110 * (args.limit // args.stride)):
+    # the lanes take about 90 B per x, the series about 96 B per sample
+    if not _fits(args, 90 * args.limit + 100 * (args.limit // args.stride)):
         return 2
     # no reference to the tables is kept: they are freed before the rows are written
     tables = SummatoryTables(args.limit, block_size=args.blocksize)

@@ -444,13 +444,39 @@ def _f_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms, ins
 
 
-def _theta_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _theta_terms(lo: int, hi: int, flags=prime_flags) -> tuple[np.ndarray, np.ndarray]:
     # log p at the primes p in [lo, hi], 0 elsewhere; each log charged 2 ulp
     terms = np.zeros(hi - lo + 1, dtype=np.float64)
     a = max(lo, 1)
-    primes = np.flatnonzero(prime_flags(a, hi)) + a
+    primes = np.flatnonzero(flags(a, hi)) + a
     terms[primes - lo] = np.log(primes.astype(np.float64))
     return terms, terms * (2.0 * EPS)
+
+
+class _SegmentFlags:
+    """``prime_flags(lo, hi)`` for the chunks of a stream over [1, n], which
+    ask for consecutive ranges.  A chunk inside one segment (s B, (s + 1) B]
+    of [1, n], B = DEFAULT_BLOCK_CAPACITY, is cut from that segment's flags,
+    sieved once when the stream enters it; a range across a segment edge (a
+    whole lane, or a chunk astride the edge) is sieved by itself."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.segment = -1
+        self.flags = None
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        size = DEFAULT_BLOCK_CAPACITY
+        s = (lo - 1) // size
+        if (hi - 1) // size != s:
+            return prime_flags(lo, hi)
+        base = s * size
+        if s != self.segment:
+            self.segment, self.flags = s, prime_flags(base + 1, min(base + size, self.n))
+        flags = self.flags[lo - base - 1 : hi - base]
+        if hi - base == self.flags.size:  # the stream leaves the segment
+            self.segment, self.flags = -1, None
+        return flags
 
 
 def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -678,7 +704,7 @@ class SummatoryTables:
         the lane's terms over [lo, hi] and their input errors, with lo = 0
         (the zero pad) for the held lane."""
         if attr == "_theta":
-            return _theta_terms
+            return functools.partial(_theta_terms, flags=_SegmentFlags(self.limit))
         if attr == "_H":
             return _H_terms
         mu = self.mu
@@ -937,19 +963,20 @@ def series_scan(
     tv, te = tables.theta_arrays
     ev, ee = tables.eps_arrays
     hv, he = tables.h_arrays
+    # indexing by the array xs copies: the series holds no view of a lane
     return SummatorySeries(
         xs=xs,
-        g=gv[xs].copy(),
-        g_err=ge[xs].copy(),
-        f=fv[xs].copy(),
-        f_err=fe[xs].copy(),
-        M=tables.mertens[xs].copy(),
-        theta=tv[xs].copy(),
-        theta_err=te[xs].copy(),
-        epsilon=ev[xs].copy(),
-        epsilon_err=ee[xs].copy(),
-        h=hv[xs].copy(),
-        h_err=he[xs].copy(),
+        g=gv[xs],
+        g_err=ge[xs],
+        f=fv[xs],
+        f_err=fe[xs],
+        M=tables.mertens[xs],
+        theta=tv[xs],
+        theta_err=te[xs],
+        epsilon=ev[xs],
+        epsilon_err=ee[xs],
+        h=hv[xs],
+        h_err=he[xs],
     )
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import mobsum
-from mobsum.cli import main
+from mobsum.cli import _TABLE_HEADER, _TABLE_ROW, main
+from mobsum.summatory import SummatoryTables, series_scan
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -37,6 +38,26 @@ def test_table_stride(capsys):
     assert [r.split(",")[0] for r in lines[1:]] == ["5", "10"]
     row10 = lines[2].split(",")
     assert abs(float(row10[6]) - math.log(210.0)) < 1e-12  # theta(10)
+
+
+def _reference_table(limit: int, stride: int) -> str:
+    s = series_scan(limit, stride, tables=SummatoryTables(limit))
+    cols = (s.xs, s.g, s.g_err, s.f, s.f_err, s.M, s.theta, s.theta_err, s.epsilon, s.h, s.h_err)
+    return _TABLE_HEADER + "".join(_TABLE_ROW % row for row in zip(*(c.tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("limit,stride", [(3000, 1), (5, 10)])
+def test_table_is_the_reference_rendering(capsys, limit, stride):
+    code, out = _run(capsys, "table", "--limit", str(limit), "--stride", str(stride))
+    assert code == 0
+    assert out == _reference_table(limit, stride)
+    if stride > limit:
+        assert out == _TABLE_HEADER
+    else:
+        # f, theta and h are 0 at x = 1, a value the kernel leaves to '%'
+        zero = "0.0000000000000000e+00"
+        row1 = f"1,1,2.2204461815992111e-16,0,{zero},1,0,{zero},-1,0,{zero}"
+        assert out.splitlines()[1] == row1
 
 
 def test_table_writes_file(tmp_path, capsys):

@@ -12,14 +12,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mobsum.summatory
 from mobsum.identities import abel_rearrangement_check, decomposition_scan
-from mobsum.sieve import _primes_upto
+from mobsum.sieve import _primes_upto, prime_flags
 from mobsum.summatory import (
     MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _chunk_grid,
     _prefix_stream,
     _prefix_with_err,
+    _theta_terms,
     lcm_upto,
     moebius_values_upto,
     series_scan,
@@ -331,6 +334,28 @@ def test_prefix_stream_chunks_are_the_held_lane_bit_for_bit(block_size):
                     assert part.tobytes() == whole[lo : lo + part.size].tobytes(), (attr, chunk, lo)
                 end = lo + got[0].size
             assert end == n + 1
+
+
+@pytest.mark.parametrize("block_size,chunk", [(1 << 20, 1 << 14), (1000, 1000)])
+def test_theta_stream_sieves_each_segment_once(monkeypatch, block_size, chunk):
+    # the theta stream flags its primes one 2^20 segment at a time; on the
+    # 1000 grid the chunk [1048001, 1049000] straddles the segment edge and
+    # is flagged by itself
+    n = (1 << 20) + 3000
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return prime_flags(lo, hi)
+
+    monkeypatch.setattr(mobsum.summatory, "prime_flags", counted)
+    block_terms = SummatoryTables(n, block_size=block_size)._lane_terms("_theta")
+    for lo, hi in _chunk_grid(n, block_size, chunk):
+        got = block_terms(lo, hi)
+        if hi > (1 << 20) - 5000:  # against the terms flagged chunk by chunk
+            assert got[0].tobytes() == _theta_terms(lo, hi)[0].tobytes(), (lo, hi)
+    straddle = [(1048001, 1049000)] if block_size == 1000 else []
+    assert calls == [(1, 1 << 20), *straddle, ((1 << 20) + 1, n)]
 
 
 @pytest.mark.parametrize("block_size", [1 << 20, 1000])
