@@ -293,7 +293,7 @@ def log_square_sum_constant() -> CertifiedFloat:
     """
     n = 1 << 16
     ks = np.arange(1, n + 1, dtype=np.float64)
-    s = math.fsum((np.log(ks) / (ks * ks)).tolist())
+    s = math.fsum(memoryview(np.log(ks) / (ks * ks)))
     a, b = n + 0.5, float(n + 1)
     hi_tail = (math.log(a) + 1.0) / a
     lo_tail = (math.log(b) + 1.0) / b + 0.5 * math.log(b) / (b * b)

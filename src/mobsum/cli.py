@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import time
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -109,26 +111,12 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
     return np.array(near), np.array(rest)
 
 
-_P10, _P10_REST = _powers_of_ten()
-
-
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a = hi + lo exactly, hi and lo of at most 26 significant bits each
     (Veltkamp's split, for |a| < 2^996)."""
     c = 134217729.0 * a
     hi = c - (c - a)
     return hi, a - hi
-
-
-# the split of _P10, taken at a scale where 2^27 * 10^308 does not overflow
-_P10_HI, _P10_LO = (h * 2.0**600 for h in _veltkamp(_P10 * 2.0**-600))
-
-_G4 = np.arange(10**4, dtype=np.int16)
-# "0000" ... "9999" as uint32 words of four ASCII digits
-_DIGITS4 = np.stack([_G4 // 1000, _G4 // 100 % 10, _G4 // 10 % 10, _G4 % 10], axis=-1)
-_DIGITS4 = (_DIGITS4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-# trailing zero digits of each four-digit group, 4 for 0000
-_TZ4 = (_G4 % 10 == 0).astype(np.int8) + (_G4 % 100 == 0) + (_G4 % 1000 == 0) + (_G4 == 0)
 
 
 def _field_masks(lo, hi) -> np.ndarray:
@@ -140,22 +128,35 @@ def _field_masks(lo, hi) -> np.ndarray:
     return (keep.astype(np.uint8) * 255).view("V20")[..., 0]
 
 
-# %.17g: the digit after which the point goes, kp = k for k >= -4, where the
-# number is positional ('0.0001...' reads the leading '0's at j < 0), and 0
-# below, where it is scientific; the part before the point, by kp + 4; the
-# part after it, digits kp + 1 ... L (the last nonzero digit), by (kp + 4, L)
-_KP = np.arange(-4, 17)
-_G_INT = _field_masks(np.minimum(_KP, 0).clip(-1), np.maximum(_KP, -1))
-_G_FRAC = _field_masks(_KP[:, None] + 1, np.arange(17)).ravel()
-# %d: the digits from the first nonzero one, by its index (16 for 0)
-_D_INT = _field_masks(np.arange(17), 16)
-_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
-
-
-# the exponent suffix of 10^(16-p) for p in [0, 308], NUL-padded to a uint64
-# word; '%.17g' has one only where it is scientific, 16 - p < -4
-_EXP_E = np.array([b"e%+03d" % (16 - p) for p in range(309)], dtype="S8").view(np.uint64)
-_EXP_G = np.where(np.arange(309) > 20, _EXP_E, np.uint64(0))
+@functools.lru_cache(maxsize=1)
+def _tables() -> SimpleNamespace:
+    """The kernel's constant tables, built on its first use, so that the
+    commands other than ``table`` do not pay for them."""
+    t = SimpleNamespace()
+    t.P10, t.P10_REST = _powers_of_ten()
+    # the split of P10, taken at a scale where 2^27 * 10^308 does not overflow
+    t.P10_HI, t.P10_LO = (h * 2.0**600 for h in _veltkamp(t.P10 * 2.0**-600))
+    g4 = np.arange(10**4, dtype=np.int16)
+    # "0000" ... "9999" as uint32 words of four ASCII digits
+    digits = np.stack([g4 // 1000, g4 // 100 % 10, g4 // 10 % 10, g4 % 10], axis=-1)
+    t.DIGITS4 = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    # trailing zero digits of each four-digit group, 4 for 0000
+    t.TZ4 = (g4 % 10 == 0).astype(np.int8) + (g4 % 100 == 0) + (g4 % 1000 == 0) + (g4 == 0)
+    # %.17g: the digit after which the point goes, kp = k for k >= -4, where the
+    # number is positional ('0.0001...' reads the leading '0's at j < 0), and 0
+    # below, where it is scientific; the part before the point, by kp + 4; the
+    # part after it, digits kp + 1 ... L (the last nonzero digit), by (kp + 4, L)
+    kp = np.arange(-4, 17)
+    t.G_INT = _field_masks(np.minimum(kp, 0).clip(-1), np.maximum(kp, -1))
+    t.G_FRAC = _field_masks(kp[:, None] + 1, np.arange(17)).ravel()
+    # %d: the digits from the first nonzero one, by its index (16 for 0)
+    t.D_INT = _field_masks(np.arange(17), 16)
+    t.POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+    # the exponent suffix of 10^(16-p) for p in [0, 308], NUL-padded to a uint64
+    # word; '%.17g' has one only where it is scientific, 16 - p < -4
+    t.EXP_E = np.array([b"e%+03d" % (16 - p) for p in range(309)], dtype="S8").view(np.uint64)
+    t.EXP_G = np.where(np.arange(309) > 20, t.EXP_E, np.uint64(0))
+    return t
 
 
 def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,10 +190,11 @@ def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decided = (p >= 0) & (p <= 308)
     a = np.where(decided, a, 1.0)
     p = np.where(decided, p, 16.0).astype(np.intp)
+    tab = _tables()
     ah, al = _veltkamp(a)
-    bh, bl = _P10_HI[p], _P10_LO[p]
-    hi = a * _P10[p]
-    t = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * _P10_REST[p]
+    bh, bl = tab.P10_HI[p], tab.P10_LO[p]
+    hi = a * tab.P10[p]
+    t = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * tab.P10_REST[p]
     r = np.rint(t)
     near_tie = (np.abs(t - r) > 0.5 - 2.0**-20) & (p > 22)
     D = hi.astype(np.int64) + r.astype(np.int64)
@@ -213,7 +215,7 @@ def _digit_field(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(a, g[1] * 10**4, out=g[2])
     np.floor_divide(b, 10**4, out=g[3])
     np.subtract(b, g[3] * 10**4, out=g[4])
-    return g, _DIGITS4.take(np.moveaxis(g, 0, -1))
+    return g, _tables().DIGITS4.take(np.moveaxis(g, 0, -1))
 
 
 def _sign(out: np.ndarray, v: np.ndarray) -> None:
@@ -228,19 +230,20 @@ def _sign(out: np.ndarray, v: np.ndarray) -> None:
 
 def _cell_g(out, v, D, p, groups, field) -> None:
     """'%.17g' in 51 bytes: sign, integer part, point, fraction, exponent."""
-    tz = _TZ4[groups[4]]
+    tab = _tables()
+    tz = tab.TZ4[groups[4]]
     for w in (3, 2, 1):
-        tz += (tz == 4 * (4 - w)) * _TZ4[groups[w]]
+        tz += (tz == 4 * (4 - w)) * tab.TZ4[groups[w]]
     last = 16 - tz
     k = 16 - p
     kp = np.where(k >= -4, k, 0)
     _sign(out, v)
-    mask = _G_INT.take(kp + 4).view(np.uint32).reshape(-1, 5)
+    mask = tab.G_INT.take(kp + 4).view(np.uint32).reshape(-1, 5)
     np.bitwise_and(field, mask, out=out[:, 1:21].view(np.uint32))
     out[:, 21] = (last > kp) * np.uint8(ord("."))
-    mask = _G_FRAC.take((kp + 4) * 17 + last).view(np.uint32).reshape(-1, 5)
+    mask = tab.G_FRAC.take((kp + 4) * 17 + last).view(np.uint32).reshape(-1, 5)
     np.bitwise_and(field, mask, out=out[:, 22:42].view(np.uint32))
-    out[:, 42:50].view(np.uint64)[:, 0] = _EXP_G.take(p)
+    out[:, 42:50].view(np.uint64)[:, 0] = tab.EXP_G.take(p)
 
 
 def _cell_e(out, v, D, p, groups, field) -> None:
@@ -249,14 +252,15 @@ def _cell_e(out, v, D, p, groups, field) -> None:
     out[:, 1] = field.view(np.uint8)[:, 3]
     out[:, 2] = ord(".")
     out[:, 3:19].view(np.uint32)[...] = field[:, 1:]
-    out[:, 19:27].view(np.uint64)[:, 0] = _EXP_E.take(p)
+    out[:, 19:27].view(np.uint64)[:, 0] = _tables().EXP_E.take(p)
 
 
 def _cell_d(out, v, D, p, groups, field) -> None:
     """'%d' in 22 bytes: sign, digits from the first nonzero one."""
     _sign(out, v)
-    first = 17 - np.maximum(np.searchsorted(_POW10_INT, D, side="right"), 1)
-    mask = _D_INT.take(first).view(np.uint32).reshape(-1, 5)
+    tab = _tables()
+    first = 17 - np.maximum(np.searchsorted(tab.POW10_INT, D, side="right"), 1)
+    mask = tab.D_INT.take(first).view(np.uint32).reshape(-1, 5)
     np.bitwise_and(field, mask, out=out[:, 1:21].view(np.uint32))
 
 

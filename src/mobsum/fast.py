@@ -6,28 +6,25 @@ unweighted divisor sums of mu:
     sum_{nu<=x} (1/nu) g(floor(x/nu)) = 1      =>  g(x) = 1 - sum_{nu>=2} ...
     sum_{nu<=x} M(floor(x/nu)) = 1             =>  M(x) = 1 - sum_{nu>=2} ...
 
-floor(x/nu) takes O(sqrt(x)) distinct values; sieving base values up to a
-crossover K (default ~x^(2/3)) and recursing on the values above it gives
-O(x^(2/3)) work overall.  The memo is filled iteratively, never by deep
-call chains.
+floor(x/nu) takes O(sqrt(x)) distinct values.  Base values are sieved up to
+a crossover K (default ~x^(2/3), raised to isqrt(x) when below it); the
+values above K are y_j = floor(x/j) for the chain indices j <= J =
+floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)), so the terms of y_j's
+sum with j nu <= J are chain entries and the rest, its table part, come off
+the base table: O(x^(2/3)) work in all.
 
-Both recursions work by chain index.  The values above K are y_j =
-floor(x/j) for j <= J = floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)),
-so the terms of y_j's sum with j nu <= J are the chain entries j nu, filled
-from J down to 1, and the rest come off a base table.  Both raise a
-crossover below isqrt(x) to it: below it chain indices repeat values.
+M inverts the chain away.  The table parts T_k are independent, and Mobius
+inversion over the multiples of k <= J gives M(x) = M(J) - sum mu(k) T_k, a
+sum over the squarefree k with no memo (``_mertens_value``).  Each T_k sums
+the quotients above isqrt(y) by parts, over the q <= sqrt(x), with mu read
+off the int32 table as M(q) - M(q-1) (``_mertens_tails``).
 
-For M, above s = isqrt(y) the quotients are the q <= Q = floor(y/(s+1)),
-each taken floor(y/q) - floor(y/(q+1)) times; summation by parts turns their
-sum into sum_{q<=Q} floor(y/q) mu(q) - s M(Q), a sum over the squarefree
-q <= sqrt(x) with mu read off the int32 table as M(q) - M(q-1).
-
-For g, ``_runs(y)`` gives the runs of equal quotient of one root (the exact
-g sum and unit identity); the certified g sum takes those of many roots at
-once from ``summatory._run_layout``, the layout of the scans.  A run's
-weight is its harmonic segment H(nu_hi) - H(nu_lo - 1); a single nu has
-weight 1/nu.  Since K >= isqrt(x), only single nu reach above K, the head
-nu = 2 .. m with m = min(J // j, s), read from the chain as M's are.
+g keeps its chain, filled from J down to 1: the same inversion would change
+the float bits of its value and bound.  ``_runs(y)`` gives the runs of equal
+quotient of one root (exact mode); the certified sum takes those of many
+roots at once from ``summatory._run_layout``, the layout of the scans.  A
+run weighs its harmonic segment H(nu_hi) - H(nu_lo - 1), a single nu 1/nu;
+only the single nu = 2 .. J // j reach above K, read from the chain.
 
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
@@ -36,22 +33,16 @@ float mode takes 1/nu for a single nu (charged 1 ulp) and the asymptotic
 harmonic evaluator for longer runs, and propagates error bounds through the
 recursion.
 
-Cost per chain index.  Root y = x // j has about 2 sqrt(y) terms, so the J
-indices above the base table hold O(x^(2/3)) elements in all; but J is only
-O(x^(1/3)), about 200 to 2000 at x = 10^7 .. 10^10, and there a NumPy call
-(1 to 3 microseconds) per index weighs as much as the elements.  So each
-index makes a fixed handful of calls, with the float operations of a plain
-per-index loop in the same order:
-
-- M: one ``searchsorted`` for the squarefree head, one strided chain sum
-  (for j <= J/2), two float divisions into one reused int64 buffer
-  (``_quotients``), one gather-and-sum of the table and one dot product.
-- g: the weights, table and chain values, terms and input errors of a
-  batch of consecutive indices, about 2^14 runs, are computed at once over
-  the run layout of their roots (``_g_float_batch``), where each index's
-  terms are one contiguous slice; each index then takes two ``np.sum`` over
-  its slice in run order and one ``fsum``.  A batch ends before an index at
-  or below half its first, so the chain entries its heads read are filled.
+Cost per index.  Root y = x // j has about 2 sqrt(y) terms, but J is only
+O(x^(1/3)), about 200 to 2000 at x = 10^7 .. 10^10, where a NumPy call (1 to
+3 microseconds) per index weighs as much as the elements.  M computes its
+per-index scalars at once; each k then makes one float division into one
+reused buffer (``_quotients``), a gather-and-sum and a dot.  Certified g
+lays out the terms and input errors of a batch of about 2^14 runs of
+consecutive indices at once (``_g_float_batch``); each index then takes two
+``np.sum`` over its slice in run order and one ``fsum``.  A batch ends
+before an index at or below half its first, so the chain entries read are
+filled.
 """
 
 from __future__ import annotations
@@ -59,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, isqrt
-from typing import Union
 
 import numpy as np
 
@@ -73,9 +63,6 @@ from .summatory import (
     _run_counts,
     _run_layout,
 )
-
-Value = Union[int, float, Fraction]
-
 
 def default_crossover(x: int) -> int:
     """Crossover K for root x: ~x^(2/3), at least sqrt(x)+1, below x."""
@@ -134,7 +121,7 @@ class FloorValueMap:
     small: np.ndarray
     large: dict = field(default_factory=dict)
 
-    def get(self, arg: int) -> Value:
+    def get(self, arg: int) -> int:
         if arg <= self.crossover:
             return int(self.small[arg])
         return self.large[self.x // arg]
@@ -156,13 +143,17 @@ _MERTENS_TABLE_LIMIT = (1 << 31) - 1
 _MERTENS_ROOT_LIMIT = (1 << 53) - 1
 
 
-def _mertens_table(limit: int) -> np.ndarray:
-    """M(0..limit) as int32, one sieve block and one in-place cumsum at a time."""
+def _table_limit(limit: int) -> int:
     if not 1 <= limit <= _MERTENS_TABLE_LIMIT:
         raise ValueError(
             f"Mertens base table limit must lie in [1, {_MERTENS_TABLE_LIMIT}], got {limit}"
         )
-    M = np.empty(limit + 1, dtype=np.int32)
+    return limit
+
+
+def _mertens_table(limit: int) -> np.ndarray:
+    """M(0..limit) as int32, one sieve block and one in-place cumsum at a time."""
+    M = np.empty(_table_limit(limit) + 1, dtype=np.int32)
     M[0] = 0
     for block in iter_moebius_blocks(1, limit):
         seg = M[block.lo : block.hi + 1]
@@ -173,11 +164,9 @@ def _mertens_table(limit: int) -> np.ndarray:
     return M
 
 
-def _squarefree_head(M: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The squarefree q <= s as float64 and mu(q), with mu = M(q) - M(q-1)."""
-    mu = np.diff(M[: s + 1])
-    q = np.flatnonzero(mu) + 1
-    return q.astype(np.float64), mu[q - 1].astype(np.int64)
+def _moebius_head(M: np.ndarray, s: int) -> np.ndarray:
+    """mu(0..s) as int64 off a table of M, mu(q) = M(q) - M(q-1) (mu(0) = 0)."""
+    return np.diff(M[: s + 1], prepend=0).astype(np.int64)
 
 
 def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,104 +188,114 @@ def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _mertens_chain(x: int, M: np.ndarray, sf: np.ndarray, mu_sf: np.ndarray) -> np.ndarray:
-    """M(x // j) for every chain index j in [1, J], J = x // (K+1), at index j.
+def _mertens_tails(x: int, ks: np.ndarray, M: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """T_k = sum_{nu > J//k} M(x // (k nu)), the table part of the unit
+    identity at x // k, for the int64 chain indices ``ks``.
 
-    M is the base table over [0, K] with K >= isqrt(x), and x < 2^53;
-    (sf, mu_sf) are the squarefree q <= isqrt(x) with mu(q).  For y = x // j
-    and s = isqrt(y),
-
-        M(y) = 1 - sum_{nu=2}^{s} M(y // nu) - sum_{q<=Q} (y // q) mu(q) + s M(Q)
-
-    with Q = y // (s+1): the quotients of nu > s are the q <= Q, each taken
-    y//q - y//(q+1) times, summed by parts (y // (Q+1) = s).  y // nu =
-    x // (j nu) is chain entry j nu while j nu <= J and a table entry
-    beyond, so the chain fills from J down to 1 with no lookup by value.
-    The divisors nu are slices of one float lane and the quotients go to one
-    reused buffer, so an index costs a handful of NumPy calls.
+    M is the base table over [0, K] with K >= isqrt(x), J = x // (K+1) and
+    x < 2^53; mu is mu(0..isqrt(x)).  For y = x // k and s = isqrt(y),
+    a = J // k <= s, and k nu > J puts the nu in (a, s] on the table.  Above
+    s the quotients are the q <= Q = y // (s+1), each taken y//q - y//(q+1)
+    times; by parts, with y // (Q+1) = s and Q <= s,
+    T_k = sum_{nu=a+1}^{s} M(y // nu) + sum_{q<=Q} (y // q) mu(q) - s M(Q).
+    The scalars of every k are computed at once; per k, one float division
+    over a slice of one lane into one reused buffer gives both sums' y // nu.
     """
-    J = x // M.size
-    chain = np.zeros(J + 1, dtype=np.int64)
+    ys = x // ks
+    ss = np.array([isqrt(y) for y in ys.tolist()], dtype=np.int64)
+    Qs = ys // (ss + 1)
+    T = (-ss * M[Qs]).tolist()
     nus = np.arange(isqrt(x) + 1, dtype=np.float64)
     buf = np.empty(nus.size, dtype=np.int64)
-    for j in range(J, 0, -1):
-        y = x // j
-        s = isqrt(y)
-        m = min(J // j, s)
-        Q = y // (s + 1)
-        n = int(sf.searchsorted(Q, side="right"))
-        total = int(chain[2 * j : m * j + 1 : j].sum()) if m > 1 else 0
-        total += int(M[_quotients(y, nus[m + 1 : s + 1], buf[: s - m])].sum(dtype=np.int64))
-        total += int(np.dot(_quotients(y, sf[:n], buf[:n]), mu_sf[:n])) - s * int(M[Q])
-        chain[j] = 1 - total
-    return chain
+    heads = (x // M.size // ks).tolist()
+    for i, (y, s, a, Q) in enumerate(zip(ys.tolist(), ss.tolist(), heads, Qs.tolist())):
+        q = _quotients(y, nus[1 : s + 1], buf[:s])
+        T[i] += int(M.take(q[a:]).sum(dtype=np.int64)) + int(np.dot(q[:Q], mu[1 : Q + 1]))
+    return np.array(T, dtype=np.int64)
+
+
+def _mertens_value(x: int, M: np.ndarray, mu: np.ndarray) -> int:
+    """M(x) = M(J) - sum_{k<=J} mu(k) T_k, with M, mu and T_k as in
+    ``_mertens_tails``: a sum over the squarefree k only.
+
+    Proof.  Let C(j) = M(x // j) for j <= J.  The unit identity at x // k
+    splits at nu = J // k into chain entries and T_k: F(k) := sum_{nu <= J/k}
+    C(k nu) = 1 - T_k.  So sum_{nu <= J/k} mu(nu) F(k nu) = sum_{m <= J/k}
+    C(k m) sum_{nu | m} mu(nu) = C(k), and at k = 1, M(x) = sum_{k<=J} mu(k)
+    (1 - T_k) = M(J) - sum mu(k) T_k; J <= isqrt(x) <= K puts M(J) on the table.
+    """
+    J = x // M.size
+    ks = np.flatnonzero(mu[: J + 1])
+    # with J = 0 there is no k, and x itself lies on the table
+    return int(M[J or x]) - int(np.dot(mu[ks], _mertens_tails(x, ks, M, mu)))
 
 
 def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, FloorValueMap]:
     """M(x) together with the populated floor-quotient memo."""
     ev = MertensEvaluator(int(x), crossover=crossover)
-    chain = ev.chain(ev.max_x)
-    value = int(chain[1]) if chain.size > 1 else int(ev.small[ev.max_x])
-    large = dict(zip(range(1, chain.size), chain[1:].tolist()))
-    return value, FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
+    large = dict(enumerate(ev.chain(ev.max_x)[1:].tolist(), 1))
+    fmap = FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
+    return fmap.get(ev.max_x), fmap
 
 
 def _evaluator_crossover(max_x: int, crossover: int | None) -> int:
-    """The base-table limit of ``MertensEvaluator(max_x, crossover=crossover)``.
-
-    Raises ValueError, having allocated nothing, when max_x lies outside
-    [1, 2^53) or the limit reaches 2^31.
-    """
+    """The base-table limit of ``MertensEvaluator(max_x, crossover=crossover)``;
+    ValueError, with nothing allocated, for max_x outside [1, 2^53) or a limit
+    of 2^31 or more."""
     if not 1 <= max_x <= _MERTENS_ROOT_LIMIT:
         raise ValueError(f"max_x must lie in [1, {_MERTENS_ROOT_LIMIT}], got {max_x}")
-    K = _crossover(max_x, crossover)
-    if K > _MERTENS_TABLE_LIMIT:
-        raise ValueError(
-            f"Mertens base table limit must lie in [1, {_MERTENS_TABLE_LIMIT}], got {K}"
-        )
-    return K
+    return _table_limit(_crossover(max_x, crossover))
 
 
 def m_recursive(x: int, *, crossover: int | None = None) -> int:
     """Exact M(x) by the floor-quotient recursion; O(x^(2/3)) time."""
-    value, _ = mertens_floor_map(x, crossover=crossover)
-    return value
+    x = int(x)
+    return MertensEvaluator(x, crossover=crossover).value(x)
 
 
 class MertensEvaluator:
     """Mertens evaluator for batches of roots up to ``max_x`` < 2^53.
 
-    The int32 base table over [0, crossover] and its squarefree head are
-    built once and shared by every root; each root runs its own chain.  A
-    crossover below isqrt(max_x) is raised to it, since the summation by
-    parts reads M(q) for q <= sqrt(x) off the table; one at or above 2^31
-    raises ValueError before anything is allocated.
+    The int32 base table over [0, crossover] and mu up to isqrt(max_x) are
+    built once and shared by every root.  A crossover below isqrt(max_x) is
+    raised to it, since the summation by parts reads M(q) for q <= sqrt(x)
+    off the table; one at or above 2^31 raises ValueError before anything
+    is allocated.
     """
 
     def __init__(self, max_x: int, *, crossover: int | None = None):
         self.max_x = max_x
         self.crossover = _evaluator_crossover(max_x, crossover)
         self.small = _mertens_table(self.crossover)
-        self._sf, self._mu_sf = _squarefree_head(self.small, isqrt(max_x))
+        self._mu = _moebius_head(self.small, isqrt(max_x))
 
-    def chain(self, x: int) -> np.ndarray:
-        """M(x // j) at index j for every j with x // j above the crossover."""
+    def _root(self, x: int) -> int:
         if not 1 <= x <= self.max_x:
             raise ValueError(f"x must lie in [1, {self.max_x}], got {x}")
-        return _mertens_chain(x, self.small, self._sf, self._mu_sf)
+        return x
+
+    def chain(self, x: int) -> np.ndarray:
+        """M(x // j) at index j for every chain index j <= J = x // (K+1):
+        C(j) = 1 - T_j - sum_{nu=2}^{J//j} C(j nu) (``_mertens_value``),
+        filled from J down to 1 in O(J log J) integer adds."""
+        J = self._root(x) // self.small.size
+        T = _mertens_tails(x, np.arange(1, J + 1), self.small, self._mu)
+        chain = np.concatenate(([0], 1 - T))
+        for j in range(J // 2, 0, -1):
+            chain[j] -= chain[2 * j :: j].sum()
+        return chain
 
     def value(self, x: int) -> int:
-        chain = self.chain(x)
-        return int(chain[1]) if chain.size > 1 else int(self.small[x])
+        return _mertens_value(self._root(x), self.small, self._mu)
 
 
 def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     """M(x) for every x in [0, limit] by ascending recursion fill.
 
     Only [1, base_limit] comes from the sieve (default just M(1)); every
-    later entry is the chain kernel's M(x) with the filled entries [0, x-1]
-    as its base table.  Used to cross-check the recursion against direct
-    sieving, exhaustively.
+    later entry is the kernel's M(x) with the filled entries [0, x-1] as
+    its base table, so J = 1 and M(x) = 1 - T_1.  Used to cross-check the
+    recursion against direct sieving, exhaustively.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -304,12 +303,10 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     base = _mertens_table(base_limit)  # checks its limit before M is allocated
     M = np.zeros(limit + 1, dtype=np.int64)
     M[: base_limit + 1] = base
-    s_head = 0
     for x in range(base_limit + 1, limit + 1):
-        if isqrt(x) != s_head:
-            s_head = isqrt(x)
-            sf, mu_sf = _squarefree_head(M, s_head)
-        M[x] = _mertens_chain(x, M[:x], sf, mu_sf)[1]
+        if x == base_limit + 1 or isqrt(x) ** 2 == x:  # the head grows with isqrt(x)
+            mu = _moebius_head(M, isqrt(x))
+        M[x] = _mertens_value(x, M[:x], mu)
     return M
 
 

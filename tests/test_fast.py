@@ -103,6 +103,30 @@ def test_m_recursive_two_crossovers_agree():
     assert m_recursive(x) == m_recursive(x, crossover=k // 4) == -87856 + offset
 
 
+def test_m_recursive_every_crossover_to_3000():
+    from mobsum.summatory import moebius_values_upto
+
+    M = np.cumsum(moebius_values_upto(3000), dtype=np.int64)
+    for x in range(1, 3001):
+        # 1 is raised to isqrt(x); x // 2 and x - 1 leave one or two chain indices
+        for k in (None, 1, x // 2, x - 1):
+            assert m_recursive(x, crossover=k) == M[x], (x, k)
+
+
+def test_mertens_value_is_the_chain_head():
+    from mobsum.summatory import moebius_values_upto
+
+    top = 10**7
+    M = np.cumsum(moebius_values_upto(top), dtype=np.int32)
+    ev = MertensEvaluator(top)
+    rng = random.Random(21)
+    for x in (rng.randrange(ev.crossover + 1, top + 1) for _ in range(50)):
+        chain = ev.chain(x)
+        assert ev.value(x) == int(chain[1]), x
+        js = np.arange(1, chain.size)
+        assert np.array_equal(chain[1:], M[x // js]), x
+
+
 def test_float_quotients_exact_below_2_53():
     rng = random.Random(7)
     top = 2**53 - 1
