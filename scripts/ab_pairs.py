@@ -73,7 +73,8 @@ def report(name: str, better: str, pairs: list[tuple[float, float]]) -> list[str
     rel = f" ({(cm - pm) / pm:+.1%})" if pm else ""
     holds = wins >= 0.9 * len(pairs) and sign * (cm - pm) > p3 - p1
     lines.append(f"  change wins {wins}/{len(pairs)}; median gap {cm - pm:+.6g}{rel}")
-    lines.append(f"  gain by the rule (>= 9/10 wins, gap above the parent IQR): {'yes' if holds else 'no'}")
+    rule = "yes" if holds else "no"
+    lines.append(f"  gain by the rule (>= 9/10 wins, gap above the parent IQR): {rule}")
     return lines
 
 
@@ -99,12 +100,13 @@ def main(argv: list[str] | None = None) -> int:
             for name in metrics:
                 p, c = (got[side]["metrics"][name]["value"] for side in ("parent", "change"))
                 pairs[name].append((p, c))
-            walls = "  ".join(f"{side} {got[side]['metrics']['wall_s']['value']:.4g}" for side, _ in order)
-            print(f"pair {i} seed {seed}: {walls}", file=sys.stderr, flush=True)
+            walls = (f"{side} {got[side]['metrics']['wall_s']['value']:.4g}" for side, _ in order)
+            print(f"pair {i} seed {seed}: " + "  ".join(walls), file=sys.stderr, flush=True)
     except (RuntimeError, OSError, KeyError, ValueError) as exc:
         print(f"ab_pairs: {exc}", file=sys.stderr)
         return 1
-    print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+    last = args.seed + args.pairs - 1
+    print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}..{last}")
     for name, better in metrics.items():
         print("\n".join(report(name, better, pairs[name])))
     return 0

@@ -108,7 +108,7 @@ def test_m_recursive_every_crossover_to_3000():
 
     M = np.cumsum(moebius_values_upto(3000), dtype=np.int64)
     for x in range(1, 3001):
-        # 1 is raised to isqrt(x); x // 2 and x - 1 leave one or two chain indices
+        # 1 is raised to isqrt(x); x // 2 and x - 1 leave at most one chain index
         for k in (None, 1, x // 2, x - 1):
             assert m_recursive(x, crossover=k) == M[x], (x, k)
 
