@@ -1,4 +1,4 @@
-"""Print the SHA-256 of the five golden CSVs of this checkout.
+"""Print the SHA-256 of the six golden CSVs of this checkout.
 
 Runs ``python -m mobsum.cli`` from the ``src`` directory next to this
 script, once per configuration, and prints one line per CSV: its digest and
@@ -26,6 +26,8 @@ CONFIGS = [
     ["table", "--limit", "200000", "--stride", "20"],
     ["table", "--limit", "10000", "--stride", "1"],
     ["converge", "--delta", "0.3", "--limit", "100000", "--stride", "100"],
+    # stride 1: the x = 1 row, which has no ratio_h, and samples on chunk edges
+    ["converge", "--delta", "0.3", "--limit", "20000", "--stride", "1"],
 ]
 
 

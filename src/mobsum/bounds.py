@@ -25,7 +25,11 @@ whole range.
 Convergence reports locate empirical thresholds: the least G with
 |eps(nu)| <= delta/3 on [G, scan_limit], and the least sampled xi beyond
 which |h(x)|/log x (or |M(x)|/x) stays below delta.  These are explicitly
-empirical up to scan_limit; nothing is claimed beyond it.
+empirical up to scan_limit; nothing is claimed beyond it.  They read their
+lanes the same way: eps in chunks of ``_SCAN_CHUNK`` derived from theta's,
+and h and M only at the samples, gathered chunk by chunk
+(``SummatoryTables._sample``; M a running int64 sum over mu), with the
+bits of the held lanes.
 """
 
 from __future__ import annotations
@@ -355,19 +359,16 @@ def empirical_G(
         raise ValueError(f"scan_limit must be >= 2, got {scan_limit}")
     if tables is None or tables.limit < scan_limit:
         tables = SummatoryTables(scan_limit)
-    ev, ee = tables.eps_arrays
     bound = delta / 3.0
-    nus = np.arange(1, scan_limit + 1, dtype=np.int64)
-    ok = np.abs(ev[nus]) + ee[nus] <= bound
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        G = 1
-    else:
-        last_bad = int(nus[bad[-1]])
-        G = last_bad + 1 if last_bad < scan_limit else None
-    samples = []
-    if G is not None:
-        samples.append((G, float(abs(ev[G]))))
+    G, eps_G = 1, None
+    for a, ev, ee in tables._chunks("_eps", 1, scan_limit, _SCAN_CHUNK):
+        bad = np.flatnonzero(~(np.abs(ev) + ee <= bound))
+        if bad.size:
+            G = a + int(bad[-1]) + 1
+        if a <= G < a + ev.size:
+            eps_G = float(abs(ev[G - a]))
+    G = G if G <= scan_limit else None
+    samples = [] if G is None else [(G, eps_G)]
     return ConvergenceReport(
         kind="eps_threshold",
         delta=delta,
@@ -378,16 +379,6 @@ def empirical_G(
         samples=samples,
         note="empirical up to scan_limit; nothing claimed beyond",
     )
-
-
-def _least_certified_suffix(xs: list[int], ok: list[bool]) -> int | None:
-    """Least xs[i] with ok true from i through the end; None if the last fails."""
-    xi = None
-    for x, good in zip(reversed(xs), reversed(ok)):
-        if not good:
-            break
-        xi = x
-    return xi
 
 
 def h_convergence(
@@ -412,26 +403,25 @@ def h_convergence(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if tables is None or tables.limit < scan_limit:
         tables = SummatoryTables(scan_limit)
-    greport = empirical_G(delta, scan_limit, tables=tables)
-    G = greport.G
-    xs = [x for x in range(stride, scan_limit + 1, stride) if x >= 2]
+    G = empirical_G(delta, scan_limit, tables=tables).G
+    hv, he = tables._sample("_h", stride, scan_limit)
+    xs = range(stride, scan_limit + 1, stride)
+    if stride == 1:  # h(1)/log 1 is no ratio
+        xs, hv, he = xs[1:], hv[1:], he[1:]
     samples = []
-    ok_ratio = []
+    xi = None
     bound_ok: bool | None = None if G is None else True
-    hv, he = tables.h_arrays
-    for x in xs:
-        h, h_err = float(hv[x]), float(he[x])
+    for x, h, h_err in zip(xs, hv.tolist(), he.tolist()):
         lx = math.log(x)
         rv = abs(h) / lx
         rerr = (h_err / lx + 3.0 * EPS * rv) * _HEADROOM
         samples.append((x, rv))
-        ok_ratio.append(rv + rerr <= delta)
+        xi = (xi or x) if rv + rerr <= delta else None  # opens after the last failure
         if G is not None:
             env = (3.0 * G - 2.0) + (2.0 / 3.0) * delta + (2.0 / 3.0) * delta * lx
             env_err = 8.0 * EPS * env
             if abs(h) + h_err > env - env_err:
                 bound_ok = False
-    xi = _least_certified_suffix(xs, ok_ratio)
     return ConvergenceReport(
         kind="h_over_log",
         delta=delta,
@@ -467,8 +457,8 @@ def m_over_x_convergence(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if tables is None or tables.limit < scan_limit:
         tables = SummatoryTables(scan_limit)
-    M = tables.mertens
-    xs = list(range(stride, scan_limit + 1, stride))
+    [M] = tables._sample("_M", stride, scan_limit)
+    xs = range(stride, scan_limit + 1, stride)
     exact_hi = min(scan_limit, cutoff)
     if prefix is None or prefix.limit < exact_hi:
         prefix = ScaledMoebiusPrefix(exact_hi)
@@ -476,20 +466,18 @@ def m_over_x_convergence(
     sg = prefix.scaled_g_cumsum
     L = prefix.denominator
     samples = []
-    ok_ratio = []
+    xi = None
     abel_ok = True
-    for x in xs:
-        m = int(M[x])
+    for x, m in zip(xs, M.tolist()):
         rv = abs(m) / x
         # |M| and x are exact doubles at desk scale; division by 1 is exact,
         # which preserves the equality case |M(1)|/1 = 1
         rerr = 0.0 if x == 1 else EPS * rv
         samples.append((x, rv))
-        ok_ratio.append(rv + rerr <= delta)
+        xi = (xi or x) if rv + rerr <= delta else None  # opens after the last failure
         if x <= exact_hi:
             if m * L != -sg[x - 1] + gn[x] * x:
                 abel_ok = False
-    xi = _least_certified_suffix(xs, ok_ratio)
     return ConvergenceReport(
         kind="m_over_x",
         delta=delta,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 import time
@@ -40,10 +41,9 @@ from . import fast as fast_mod
 from . import identities as ident_mod
 from . import sieve as sieve_mod
 from .certified import EULER_GAMMA
-from .sieve import DEFAULT_BLOCK_CAPACITY, iter_moebius_blocks
+from .sieve import iter_moebius_blocks
 from .summatory import (
     EXACTNESS_CUTOFF,
-    MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
     SummatorySeries,
     SummatoryTables,
@@ -320,13 +320,10 @@ def _table_lines(series: SummatorySeries) -> Iterator[str]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # the lanes take about 90 B per x, the series about 96 B per sample
-    if not _fits(args, 90 * args.limit + 100 * (args.limit // args.stride)):
+    # the int8 mu lane and its streams, about 2.3 B per x, and the series, 103 B per sample
+    if not _fits(args, 3 * args.limit + 104 * (args.limit // args.stride)):
         return 2
-    # no reference to the tables is kept: they are freed before the rows are written
-    tables = SummatoryTables(args.limit, block_size=args.blocksize)
-    series = series_scan(args.limit, args.stride, tables=tables)
-    del tables
+    series = series_scan(args.limit, args.stride)
     with _output(args.out) as out:
         out.writelines(_table_lines(series))
     return 0
@@ -358,7 +355,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not _fits(args, limit, exact=exact_hi):
         return 2
     # the bound scans stream their lanes from mu, the one full-length lane built here
-    tables = SummatoryTables(limit, block_size=args.blocksize)
+    tables = SummatoryTables(limit)
     prefix = ScaledMoebiusPrefix(exact_hi)
 
     sums = ident_mod.divisor_sum_scan(exact_hi).tolist()
@@ -366,7 +363,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = [_check_row("divisor_sum_unit", 1, exact_hi, exact_hi, div_bad, 0, _fmt(0.0))]
 
     # the identity scans read their lanes only up to exact_hi, so their tables stop there
-    ident_tables = SummatoryTables(exact_hi, block_size=args.blocksize)
+    ident_tables = SummatoryTables(exact_hi)
     for name, scan, kw in (
         ("gram_unit_sum", ident_mod.gram_scan, {"prefix": prefix}),
         ("prime_decomposition", ident_mod.decomposition_scan, {"tables": ident_tables}),
@@ -403,24 +400,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    # the lanes take about 58 B per x, the samples (Python objects) about 673 B each
-    need = 60 * args.limit + 680 * (args.limit // args.stride)
+    # the int8 mu lane and its streams, about 1.3 B per x, and the reports'
+    # samples (Python objects), about 308 B each
+    need = 2 * args.limit + 310 * (args.limit // args.stride)
     if not _fits(args, need, exact=min(args.limit, args.cutoff)):
         return 2
-    tables = SummatoryTables(args.limit, block_size=args.blocksize)
-    grep = bounds_mod.empirical_G(args.delta, args.limit, tables=tables)
+    tables = SummatoryTables(args.limit)
     hrep = bounds_mod.h_convergence(args.delta, args.limit, args.stride, tables=tables)
     mrep = bounds_mod.m_over_x_convergence(
         args.delta, args.limit, args.stride, cutoff=args.cutoff, tables=tables
     )
-    h_by_x = dict(hrep.samples)
-    rows = [["x", "ratio_h", "ratio_M"]]
-    for x, ratio_m in mrep.samples:
-        rh = h_by_x.get(x)
-        rows.append([str(x), _fmt(rh) if rh is not None else "", _fmt(ratio_m)])
+    # h is sampled at the x of M but x = 1, a sample at stride 1 only
+    blank = [""] if args.stride == 1 else []
+    ratios_h = itertools.chain(blank, (_fmt(r) for _, r in hrep.samples))
     with _output(args.out) as out:
-        _write_rows(out, rows)
-        g_str = str(grep.G) if grep.G is not None else "none"
+        out.write("x,ratio_h,ratio_M\n")
+        for (x, ratio_m), rh in zip(mrep.samples, ratios_h):
+            out.write(f"{x},{rh},{_fmt(ratio_m)}\n")
+        g_str = str(hrep.G) if hrep.G is not None else "none"
         xi_h = str(hrep.xi) if hrep.xi is not None else "none"
         xi_m = str(mrep.xi) if mrep.xi is not None else "none"
         out.write(f"G={g_str},xi_h={xi_h},xi_M={xi_m}\n")
@@ -506,7 +503,6 @@ def _add_common(
     stride: bool = False,
     delta: bool = False,
     cutoff: bool = False,
-    blocksize: bool = False,
 ) -> None:
     p.add_argument("--limit", type=int, required=True, help="upper end of the scan range")
     if stride:
@@ -521,13 +517,6 @@ def _add_common(
             default=EXACTNESS_CUTOFF,
             help="exact-rational cutoff (default %(default)s)",
         )
-    if blocksize:
-        p.add_argument(
-            "--blocksize",
-            type=int,
-            default=DEFAULT_BLOCK_CAPACITY,
-            help="block length of the float prefix sums (default %(default)s)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,13 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("table", help="CSV table of summatory sample points")
-    _add_common(p, stride=True, blocksize=True)
+    _add_common(p, stride=True)
     p.set_defaults(fn=_cmd_table)
     p = sub.add_parser("verify", help="run identity and bound checks")
-    _add_common(p, cutoff=True, blocksize=True)
+    _add_common(p, cutoff=True)
     p.set_defaults(fn=_cmd_verify)
     p = sub.add_parser("converge", help="empirical convergence thresholds")
-    _add_common(p, stride=True, delta=True, cutoff=True, blocksize=True)
+    _add_common(p, stride=True, delta=True, cutoff=True)
     p.set_defaults(fn=_cmd_converge)
     p = sub.add_parser("fast", help="cross-check sub-linear evaluators")
     _add_common(p, cutoff=True)
@@ -568,8 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--delta must be positive and finite")
     if getattr(args, "cutoff", 1) < 1:
         ap.error("--cutoff must be >= 1")
-    if not 1 <= getattr(args, "blocksize", 1) <= MAX_PREFIX_BLOCK:
-        ap.error("--blocksize must lie in [1, 2^28]")
     if args.command in ("fast", "bench"):
         # bench's largest base table is twice the default crossover
         k = 2 * fast_mod.default_crossover(args.limit) if args.command == "bench" else None

@@ -15,8 +15,10 @@ L = lcm(1..limit), the scaled prefix g(k)*L is an integer, so prefix tables
 build with pure integer adds instead of per-term gcd normalisation.  The
 rational results are identical; only the encoding differs.
 
-``SummatoryTables`` holds certified-float prefix arrays over [1, limit] for
-the scan-style consumers (identity checks, bound scans, series sampling).
+``SummatoryTables`` gives certified-float prefix lanes over [1, limit] to
+the scan-style consumers.  Bound scans, ``series_scan`` and the convergence
+reports read them chunk by chunk (``SummatoryTables._chunks``), streamed
+with the bits of the held lanes, so only the int8 mu lane is full length.
 All tables are immutable after construction and safe to share read-only.
 """
 
@@ -541,6 +543,19 @@ def _increment_terms(
     return vals, errs
 
 
+def _eps(xs: np.ndarray, th: np.ndarray, th_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eps = theta/x - 1 at the float x of ``xs`` from theta's values and
+    bounds there, with the bound (th_err / x + EPS th / x + EPS |eps|) *
+    _HEADROOM.  Element-wise, so any set of x gets the bits of the whole lane."""
+    vals = th / xs
+    errs = th_err / xs
+    _add_scaled_abs(errs, vals, EPS)
+    vals -= 1.0
+    _add_scaled_abs(errs, vals, EPS)
+    errs *= _HEADROOM
+    return vals, errs
+
+
 def _h_terms(lo: int, hi: int, f_terms, tail_terms) -> tuple[np.ndarray, np.ndarray]:
     """The terms x^-1 sum_{p|x} L_p mu(x/p) of h at x in [lo, hi], and their
     input errors, as -(f's term + the tail's term) from ``f_terms`` and
@@ -564,6 +579,16 @@ def _h_terms(lo: int, hi: int, f_terms, tail_terms) -> tuple[np.ndarray, np.ndar
         np.subtract(0.0, v, out=v)  # not -v, which would make the 0 terms -0
         e += te
     return vals, errs
+
+
+def _running_sums(mu: np.ndarray, grid: Iterator[tuple[int, int]]) -> Iterator[tuple]:
+    """(a, M over [a, b]) for the consecutive (a, b) of ``grid``, from 1."""
+    total = 0
+    for a, b in grid:
+        m = np.cumsum(mu[a : b + 1], dtype=np.int64)
+        m += total
+        total = int(m[-1])
+        yield a, m
 
 
 class SummatoryTables:
@@ -638,18 +663,8 @@ class SummatoryTables:
 
     @_lane("_eps")
     def eps_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # (th_err / x + EPS th / x + EPS |vals|) * _HEADROOM, in place
-        th, th_err = self.theta_arrays
-        xs = _ks(0, self.limit)
-        vals = th / xs
-        errs = th_err / xs
-        del xs
-        _add_scaled_abs(errs, vals, EPS)
-        vals -= 1.0
-        _add_scaled_abs(errs, vals, EPS)
-        errs *= _HEADROOM
-        vals[0] = 0.0
-        errs[0] = 0.0
+        vals, errs = _eps(_ks(0, self.limit), *self.theta_arrays)
+        vals[0] = errs[0] = 0.0
         vals.flags.writeable = False
         errs.flags.writeable = False
         return vals, errs
@@ -729,21 +744,41 @@ class SummatoryTables:
         return lambda lo, hi: _h_terms(lo, hi, f, tail)
 
     def _chunks(self, attr: str, lo: int, hi: int, chunk: int) -> Iterator[tuple]:
-        """The prefix lane cached in ``attr`` over [lo, hi] as (a, values,
-        bounds) at x in [a, a + values.size), on the ``_chunk_grid`` of
-        ``chunk``: slices of the lane if the tables hold it, else its
-        ``_prefix_stream`` from x = 1, which builds no full-length lane."""
+        """The lane cached in ``attr`` over [lo, hi] as (a, values, bounds) at
+        x in [a, a + values.size), on the ``_chunk_grid`` of ``chunk``: slices
+        of the lane if the tables hold it, else a stream that builds no
+        full-length lane: a prefix lane's ``_prefix_stream`` from x = 1, eps
+        by ``_eps`` from theta's chunks, M (values only) by ``_running_sums``."""
         held = getattr(self, attr, None)
-        if held is None:
-            chunks = _prefix_stream(hi, self.block_size, self._lane_terms(attr), chunk)
-        else:
+        grid = _chunk_grid(hi, self.block_size, chunk)
+        if attr == "_M":
+            chunks = _running_sums(self.mu, grid)
+        elif held is not None:
             vals, errs = held
-            grid = _chunk_grid(hi, self.block_size, chunk)
             chunks = ((a, vals[a : b + 1], errs[a : b + 1]) for a, b in grid)
-        for a, v, e in chunks:
+        elif attr == "_eps":
+            theta = self._chunks("_theta", lo, hi, chunk)
+            chunks = ((a, *_eps(_ks(a, a + t.size - 1), t, e)) for a, t, e in theta)
+        else:
+            chunks = _prefix_stream(hi, self.block_size, self._lane_terms(attr), chunk)
+        for a, *lanes in chunks:
             s = max(lo - a, 0)
-            if s < v.size:
-                yield a + s, v[s:], e[s:]
+            if s < lanes[0].size:
+                yield (a + s, *(v[s:] for v in lanes))
+
+    def _sample(self, attr: str, stride: int, hi: int) -> list[np.ndarray]:
+        """The lane ``_chunks`` reads for ``attr`` at x = stride, 2 stride, ...
+        <= hi, gathered from each chunk into new arrays: [values, bounds], or
+        [M] for ``"_M"``."""
+        dtypes = [np.int64] if attr == "_M" else [np.float64] * 2
+        out = [np.empty(hi // stride, dtype) for dtype in dtypes]
+        for a, *parts in self._chunks(attr, stride, hi, _CHUNK):
+            s = -a % stride
+            i = (a + s) // stride - 1
+            for o, v in zip(out, parts):
+                v = v[s::stride]
+                o[i : i + v.size] = v
+        return out
 
     # -- pointwise certified accessors
 
@@ -944,7 +979,8 @@ class SummatorySeries:
 def series_scan(
     limit: int, stride: int, *, tables: SummatoryTables | None = None
 ) -> SummatorySeries:
-    """Sample records at multiples of ``stride``, read from the table lanes.
+    """Sample records at multiples of ``stride``, with the bits of the table
+    lanes there, gathered chunk by chunk (``SummatoryTables._sample``).
 
     Each record agrees with the pointwise operations: exactly for the integer
     lanes, within combined error bounds for the certified lanes.  h comes
@@ -958,26 +994,10 @@ def series_scan(
     elif tables.limit < limit:
         raise ValueError(f"tables cover [1, {tables.limit}] < limit {limit}")
     xs = np.arange(stride, limit + 1, stride, dtype=np.int64)
-    gv, ge = tables.g_arrays
-    fv, fe = tables.f_arrays
-    tv, te = tables.theta_arrays
-    ev, ee = tables.eps_arrays
-    hv, he = tables.h_arrays
-    # indexing by the array xs copies: the series holds no view of a lane
-    return SummatorySeries(
-        xs=xs,
-        g=gv[xs],
-        g_err=ge[xs],
-        f=fv[xs],
-        f_err=fe[xs],
-        M=tables.mertens[xs],
-        theta=tv[xs],
-        theta_err=te[xs],
-        epsilon=ev[xs],
-        epsilon_err=ee[xs],
-        h=hv[xs],
-        h_err=he[xs],
-    )
+    lanes = ("_g", "_f", "_theta", "_h", "_M")
+    g, f, theta, h, M = (tables._sample(a, stride, limit) for a in lanes)
+    eps = _eps(xs.astype(np.float64), *theta)
+    return SummatorySeries(xs, *g, *f, *M, *theta, *eps, *h)
 
 
 # ---------------------------------------------------------------------------

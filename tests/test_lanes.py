@@ -4,8 +4,10 @@ The references are exact rationals (``fractions``, the scaled prefix) and
 45-digit ``decimal`` sums, never the lanes themselves.
 """
 
+import functools
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 
 import mobsum.summatory
+from mobsum.bounds import empirical_G, h_convergence, m_over_x_convergence
 from mobsum.identities import abel_rearrangement_check, decomposition_scan
 from mobsum.sieve import _primes_upto, prime_flags
 from mobsum.summatory import (
     MAX_PREFIX_BLOCK,
     ScaledMoebiusPrefix,
+    SummatorySeries,
     SummatoryTables,
     _chunk_grid,
     _prefix_stream,
@@ -373,3 +377,85 @@ def test_scan_chunks_from_mid_block_match_held_lane(block_size):
         assert np.concatenate([c[1] for c in got]).tobytes() == vals[lo : hi + 1].tobytes()
         assert np.concatenate([c[2] for c in got]).tobytes() == errs[lo : hi + 1].tobytes()
         assert [c[0] for c in held._chunks(attr, lo, hi, 333)] == [c[0] for c in got]
+
+
+# the float-lane caches and M, none of which a streamed reader may build
+_FULL_LENGTH = ("_g", "_f", "_theta", "_H", "_h", "_tail", "_eps", "_eps_sum", "_P", "_T", "_M")
+
+
+@functools.lru_cache(maxsize=None)
+def _held(n: int, block_size: int) -> SummatoryTables:
+    tables = SummatoryTables(n, block_size=block_size)
+    for lane in ("g_arrays", "f_arrays", "theta_arrays", "eps_arrays", "h_arrays", "mertens"):
+        getattr(tables, lane)
+    return tables
+
+
+def _hex(samples: list) -> list:
+    return [(x, float(v).hex()) for x, v in samples]
+
+
+def _report_bits(r) -> tuple:
+    return r.kind, r.G, r.xi, r.bound_ok, r.abel_ok, r.note, _hex(r.samples)
+
+
+def _held_samples(held: SummatoryTables, n: int, stride: int, delta: float) -> tuple[list, ...]:
+    """The samples of empirical_G, h_convergence and m_over_x_convergence,
+    read from the held lanes by index."""
+    ev, ee = held.eps_arrays
+    bad = np.flatnonzero(~(np.abs(ev[1:]) + ee[1:] <= delta / 3.0))
+    G = int(bad[-1]) + 2 if bad.size else 1
+    eps = [(G, float(abs(ev[G])))] if G <= n else []
+    xs = range(stride, n + 1, stride)
+    h = [(x, abs(float(held.h_arrays[0][x])) / math.log(x)) for x in xs if x >= 2]
+    M = [(x, abs(int(held.mertens[x])) / x) for x in xs]
+    return eps, h, M
+
+
+# past 2^15 x, the chunk of a sample gather; at block size 7 a chunk ends
+# every 7 x, so a shorter range crosses enough edges; at 228, G = 229 of
+# delta 0.3 opens a chunk
+@pytest.mark.parametrize(
+    "block_size,n", [(1 << 20, 40_000), (1000, 40_000), (7, 3000), (228, 3000)]
+)
+@pytest.mark.parametrize("stride", [1, 7, 40_001])
+def test_streamed_readers_match_held_lanes_bit_for_bit(block_size, n, stride):
+    # series_scan and the convergence reports gather their samples chunk by
+    # chunk; on fresh tables they build no float lane and no M, and read the
+    # bits of tables that hold the lanes
+    held, fresh = _held(n, block_size), SummatoryTables(n, block_size=block_size)
+    got, want = series_scan(n, stride, tables=fresh), series_scan(n, stride, tables=held)
+    for name in SummatorySeries.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if stride < n:
+        xs = want.xs
+        assert want.g.tobytes() == held.g_arrays[0][xs].tobytes()
+        assert want.epsilon_err.tobytes() == held.eps_arrays[1][xs].tobytes()
+        assert np.array_equal(want.M, held.mertens[xs])
+    for delta in (0.3, 10.0, 1e-9):
+        eps, h, M = _held_samples(held, n, stride, delta)
+        got = empirical_G(delta, n, tables=fresh)
+        assert _report_bits(got) == _report_bits(empirical_G(delta, n, tables=held))
+        assert _hex(got.samples) == _hex(eps)
+        got = h_convergence(delta, n, stride, tables=fresh)
+        assert _report_bits(got) == _report_bits(h_convergence(delta, n, stride, tables=held))
+        assert _hex(got.samples) == _hex(h)
+    got = m_over_x_convergence(0.3, n, stride, cutoff=300, tables=fresh)
+    want = m_over_x_convergence(0.3, n, stride, cutoff=300, tables=held)
+    assert _report_bits(got) == _report_bits(want) and _hex(got.samples) == _hex(M)
+    assert [getattr(fresh, attr, None) for attr in _FULL_LENGTH] == [None] * len(_FULL_LENGTH)
+
+
+def test_series_scan_memory_is_not_a_full_length_lane():
+    # series_scan(10^6, 1000) holds the 1 MB mu lane and chunk-sized arrays;
+    # M as one int64 cast of mu would take 8 MB more
+    series_scan(1000, 10)  # the sieve's and the kernel's own caches
+    tracemalloc.start()
+    try:
+        s = series_scan(10**6, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(s.M[-1]) == 212 and len(s) == 1000
+    assert peak < 6 << 20, peak
