@@ -159,14 +159,28 @@ def _tables() -> SimpleNamespace:
     return t
 
 
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, t) for |v| = a > 0 at the exponents p in [0, 308]: hi = fl(a P)
+    and t = fl(lo + c), as in ``_decimal17``."""
+    tab = _tables()
+    ah, al = _veltkamp(a)
+    bh, bl = tab.P10_HI[p], tab.P10_LO[p]
+    hi = a * tab.P10[p]
+    t = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * tab.P10_REST[p]
+    return hi, t
+
+
 def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, p, decided) for a float64 array v: where ``decided``, |v| rounded
     half-even to 17 significant digits, as '%.17g' and '%.16e' round it, is
     D 10^-p with D in (10^16, 10^17), so its decimal exponent is k = 16 - p.
 
-    p = 16 - floor(log10 |v|), and S = |v| 10^p is formed as hi + lo + c:
-    hi + lo = |v| P exactly (Dekker's TwoProduct over Veltkamp splits), P the
-    double nearest 10^p, and c = fl(|v| fl(10^p - P)).  D = hi + rint(t) with
+    p = 16 - floor(log10 |v|), and S = |v| 10^p is formed as hi + lo + c
+    (``_scaled``): hi + lo = |v| P exactly (Dekker's TwoProduct over
+    Veltkamp splits), P the double nearest 10^p, and c = fl(|v| fl(10^p -
+    P)).  log10 rounds up to k + 1 for some doubles just below 10^(k+1);
+    there S < 10^16, seen as hi < 10^16 or hi = 10^16 with t < 0, and S is
+    formed again with p + 1.  D = hi + rint(t) with
     t = fl(lo + c); hi > 2^53 + 32 for every decided D, so hi is an even
     integer and D's parity is rint(t)'s: rint rounds S half-even whenever t
     is S - hi or on the same side of the half-integer next to it.
@@ -181,8 +195,8 @@ def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that margin, t rounds the way S does.
 
     Also undecided: zero and non-finite v, p outside [0, 308] (|v| >= 10^17
-    or below 10^-292), and D outside (10^16, 10^17): log10 off by one next
-    to a power of ten, or a rounding carry, makes D <= 10^16 or >= 10^17.
+    or below 10^-292), and D outside (10^16, 10^17), where a rounding carry
+    or an S within 2^-47 of 10^16 puts it.
     """
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,11 +204,10 @@ def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decided = (p >= 0) & (p <= 308)
     a = np.where(decided, a, 1.0)
     p = np.where(decided, p, 16.0).astype(np.intp)
-    tab = _tables()
-    ah, al = _veltkamp(a)
-    bh, bl = tab.P10_HI[p], tab.P10_LO[p]
-    hi = a * tab.P10[p]
-    t = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * tab.P10_REST[p]
+    hi, t = _scaled(a, p)
+    short = np.nonzero(((hi < 1e16) | ((hi == 1e16) & (t < 0))) & (p < 308))
+    p[short] += 1
+    hi[short], t[short] = _scaled(a[short], p[short])
     r = np.rint(t)
     near_tie = (np.abs(t - r) > 0.5 - 2.0**-20) & (p > 22)
     D = hi.astype(np.int64) + r.astype(np.int64)

@@ -17,7 +17,12 @@ M inverts the chain away.  The table parts T_k are independent, and Mobius
 inversion over the multiples of k <= J gives M(x) = M(J) - sum mu(k) T_k, a
 sum over the squarefree k with no memo (``_mertens_value``).  Each T_k sums
 the quotients above isqrt(y) by parts, over the q <= sqrt(x), with mu read
-off the int32 table as M(q) - M(q-1) (``_mertens_tails``).
+off the table as M(q) - M(q-1) (``_mertens_tails``).  Of M's int32 base
+table only the head [0, H], H = max(sqrt(x), 2^20) (at most K), is held:
+it serves every M(Q), mu(q) and M(J) and the dense bulk of the reads.  The
+few reads above it, M(y // nu) for nu <= y // (H+1), are summed per k as
+each block of (H, K] is sieved, and the block is dropped
+(``_mertens_far``), so memory is O(sqrt(x) + 2^20) and not O(x^(2/3)).
 
 g keeps its chain, filled from J down to 1: the same inversion would change
 the float bits of its value and bound.  ``_runs(y)`` gives the runs of equal
@@ -47,6 +52,7 @@ filled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, isqrt
@@ -54,7 +60,7 @@ from math import fsum, isqrt
 import numpy as np
 
 from .certified import EPS, CertifiedFloat, _HEADROOM
-from .sieve import iter_moebius_blocks
+from .sieve import DEFAULT_BLOCK_CAPACITY, iter_moebius_blocks
 from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
@@ -141,6 +147,12 @@ class FloorValueMap:
 _MERTENS_TABLE_LIMIT = (1 << 31) - 1
 # Roots stay below 2^53, where the float quotients of ``_quotients`` are exact.
 _MERTENS_ROOT_LIMIT = (1 << 53) - 1
+# Tables up to this limit, the crossovers of roots below about 2.6e5, are views
+# of one table, sieved on first use.
+_SHARED_TABLE = 1 << 12
+# The reads above the head that one block of (H, K] serves are laid out at
+# most this many at a time.
+_FAR_BATCH = 1 << 16
 
 
 def _table_limit(limit: int) -> int:
@@ -151,9 +163,9 @@ def _table_limit(limit: int) -> int:
     return limit
 
 
-def _mertens_table(limit: int) -> np.ndarray:
+def _sieved_table(limit: int) -> np.ndarray:
     """M(0..limit) as int32, one sieve block and one in-place cumsum at a time."""
-    M = np.empty(_table_limit(limit) + 1, dtype=np.int32)
+    M = np.empty(limit + 1, dtype=np.int32)
     M[0] = 0
     for block in iter_moebius_blocks(1, limit):
         seg = M[block.lo : block.hi + 1]
@@ -164,9 +176,31 @@ def _mertens_table(limit: int) -> np.ndarray:
     return M
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_table() -> np.ndarray:
+    return _sieved_table(_SHARED_TABLE)
+
+
+def _mertens_table(limit: int) -> np.ndarray:
+    """M(0..limit) as read-only int32; up to ``_SHARED_TABLE`` a view of one
+    shared table, so that small roots cost no sieve."""
+    if _table_limit(limit) <= _SHARED_TABLE:
+        return _shared_table()[: limit + 1]
+    return _sieved_table(limit)
+
+
+def _head_limit(x: int, K: int) -> int:
+    """The head H of the base table [0, K] for roots up to x: the one part
+    that is held, at least isqrt(x) (every M(Q), mu(q) and M(J) read) and
+    at least one sieve block (the dense bulk of the reads)."""
+    return min(K, max(isqrt(x), DEFAULT_BLOCK_CAPACITY))
+
+
 def _moebius_head(M: np.ndarray, s: int) -> np.ndarray:
     """mu(0..s) as int64 off a table of M, mu(q) = M(q) - M(q-1) (mu(0) = 0)."""
-    return np.diff(M[: s + 1], prepend=0).astype(np.int64)
+    mu = np.zeros(s + 1, dtype=np.int64)
+    np.subtract(M[1 : s + 1], M[:s], out=mu[1:])
+    return mu
 
 
 def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,53 +222,113 @@ def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _mertens_tails(x: int, ks: np.ndarray, M: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _mertens_far(ys: np.ndarray, a: np.ndarray, b: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_{a_i < nu <= b_i} M(ys_i // nu) for every i, as int64, where each
+    quotient lies above the head M(0..H): nu <= y // (H+1) puts y // nu > H.
+
+    (H, top], top the largest quotient, is sieved one block at a time into
+    one int32 buffer: the block's M is its cumsum from M at the block before.
+    Its reads are nu in (y // (hi+1), y // lo] for the block [lo, hi]
+    (``_block_reads``); the block is dropped before the next is sieved.
+    """
+    sums = np.zeros(ys.size, dtype=np.int64)
+    live = np.flatnonzero(b > a)
+    if not live.size:
+        return sums
+    ys, a, b = ys[live], a[live], b[live]
+    H = M.size - 1
+    top = int((ys // (a + 1)).max())
+    buf = np.empty(min(top - H, DEFAULT_BLOCK_CAPACITY), dtype=np.int32)
+    m = M[H:]
+    for block in iter_moebius_blocks(H + 1, top):
+        lo, hi, carry, m = block.lo, block.hi, m[-1], buf[: len(block)]
+        m[:] = block.values
+        del block  # before the next block is sieved
+        m[0] += carry
+        np.cumsum(m, dtype=np.int32, out=m)
+        first = np.maximum(a, ys // (hi + 1))
+        sums[live] += _block_reads(ys, first, np.minimum(b, ys // lo) - first, m, lo)
+    return sums
+
+
+def _block_reads(
+    ys: np.ndarray, first: np.ndarray, n: np.ndarray, m: np.ndarray, lo: int
+) -> np.ndarray:
+    """sum_{first_i < nu <= first_i + n_i} m[ys_i // nu - lo] for every i
+    (none where n_i <= 0), as int64: the reads laid out in order of i at
+    most ``_FAR_BATCH`` at a time, gathered, and summed per i by the
+    differences of one int64 cumsum."""
+    sums = np.zeros(ys.size, dtype=np.int64)
+    off = np.concatenate(([0], np.cumsum(np.maximum(n, 0))))
+    for p in range(0, int(off[-1]), _FAR_BATCH):
+        edges = np.clip(off, p, p + _FAR_BATCH) - p
+        i = np.repeat(np.arange(ys.size), np.diff(edges))
+        nu = np.arange(p + 1, p + i.size + 1) - off[i] + first[i]
+        q = ys[i] // nu
+        q -= lo
+        cs = np.zeros(i.size + 1, dtype=np.int64)
+        np.cumsum(m.take(q), dtype=np.int64, out=cs[1:])
+        sums += cs[edges[1:]] - cs[edges[:-1]]
+    return sums
+
+
+def _mertens_tails(x: int, ks: np.ndarray, K: int, M: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """T_k = sum_{nu > J//k} M(x // (k nu)), the table part of the unit
     identity at x // k, for the int64 chain indices ``ks``.
 
-    M is the base table over [0, K] with K >= isqrt(x), J = x // (K+1) and
-    x < 2^53; mu is mu(0..isqrt(x)).  For y = x // k and s = isqrt(y),
-    a = J // k <= s, and k nu > J puts the nu in (a, s] on the table.  Above
-    s the quotients are the q <= Q = y // (s+1), each taken y//q - y//(q+1)
-    times; by parts, with y // (Q+1) = s and Q <= s,
+    K >= isqrt(x) is the crossover, J = x // (K+1) and x < 2^53; M is the
+    head of the base table over [0, H], isqrt(x) <= H <= K, and mu is
+    mu(0..isqrt(x)).  For y = x // k and s = isqrt(y), a = J // k <= s,
+    and k nu > J puts the nu in (a, s] on the base table.  Above s the
+    quotients are the q <= Q = y // (s+1), each taken y//q - y//(q+1) times;
+    by parts, with y // (Q+1) = s and Q <= s,
     T_k = sum_{nu=a+1}^{s} M(y // nu) + sum_{q<=Q} (y // q) mu(q) - s M(Q).
-    The scalars of every k are computed at once; per k, one float division
-    over a slice of one lane into one reused buffer gives both sums' y // nu.
+    Q <= s <= H puts M(Q) and mu(q) on the head, and y // nu on it for
+    nu > b = max(a, y // (H+1)); the few nu in (a, b] are read past it
+    (``_mertens_far``).  The scalars of every k are computed at once; per k,
+    one float division over a slice of one lane into one reused buffer gives
+    both sums' y // nu.
     """
     ys = x // ks
     ss = np.array([isqrt(y) for y in ys.tolist()], dtype=np.int64)
     Qs = ys // (ss + 1)
-    T = (-ss * M[Qs]).tolist()
+    heads = x // (K + 1) // ks
+    bs = np.maximum(heads, ys // M.size)
+    T = (_mertens_far(ys, heads, bs, M) - ss * M[Qs]).tolist()
     nus = np.arange(isqrt(x) + 1, dtype=np.float64)
     buf = np.empty(nus.size, dtype=np.int64)
-    heads = (x // M.size // ks).tolist()
-    for i, (y, s, a, Q) in enumerate(zip(ys.tolist(), ss.tolist(), heads, Qs.tolist())):
+    for i, (y, s, b, Q) in enumerate(zip(ys.tolist(), ss.tolist(), bs.tolist(), Qs.tolist())):
         q = _quotients(y, nus[1 : s + 1], buf[:s])
-        T[i] += int(M.take(q[a:]).sum(dtype=np.int64)) + int(np.dot(q[:Q], mu[1 : Q + 1]))
+        T[i] += int(M.take(q[b:]).sum(dtype=np.int64)) + int(np.dot(q[:Q], mu[1 : Q + 1]))
     return np.array(T, dtype=np.int64)
 
 
-def _mertens_value(x: int, M: np.ndarray, mu: np.ndarray) -> int:
-    """M(x) = M(J) - sum_{k<=J} mu(k) T_k, with M, mu and T_k as in
+def _mertens_value(x: int, K: int, M: np.ndarray, mu: np.ndarray) -> int:
+    """M(x) = M(J) - sum_{k<=J} mu(k) T_k, with K, M, mu and T_k as in
     ``_mertens_tails``: a sum over the squarefree k only.
 
     Proof.  Let C(j) = M(x // j) for j <= J.  The unit identity at x // k
     splits at nu = J // k into chain entries and T_k: F(k) := sum_{nu <= J/k}
     C(k nu) = 1 - T_k.  So sum_{nu <= J/k} mu(nu) F(k nu) = sum_{m <= J/k}
     C(k m) sum_{nu | m} mu(nu) = C(k), and at k = 1, M(x) = sum_{k<=J} mu(k)
-    (1 - T_k) = M(J) - sum mu(k) T_k; J <= isqrt(x) <= K puts M(J) on the table.
+    (1 - T_k) = M(J) - sum mu(k) T_k; J <= isqrt(x) <= H puts M(J) on the head.
     """
-    J = x // M.size
+    J = x // (K + 1)
+    if not J:  # x <= K is the base table's own entry, past the head the read nu = 1 of x
+        if x < M.size:
+            return int(M[x])
+        return int(_mertens_far(np.array([x]), np.array([0]), np.array([1]), M)[0])
     ks = np.flatnonzero(mu[: J + 1])
-    # with J = 0 there is no k, and x itself lies on the table
-    return int(M[J or x]) - int(np.dot(mu[ks], _mertens_tails(x, ks, M, mu)))
+    return int(M[J]) - int(np.dot(mu[ks], _mertens_tails(x, ks, K, M, mu)))
 
 
 def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, FloorValueMap]:
-    """M(x) together with the populated floor-quotient memo."""
+    """M(x) together with the populated floor-quotient memo, whose small
+    side holds the whole base table [0, crossover]."""
     ev = MertensEvaluator(int(x), crossover=crossover)
     large = dict(enumerate(ev.chain(ev.max_x)[1:].tolist(), 1))
-    fmap = FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=ev.small, large=large)
+    small = _mertens_table(ev.crossover)
+    fmap = FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=small, large=large)
     return fmap.get(ev.max_x), fmap
 
 
@@ -248,7 +342,8 @@ def _evaluator_crossover(max_x: int, crossover: int | None) -> int:
 
 
 def m_recursive(x: int, *, crossover: int | None = None) -> int:
-    """Exact M(x) by the floor-quotient recursion; O(x^(2/3)) time."""
+    """Exact M(x) by the floor-quotient recursion; O(x^(2/3)) time, and
+    memory for a head of the base table of max(sqrt(x), 2^20) entries."""
     x = int(x)
     return MertensEvaluator(x, crossover=crossover).value(x)
 
@@ -256,18 +351,20 @@ def m_recursive(x: int, *, crossover: int | None = None) -> int:
 class MertensEvaluator:
     """Mertens evaluator for batches of roots up to ``max_x`` < 2^53.
 
-    The int32 base table over [0, crossover] and mu up to isqrt(max_x) are
-    built once and shared by every root.  A crossover below isqrt(max_x) is
-    raised to it, since the summation by parts reads M(q) for q <= sqrt(x)
-    off the table; one at or above 2^31 raises ValueError before anything
-    is allocated.
+    The base table over [0, crossover] is held only over its head [0, H],
+    H = min(crossover, max(isqrt(max_x), 2^20)), built once with mu up to
+    isqrt(max_x) and shared by every root; each ``value`` or ``chain`` call
+    sieves the rest, (H, crossover], one block at a time for the few reads
+    that land there.  A crossover below isqrt(max_x) is raised to it, since
+    the summation by parts reads M(q) for q <= sqrt(x) off the table; one at
+    or above 2^31 raises ValueError before anything is allocated.
     """
 
     def __init__(self, max_x: int, *, crossover: int | None = None):
         self.max_x = max_x
         self.crossover = _evaluator_crossover(max_x, crossover)
-        self.small = _mertens_table(self.crossover)
-        self._mu = _moebius_head(self.small, isqrt(max_x))
+        self.head = _mertens_table(_head_limit(max_x, self.crossover))
+        self._mu = _moebius_head(self.head, isqrt(max_x))
 
     def _root(self, x: int) -> int:
         if not 1 <= x <= self.max_x:
@@ -278,15 +375,15 @@ class MertensEvaluator:
         """M(x // j) at index j for every chain index j <= J = x // (K+1):
         C(j) = 1 - T_j - sum_{nu=2}^{J//j} C(j nu) (``_mertens_value``),
         filled from J down to 1 in O(J log J) integer adds."""
-        J = self._root(x) // self.small.size
-        T = _mertens_tails(x, np.arange(1, J + 1), self.small, self._mu)
+        J = self._root(x) // (self.crossover + 1)
+        T = _mertens_tails(x, np.arange(1, J + 1), self.crossover, self.head, self._mu)
         chain = np.concatenate(([0], 1 - T))
         for j in range(J // 2, 0, -1):
             chain[j] -= chain[2 * j :: j].sum()
         return chain
 
     def value(self, x: int) -> int:
-        return _mertens_value(self._root(x), self.small, self._mu)
+        return _mertens_value(self._root(x), self.crossover, self.head, self._mu)
 
 
 def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
@@ -306,7 +403,7 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
     for x in range(base_limit + 1, limit + 1):
         if x == base_limit + 1 or isqrt(x) ** 2 == x:  # the head grows with isqrt(x)
             mu = _moebius_head(M, isqrt(x))
-        M[x] = _mertens_value(x, M[:x], mu)
+        M[x] = _mertens_value(x, x - 1, M[:x], mu)
     return M
 
 

@@ -212,11 +212,13 @@ def big_m(x: Real) -> int:
 
 
 def g_float(x: Real) -> CertifiedFloat:
-    """Certified sum_{k<=x} mu(k)/k: the g lane's entry at x, in O(block) memory."""
+    """Certified sum_{k<=x} mu(k)/k: the g lane's entry at x, bit for bit,
+    holding one 2^20 sieve segment of mu and one 2^15 chunk of floats."""
     n = floor_arg(x)
     if n < 1:
         return ZERO
-    return _stream_at(n, lambda lo, hi: _g_terms(lo, sieve_moebius(lo, hi).values))
+    mu = _Segments(_moebius_segment, n)
+    return _stream_at(n, lambda lo, hi: _g_terms(lo, mu(lo, hi)))
 
 
 def f_value(x: Real) -> CertifiedFloat:
@@ -228,7 +230,8 @@ def f_value(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"f is defined for x >= 1, got {x}")
-    return _stream_at(n, lambda lo, hi: _f_terms(lo, sieve_moebius(lo, hi).values))
+    mu = _Segments(_moebius_segment, n)
+    return _stream_at(n, lambda lo, hi: _f_terms(lo, mu(lo, hi)))
 
 
 def theta(x: Real) -> CertifiedFloat:
@@ -236,7 +239,7 @@ def theta(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         return ZERO
-    return _stream_at(n, _theta_terms)
+    return _stream_at(n, functools.partial(_theta_terms, flags=_Segments(prime_flags, n)))
 
 
 def epsilon(x: Real) -> CertifiedFloat:
@@ -388,29 +391,31 @@ def _chunk_grid(n: int, block_size: int, chunk: int) -> Iterator[tuple[int, int]
             yield lo, min(lo + chunk - 1, bhi)
 
 
-def _prefix_stream(n: int, block_size: int, block_terms, chunk: int) -> Iterator[tuple]:
+def _prefix_stream(
+    n: int, block_size: int, block_terms, chunk: int, last_only: bool = False
+) -> Iterator[tuple]:
     """A prefix lane over [1, n] on ``_chunk_grid``, keeping only two carries.
 
     ``block_terms(lo, hi)`` gives the terms of [lo, hi] and their input errors;
-    yields (lo, values, bounds), bit for bit ``_prefix_with_err``'s entries lo..hi.
+    yields (lo, values, bounds), bit for bit ``_prefix_with_err``'s entries lo..hi
+    (with ``last_only``, only each chunk's last entry: ``_prefix_step``).
     """
     carry = local = last = None
     for lo, hi in _chunk_grid(n, block_size, chunk):
         if (lo - 1) % block_size == 0:
             carry, local = last, None
         v, e = block_terms(lo, hi)
-        local, last = _prefix_step(v, e, carry, local)
+        local, last = _prefix_step(v, e, carry, local, last_only)
         yield lo, v, e
 
 
-def _stream_at(n: int, block_terms) -> CertifiedFloat:
-    """Entry n of ``_prefix_stream`` at the default block size, finishing only
-    each block's last entry and dropping the block before building the next."""
-    carry = None
-    for lo in range(1, n + 1, DEFAULT_BLOCK_CAPACITY):
-        hi = min(lo + DEFAULT_BLOCK_CAPACITY - 1, n)
-        _, carry = _prefix_step(*block_terms(lo, hi), carry, last_only=True)
-    return CertifiedFloat(*carry)
+def _stream_at(n: int, chunk_terms) -> CertifiedFloat:
+    """Entry n of ``_prefix_stream`` at the default block size, run in
+    ``_CHUNK`` pieces that finish only their last entry: O(chunk) floats
+    at a time, and the bits of the held lane's entry n."""
+    for _, v, e in _prefix_stream(n, DEFAULT_BLOCK_CAPACITY, chunk_terms, _CHUNK, True):
+        pass
+    return CertifiedFloat(float(v[-1]), float(e[-1]))
 
 
 # -- the terms of each prefix lane over [lo, hi] and their per-term input
@@ -455,30 +460,36 @@ def _theta_terms(lo: int, hi: int, flags=prime_flags) -> tuple[np.ndarray, np.nd
     return terms, terms * (2.0 * EPS)
 
 
-class _SegmentFlags:
-    """``prime_flags(lo, hi)`` for the chunks of a stream over [1, n], which
-    ask for consecutive ranges.  A chunk inside one segment (s B, (s + 1) B]
-    of [1, n], B = DEFAULT_BLOCK_CAPACITY, is cut from that segment's flags,
-    sieved once when the stream enters it; a range across a segment edge (a
-    whole lane, or a chunk astride the edge) is sieved by itself."""
+def _moebius_segment(lo: int, hi: int) -> np.ndarray:
+    return sieve_moebius(lo, hi).values
 
-    def __init__(self, n: int):
+
+class _Segments:
+    """``sieve(lo, hi)`` (``prime_flags`` or ``_moebius_segment``) for the
+    chunks of a stream over [1, n], which ask for consecutive ranges.  A
+    chunk inside one segment (s B, (s + 1) B] of [1, n], B =
+    DEFAULT_BLOCK_CAPACITY, is cut from that segment's sieve, run once when
+    the stream enters it; a range across a segment edge (a whole lane, or a
+    chunk astride the edge) is sieved by itself."""
+
+    def __init__(self, sieve, n: int):
+        self.sieve = sieve
         self.n = n
         self.segment = -1
-        self.flags = None
+        self.values = None
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         size = DEFAULT_BLOCK_CAPACITY
         s = (lo - 1) // size
         if (hi - 1) // size != s:
-            return prime_flags(lo, hi)
+            return self.sieve(lo, hi)
         base = s * size
         if s != self.segment:
-            self.segment, self.flags = s, prime_flags(base + 1, min(base + size, self.n))
-        flags = self.flags[lo - base - 1 : hi - base]
-        if hi - base == self.flags.size:  # the stream leaves the segment
-            self.segment, self.flags = -1, None
-        return flags
+            self.segment, self.values = s, self.sieve(base + 1, min(base + size, self.n))
+        values = self.values[lo - base - 1 : hi - base]
+        if hi - base == self.values.size:  # the stream leaves the segment
+            self.segment, self.values = -1, None
+        return values
 
 
 def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -719,7 +730,7 @@ class SummatoryTables:
         the lane's terms over [lo, hi] and their input errors, with lo = 0
         (the zero pad) for the held lane."""
         if attr == "_theta":
-            return functools.partial(_theta_terms, flags=_SegmentFlags(self.limit))
+            return functools.partial(_theta_terms, flags=_Segments(prime_flags, self.limit))
         if attr == "_H":
             return _H_terms
         mu = self.mu

@@ -9,6 +9,10 @@ import pytest
 from mobsum.fast import (
     FloorValueMap,
     MertensEvaluator,
+    _mertens_table,
+    _mertens_tails,
+    _mertens_value,
+    _moebius_head,
     _quotients,
     default_crossover,
     g_recursive,
@@ -125,6 +129,60 @@ def test_mertens_value_is_the_chain_head():
         assert ev.value(x) == int(chain[1]), x
         js = np.arange(1, chain.size)
         assert np.array_equal(chain[1:], M[x // js]), x
+
+
+@pytest.mark.parametrize("q", [2**21, 2**21 + 1, 3 * 2**20, 3 * 2**20 + 1, 2**20 + 1])
+def test_mertens_reads_past_the_head_on_block_edges(q):
+    # x // 50 = q is the read nu = 50 of T_1, past the head [0, 2^20]: 50 lies
+    # in (J, x // (2^20 + 1)].  The head and the whole base table give one T_k
+    # at every chain index, and one M(x).
+    K, H, nu = 4 * 2**20, 2**20, 50
+    head, full = _mertens_table(H), _mertens_table(K)
+    for x in (q * nu, q * nu + nu - 1):
+        J = x // (K + 1)
+        assert J < nu <= x // (H + 1) and x // nu == q
+        mu = _moebius_head(head, isqrt(x))
+        ks = np.arange(1, J + 1)
+        T = _mertens_tails(x, ks, K, head, mu)
+        assert np.array_equal(T, _mertens_tails(x, ks, K, full, mu)), x
+        assert _mertens_value(x, K, head, mu) == _mertens_value(x, K, full, mu), x
+
+
+def test_m_recursive_head_only_crossover_agrees():
+    # at crossover 2^20 the head is the whole base table; the default reads
+    # (2^20, 4.6e6] past it
+    x = 10**10 + 4321
+    offset = int(sieve_moebius(10**10 + 1, x).values.sum(dtype=np.int64))
+    assert m_recursive(x, crossover=2**20) == m_recursive(x) == -33722 + offset
+
+
+def test_mertens_evaluator_past_the_head():
+    from mobsum.summatory import moebius_values_upto
+
+    top = 10**7
+    M = np.cumsum(moebius_values_upto(top), dtype=np.int32)
+    ev = MertensEvaluator(top, crossover=3 * 2**20 + 7)
+    assert ev.head.size == 2**20 + 1
+    # J = 3, 1 and 0 (x at and below the crossover, past the head and on it)
+    for x in (top, 9_999_991, 3 * 2**20 + 8, 3 * 2**20 + 7, 2**20 + 1, 2**20, 12345):
+        chain = ev.chain(x)
+        assert chain.size == x // (ev.crossover + 1) + 1
+        assert ev.value(x) == int(M[x]), x
+        js = np.arange(1, chain.size)
+        assert np.array_equal(chain[1:], M[x // js]), x
+
+
+@pytest.mark.parametrize("x, limit_mib", [(10**10, 12), (10**11, 32)])
+def test_m_recursive_memory_is_the_head(x, limit_mib):
+    # the whole int32 base table took 20.7 MiB at 10^10 and 91.2 MiB at 10^11;
+    # the head is 4 MiB, and (H, K] passes one 2^20 block at a time
+    tracemalloc.start()
+    try:
+        m_recursive(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, peak / 2**20
 
 
 def test_float_quotients_exact_below_2_53():

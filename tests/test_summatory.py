@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,32 @@ def test_harmonic_number_asymptotic_matches_direct():
 def test_harmonic_number_small_table_exact():
     hn = harmonic_number(4)
     assert abs(hn.value - 25 / 12) <= hn.err + EPS_SLOP
+
+
+# -- the point sums, streamed ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2**15, 2**15 + 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+def test_point_sums_are_the_held_lanes_bit_for_bit(n):
+    # streamed in 2^15 chunks of 2^20 blocks, each chunk finishing only its last entry
+    lanes = ("g_arrays", "f_arrays", "theta_arrays", "harmonic_arrays")
+    for point, lane in zip((g_float, f_value, theta, harmonic), lanes):
+        vals, errs = getattr(SummatoryTables(n), lane)
+        r = point(n)
+        assert (r.value.hex(), r.err.hex()) == (vals[n].hex(), errs[n].hex()), (point.__name__, n)
+
+
+def test_g_float_memory_is_one_segment():
+    # a 2^20 segment of mu and 2^15 chunks of floats; whole blocks of terms
+    # and bounds took 17.6 MiB
+    g_float(10**3)
+    tracemalloc.start()
+    try:
+        g_float(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak / 2**20
 
 
 # -- h -----------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_integers_near_2_53_and_powers_of_ten():
     _check(_neighbours([123.0, 1200.0, 99999999999999984.0]))
 
 
+def test_doubles_just_below_a_power_of_ten_are_decided():
+    # log10 rounds up to k + 1 at these, so p starts one short and is stepped
+    below = [float(10**16 - d) for d in range(2, 22, 2)]  # every double in [10^16 - 21, 10^16)
+    for x, count in ((1e-5, 4), (0.1, 2)):
+        for _ in range(count):
+            x = np.nextafter(x, 0.0)
+            below.append(x)
+    assert not _check(below + [-x for x in below]).any()
+
+
 def test_positional_and_scientific_switch_points():
     # '%.17g' is positional for -4 <= k < 17 and scientific outside; the
     # rounding of 17 digits can carry a value across the switch
