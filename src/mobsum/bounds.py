@@ -311,12 +311,10 @@ def log_square_sum_constant() -> CertifiedFloat:
     return CertifiedFloat(val, err)
 
 
-def check_tail_bound(
-    x: int, *, tables: SummatoryTables | None = None
-) -> BoundReport:
+def check_tail_bound(x: int) -> BoundReport:
     """Verify |tail(x)| <= 2 sum log(nu)/nu^2 at the single point x:
-    ``tail_bound_scan`` on [x, x] (default tables ``SummatoryTables(x)``)."""
-    return tail_bound_scan(int(x), int(x), tables=tables)
+    ``tail_bound_scan`` on [x, x]."""
+    return tail_bound_scan(int(x), int(x))
 
 
 def tail_bound_scan(
@@ -442,7 +440,6 @@ def m_over_x_convergence(
     *,
     cutoff: int = EXACTNESS_CUTOFF,
     tables: SummatoryTables | None = None,
-    prefix: ScaledMoebiusPrefix | None = None,
 ) -> ConvergenceReport:
     """Sample |M(x)|/x and locate xi; re-derive M by exact partial summation.
 
@@ -460,8 +457,7 @@ def m_over_x_convergence(
     [M] = tables._sample("_M", stride, scan_limit)
     xs = range(stride, scan_limit + 1, stride)
     exact_hi = min(scan_limit, cutoff)
-    if prefix is None or prefix.limit < exact_hi:
-        prefix = ScaledMoebiusPrefix(exact_hi)
+    prefix = ScaledMoebiusPrefix(exact_hi)
     gn = prefix.scaled_g
     sg = prefix.scaled_g_cumsum
     L = prefix.denominator
@@ -496,15 +492,15 @@ def m_over_x_convergence(
 # ---------------------------------------------------------------------------
 
 
-def gamma_oracle(n: int = 4096) -> CertifiedFloat:
-    """Euler-Mascheroni constant from H(n) - log n, asymptotically corrected.
+def gamma_oracle() -> CertifiedFloat:
+    """Euler-Mascheroni constant from H(n) - log n at n = 4096, asymptotically
+    corrected.
 
     H(n) is computed exactly (rationals) and rounded once; the correction
     series 1/(2n) - 1/(12 n^2) + 1/(120 n^4) leaves a remainder below
     1/(252 n^6).  Independent of the embedded constant.
     """
-    if n < 16:
-        raise ValueError(f"n too small for the correction series, got {n}")
+    n = 4096
     hn = Fraction(0)
     for k in range(1, n + 1):
         hn += Fraction(1, k)

@@ -322,10 +322,10 @@ def _mertens_value(x: int, K: int, M: np.ndarray, mu: np.ndarray) -> int:
     return int(M[J]) - int(np.dot(mu[ks], _mertens_tails(x, ks, K, M, mu)))
 
 
-def mertens_floor_map(x: int, *, crossover: int | None = None) -> tuple[int, FloorValueMap]:
+def mertens_floor_map(x: int) -> tuple[int, FloorValueMap]:
     """M(x) together with the populated floor-quotient memo, whose small
     side holds the whole base table [0, crossover]."""
-    ev = MertensEvaluator(int(x), crossover=crossover)
+    ev = MertensEvaluator(int(x))
     large = dict(enumerate(ev.chain(ev.max_x)[1:].tolist(), 1))
     small = _mertens_table(ev.crossover)
     fmap = FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=small, large=large)
@@ -528,9 +528,7 @@ def _g_float_batches(x: int, J: int):
     yield batch
 
 
-def g_recursive_float(
-    x: int, *, crossover: int | None = None, tables: SummatoryTables | None = None
-) -> CertifiedFloat:
+def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat:
     """Certified g(x) by the floor-quotient recursion; O(x^(2/3)) time.
 
     The sum of y = x // j over its n runs, the head nu = 2 .. m off the
@@ -544,9 +542,7 @@ def g_recursive_float(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     K = _crossover(x, crossover)
-    if tables is None or tables.limit < K:
-        tables = SummatoryTables(K)
-    gv, ge = tables.g_arrays
+    gv, ge = SummatoryTables(K).g_arrays
     J = x // (K + 1)
     if not J:
         return CertifiedFloat(float(gv[x]), float(ge[x]))
@@ -562,11 +558,7 @@ def g_recursive_float(
 
 
 def g_recursive(
-    x: int,
-    *,
-    exact: bool | None = None,
-    crossover: int | None = None,
-    cutoff: int = EXACTNESS_CUTOFF,
+    x: int, *, exact: bool | None = None, cutoff: int = EXACTNESS_CUTOFF
 ) -> Fraction | CertifiedFloat:
     """g(x) by floor-quotient recursion: exact rational at or below the
     cutoff (or when forced), certified float above."""
@@ -574,5 +566,5 @@ def g_recursive(
     if exact is None:
         exact = x <= cutoff
     if exact:
-        return g_recursive_exact(x, crossover=crossover)
-    return g_recursive_float(x, crossover=crossover)
+        return g_recursive_exact(x)
+    return g_recursive_float(x)

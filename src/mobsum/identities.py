@@ -22,8 +22,8 @@ right side run over the O(sqrt(x)) floor-quotient runs of x in the batched
 kernel of ``summatory`` (``_run_layout``, shared with the certified g
 recursion, ``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).
 
-Exact checks carry zero tolerance.  Certified checks hold when the observed
-difference is within the combined error bounds plus ``IDENTITY_TOLERANCE``.
+Exact checks carry zero tolerance.  A certified check holds exactly when
+the observed difference |lhs - rhs| is within lhs.err + rhs.err.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ from .summatory import (
     floor_arg,
     floor_div,
 )
-
-# Absolute tolerance added on top of both error bounds for certified checks;
-# an order below the worst accumulated bound at the exactness cutoff.
-IDENTITY_TOLERANCE = 1e-9
-
 
 class CutoffExceededError(ValueError):
     """Exact-only check requested above the exactness cutoff."""
@@ -242,32 +237,23 @@ def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> Cert
     return CertifiedFloat(-float(np.sum(terms)), err)
 
 
-def prime_power_tail(x: Real, *, tables: SummatoryTables | None = None) -> CertifiedFloat:
+def prime_power_tail(x: Real) -> CertifiedFloat:
     """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i),
-    summed by ``tables.tail_certified`` (default ``SummatoryTables(x)``)."""
+    summed by ``SummatoryTables(floor(x)).tail_certified``."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if tables is None:
-        tables = SummatoryTables(n)
-    return tables.tail_certified(n)
+    return SummatoryTables(n).tail_certified(n)
 
 
-def decomposition_check(
-    x: Real,
-    *,
-    tables: SummatoryTables | None = None,
-    tolerance: float = IDENTITY_TOLERANCE,
-) -> IdentityCheck:
+def decomposition_check(x: Real, *, tables: SummatoryTables | None = None) -> IdentityCheck:
     """Certified check of f(x) = -h(x) - tail(x): ``decomposition_scan`` on
     [floor(x), floor(x)] (default tables: ``SummatoryTables(floor(x))``)."""
     n = floor_arg(x)
-    return decomposition_scan(n, n, tables=tables, tolerance=tolerance)[0]
+    return decomposition_scan(n, n, tables=tables)[0]
 
 
-def _certified_check(
-    name: str, x: int, lhs: CertifiedFloat, rhs: CertifiedFloat, tolerance: float
-) -> IdentityCheck:
+def _certified_check(name: str, x: int, lhs: CertifiedFloat, rhs: CertifiedFloat) -> IdentityCheck:
     delta = abs(lhs.value - rhs.value)
     budget = lhs.err + rhs.err
     return IdentityCheck(
@@ -275,7 +261,7 @@ def _certified_check(
         x=x,
         lhs=lhs,
         rhs=rhs,
-        holds=delta <= budget + tolerance,
+        holds=delta <= budget,
         slack=delta + budget,
     )
 
@@ -285,12 +271,7 @@ def _certified_check(
 # ---------------------------------------------------------------------------
 
 
-def abel_rearrangement_check(
-    x: Real,
-    *,
-    tables: SummatoryTables | None = None,
-    tolerance: float = IDENTITY_TOLERANCE,
-) -> IdentityCheck:
+def abel_rearrangement_check(x: Real, *, tables: SummatoryTables | None = None) -> IdentityCheck:
     """Certified check of the rearranged form of h(x) - 1.
 
     The right side is  sum_{nu<=x} eps(nu) (g(x/nu) - g(x/(nu+1)))
@@ -304,7 +285,7 @@ def abel_rearrangement_check(
         raise ValueError(f"x must be >= 1, got {x}")
     if floor_div(x, n + 1) != 0:
         raise AssertionError(f"boundary argument floor(x/(n+1)) nonzero at x = {x}")
-    return abel_scan(n, n, tables=tables, tolerance=tolerance)[0]
+    return abel_scan(n, n, tables=tables)[0]
 
 
 def _abel_rhs(
@@ -355,11 +336,7 @@ def _abel_rhs(
 
 
 def decomposition_scan(
-    lo: int,
-    hi: int,
-    *,
-    tables: SummatoryTables | None = None,
-    tolerance: float = IDENTITY_TOLERANCE,
+    lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
     """decomposition_check at every integer in [lo, hi].
 
@@ -383,16 +360,12 @@ def decomposition_scan(
         rhs = CertifiedFloat(
             float(rv), float((he[i] + te[i] + 2.0 * EPS * abs(rv)) * _HEADROOM)
         )
-        out.append(_certified_check("prime_decomposition", x, lhs, rhs, tolerance))
+        out.append(_certified_check("prime_decomposition", x, lhs, rhs))
     return out
 
 
 def abel_scan(
-    lo: int,
-    hi: int,
-    *,
-    tables: SummatoryTables | None = None,
-    tolerance: float = IDENTITY_TOLERANCE,
+    lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
     """abel_rearrangement_check at every integer in [lo, hi].
 
@@ -413,5 +386,5 @@ def abel_scan(
     for i, x in enumerate(range(lo, hi + 1)):
         lhs = CertifiedFloat(float(hv[x]), float(he[x])).add_exact(-1.0)
         rhs = CertifiedFloat(float(rv[i]), float(rerr[i]))
-        out.append(_certified_check("abel_rearrangement", x, lhs, rhs, tolerance))
+        out.append(_certified_check("abel_rearrangement", x, lhs, rhs))
     return out

@@ -142,13 +142,12 @@ class ScaledMoebiusPrefix:
     what the exact identity checks consume.
     """
 
-    def __init__(self, limit: int, mu: np.ndarray | None = None):
+    def __init__(self, limit: int):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
         self.denominator = lcm_upto(limit)
-        if mu is None:
-            mu = moebius_values_upto(limit)
+        mu = moebius_values_upto(limit)
         L = self.denominator
         gn = [0] * (limit + 1)
         acc = 0
@@ -1018,6 +1017,7 @@ def series_scan(
 _H_SMALL_LIMIT = 512
 
 
+@functools.lru_cache(maxsize=1)
 def _build_small_harmonic() -> tuple[np.ndarray, np.ndarray]:
     vals = [ZERO]
     acc = Fraction(0)
@@ -1025,9 +1025,6 @@ def _build_small_harmonic() -> tuple[np.ndarray, np.ndarray]:
         acc += Fraction(1, k)
         vals.append(from_exact(acc))
     return np.array([c.value for c in vals]), np.array([c.err for c in vals])
-
-
-_H_SMALL: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _harmonic_arrays(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1038,16 +1035,14 @@ def _harmonic_arrays(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0 < r_n < 1/(252 n^6); the published error covers the remainder interval
     plus evaluation rounding.
     """
-    global _H_SMALL
-    if _H_SMALL is None:
-        _H_SMALL = _build_small_harmonic()
+    hv, he = _build_small_harmonic()
     nf = np.maximum(n, _H_SMALL_LIMIT).astype(np.float64)
     rem = 1.0 / (252.0 * nf**6)
     v = np.log(nf) + EULER_GAMMA + 0.5 / nf - 1.0 / (12.0 * nf * nf) + 1.0 / (120.0 * nf**4)
     v -= 0.5 * rem
     err = (0.5 * rem + 8.0 * EPS * np.abs(v)) * _HEADROOM
     small = np.flatnonzero(n <= _H_SMALL_LIMIT)
-    v[small], err[small] = _H_SMALL[0][n[small]], _H_SMALL[1][n[small]]
+    v[small], err[small] = hv[n[small]], he[n[small]]
     return v, err
 
 

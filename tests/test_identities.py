@@ -262,6 +262,28 @@ def test_abel_scan_holds(tables_2k):
     assert max(c.slack for c in checks) < 1e-9
 
 
+@pytest.mark.parametrize("x", [2, 1000, 2000])
+@pytest.mark.parametrize(
+    "check, lane",
+    [(decomposition_check, ("f_arrays", "_f")), (abel_rearrangement_check, ("h_arrays", "_h"))],
+)
+def test_certified_check_holds_exactly_within_its_bounds(check, lane, x, tables_2k, monkeypatch):
+    # the left side's lane entry at x is set 1e-12 outside, then 1e-12
+    # inside, lhs.err + rhs.err of the check; with an entry error of 1e-10
+    # the 1e-12 stays far above the rounding of the shifted value
+    prop, attr = lane
+    v, e = (a.copy() for a in getattr(tables_2k, prop))
+    monkeypatch.setattr(tables_2k, attr, (v, e))
+    e[x] = 1e-10
+    for shift, holds in ((1e-12, False), (-1e-12, True)):
+        c = check(x, tables=tables_2k)
+        v[x] += c.rhs.value - c.lhs.value + c.lhs.err + c.rhs.err + shift
+        c = check(x, tables=tables_2k)
+        assert c.holds is holds, shift
+        excess = abs(c.lhs.value - c.rhs.value) - (c.lhs.err + c.rhs.err)
+        assert abs(excess - shift) < 1e-14, excess
+
+
 def test_abel_brute_force_cross_check():
     # term-by-term with scalar operations, no shared tables
     from mobsum.summatory import epsilon
