@@ -146,6 +146,13 @@ def _report(
     )
 
 
+def _scan_tables(lo: int, hi: int, tables: SummatoryTables | None) -> SummatoryTables:
+    """The tables a bound scan of [lo, hi] reads, once the range checks out."""
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    return SummatoryTables._covering(tables, hi)
+
+
 def _scan(chunks, strict: bool = False) -> tuple[list, list, float]:
     """``_classify`` over consecutive chunks (a, lhs, lhs_err, rhs, rhs_err) of
     a range, in ascending x.  The lists come back in ascending x, and the max
@@ -182,8 +189,7 @@ def check_g_bound(
     max_ratio = 0.0
     exact_hi = min(hi, cutoff)
     if lo <= exact_hi:
-        if prefix is None or prefix.limit < exact_hi:
-            prefix = ScaledMoebiusPrefix(exact_hi)
+        prefix = ScaledMoebiusPrefix._covering(prefix, exact_hi)
         L = prefix.denominator
         gn = prefix.scaled_g
         worst = 0
@@ -195,8 +201,7 @@ def check_g_bound(
                 violations.append((x, float(Fraction(gn[x], L)), 1.0))
         max_ratio = float(Fraction(worst, L))
     if hi > exact_hi:
-        if tables is None or tables.limit < hi:
-            tables = SummatoryTables(hi)
+        tables = SummatoryTables._covering(tables, hi)
         chunks = tables._chunks("_g", max(lo, exact_hi + 1), hi, _SCAN_CHUNK)
         v, u, r = _scan((a, np.abs(g), e, 1.0, 0.0) for a, g, e in chunks)
         violations += v
@@ -210,10 +215,7 @@ def check_mangoldt_bound(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
     """Verify |log(x) g(x) - f(x)| <= 3 + gamma on [lo, hi], certified."""
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None or tables.limit < hi:
-        tables = SummatoryTables(hi)
+    tables = _scan_tables(lo, hi, tables)
     rhs = 3.0 + EULER_GAMMA
     rhs_err = 2.0 * EPS * rhs
 
@@ -238,10 +240,7 @@ def check_theta_bounds(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
     """Verify 0 <= theta(x) < 2x (so |eps(x)| <= 1 with eps > -1 off x=1), certified."""
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None or tables.limit < hi:
-        tables = SummatoryTables(hi)
+    tables = _scan_tables(lo, hi, tables)
     # non-negativity (eps >= -1): the terms are >= 0 and err is a small
     # multiple of th, so th - err only dips below zero if the scan is broken
     negative = []
@@ -261,10 +260,7 @@ def check_harmonic_bound(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
     """Verify sum_{k<=x} 1/k <= log(x) + 1 on [lo, hi], certified."""
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None or tables.limit < hi:
-        tables = SummatoryTables(hi)
+    tables = _scan_tables(lo, hi, tables)
 
     def chunks() -> Iterator[tuple]:
         for a, h, he in tables._chunks("_H", lo, hi, _SCAN_CHUNK):
@@ -325,10 +321,7 @@ def tail_bound_scan(
     The tail comes from the increment lane ``tail_arrays`` (or its stream),
     which costs about 0.77 hi adds, not from the run sums of ``tail_certified``.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None or tables.limit < hi:
-        tables = SummatoryTables(hi)
+    tables = _scan_tables(lo, hi, tables)
     c = log_square_sum_constant()
     rhs = 2.0 * c.value
     rhs_err = (2.0 * c.err + EPS * 2.0 * c.value) * _HEADROOM
@@ -343,6 +336,20 @@ def tail_bound_scan(
 # ---------------------------------------------------------------------------
 
 
+def _convergence_tables(
+    delta: float, scan_limit: int, stride: int, tables: SummatoryTables | None
+) -> SummatoryTables:
+    """The tables a convergence report over [1, scan_limit] reads, once its
+    arguments check out."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if scan_limit < 2:
+        raise ValueError(f"scan_limit must be >= 2, got {scan_limit}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return SummatoryTables._covering(tables, scan_limit)
+
+
 def empirical_G(
     delta: float, scan_limit: int, *, tables: SummatoryTables | None = None
 ) -> ConvergenceReport:
@@ -351,12 +358,7 @@ def empirical_G(
     Empirical up to scan_limit only; G is None when even the suffix {scan_limit}
     fails.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if scan_limit < 2:
-        raise ValueError(f"scan_limit must be >= 2, got {scan_limit}")
-    if tables is None or tables.limit < scan_limit:
-        tables = SummatoryTables(scan_limit)
+    tables = _convergence_tables(delta, scan_limit, 1, tables)
     bound = delta / 3.0
     G, eps_G = 1, None
     for a, ev, ee in tables._chunks("_eps", 1, scan_limit, _SCAN_CHUNK):
@@ -393,14 +395,7 @@ def h_convergence(
     empirical_G(delta, scan_limit); the envelope holds wherever the eps
     threshold was certified, i.e. on the scanned range.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if scan_limit < 2:
-        raise ValueError(f"scan_limit must be >= 2, got {scan_limit}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if tables is None or tables.limit < scan_limit:
-        tables = SummatoryTables(scan_limit)
+    tables = _convergence_tables(delta, scan_limit, stride, tables)
     G = empirical_G(delta, scan_limit, tables=tables).G
     hv, he = tables._sample("_h", stride, scan_limit)
     xs = range(stride, scan_limit + 1, stride)
@@ -446,14 +441,7 @@ def m_over_x_convergence(
     At every sample x at or below the cutoff, M(x) = -sum_{k<x} g(k)
     + g(x) floor(x) is checked exactly in scaled integers (zero tolerance).
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if scan_limit < 2:
-        raise ValueError(f"scan_limit must be >= 2, got {scan_limit}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if tables is None or tables.limit < scan_limit:
-        tables = SummatoryTables(scan_limit)
+    tables = _convergence_tables(delta, scan_limit, stride, tables)
     [M] = tables._sample("_M", stride, scan_limit)
     xs = range(stride, scan_limit + 1, stride)
     exact_hi = min(scan_limit, cutoff)

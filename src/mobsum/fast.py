@@ -437,10 +437,7 @@ def g_recursive_exact(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     K = _crossover(x, crossover)
-    if tables is None:
-        tables = ScaledMoebiusPrefix(x)
-    elif tables.limit < x:
-        raise ValueError(f"tables cover [1, {tables.limit}] < x = {x}")
+    tables = ScaledMoebiusPrefix._covering(tables, x)
     L = tables.denominator
     J = x // (K + 1)
     chain = [0] * (J + 1)

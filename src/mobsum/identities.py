@@ -13,14 +13,14 @@ Verified here, each at a single evaluation point x:
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
     the i >= 2 prime powers;
   * the summation-by-parts rearrangement of h(x) - 1 over the increments of
-    theta, including the boundary fact g(x/(floor(x)+1)) = 0, its left side
-    read from the h prefix lane.
+    theta, its left side read from the h prefix lane.
 
 The decomposition and rearrangement checks at a point are their scans on
-[x, x].  The sums sum_nu w(nu) g(x/nu) behind h, the tail and the rearranged
-right side run over the O(sqrt(x)) floor-quotient runs of x in the batched
-kernel of ``summatory`` (``_run_layout``, shared with the certified g
-recursion, ``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).
+[x, x].  The sums sum_nu w(nu) g(x/nu) behind the decomposition's h and
+tail and the rearranged right side run over the O(sqrt(x)) floor-quotient
+runs of x in the batched kernel of ``summatory`` (``_run_layout``, shared
+with the certified g recursion, ``_run_terms`` and ``_reduce_runs``), so
+both scans cost O(hi^1.5).  ``prime_power_tail`` is the tail lane's entry.
 
 Exact checks carry zero tolerance.  A certified check holds exactly when
 the observed difference |lhs - rhs| is within lhs.err + rhs.err.
@@ -47,7 +47,6 @@ from .summatory import (
     _run_batches,
     _run_terms,
     floor_arg,
-    floor_div,
 )
 
 class CutoffExceededError(ValueError):
@@ -125,14 +124,9 @@ def gram_identity(
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if prefix is None:
-        if n > cutoff:
-            raise CutoffExceededError(
-                f"exact check at x = {n} exceeds cutoff {cutoff}"
-            )
-        prefix = ScaledMoebiusPrefix(n)
-    elif n > prefix.limit:
-        raise ValueError(f"prefix covers [1, {prefix.limit}] < x = {n}")
+    if prefix is None and n > cutoff:
+        raise CutoffExceededError(f"exact check at x = {n} exceeds cutoff {cutoff}")
+    prefix = ScaledMoebiusPrefix._covering(prefix, n)
     # the nu = 1 term L * g(n) L plus the g recursion's own sum over nu >= 2
     ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, 1, n, prefix, [])
     return _unit_check(n, ssum, prefix.denominator * prefix.denominator)
@@ -175,10 +169,7 @@ def gram_scan(
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    if prefix is None:
-        prefix = ScaledMoebiusPrefix(hi)
-    elif hi > prefix.limit:
-        raise ValueError(f"prefix covers [1, {prefix.limit}] < hi = {hi}")
+    prefix = ScaledMoebiusPrefix._covering(prefix, hi)
     gl = prefix.scaled_g
     L = prefix.denominator
     acc = [0] * (hi + 1)
@@ -222,10 +213,7 @@ def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> Cert
     if p > n:
         raise ValueError(f"need p <= x, got p = {p}, x = {x}")
     top = n // p
-    if tables is None:
-        tables = SummatoryTables(top)
-    elif tables.limit < top:
-        raise ValueError(f"tables cover [1, {tables.limit}] < floor(x/p) = {top}")
+    tables = SummatoryTables._covering(tables, top)
     # p^i <= n needs i < n.bit_length()
     mods = np.array([p**i for i in range(1, n.bit_length()) if p**i <= n], dtype=np.int64)
     w = 1.0 / mods  # one rounding each
@@ -238,12 +226,14 @@ def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> Cert
 
 
 def prime_power_tail(x: Real) -> CertifiedFloat:
-    """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i),
-    summed by ``SummatoryTables(floor(x)).tail_certified``."""
+    """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i), the
+    tail lane's entry at floor(x), bit for bit, streamed one 2^15 chunk at a
+    time by ``SummatoryTables(floor(x))``."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    return SummatoryTables(n).tail_certified(n)
+    [v], [e] = SummatoryTables(n)._sample("_tail", n, n)
+    return CertifiedFloat(float(v), float(e))
 
 
 def decomposition_check(x: Real, *, tables: SummatoryTables | None = None) -> IdentityCheck:
@@ -276,15 +266,12 @@ def abel_rearrangement_check(x: Real, *, tables: SummatoryTables | None = None) 
 
     The right side is  sum_{nu<=x} eps(nu) (g(x/nu) - g(x/(nu+1)))
     + sum_{nu<=x-1} eps(nu)/(nu+1) g(x/(nu+1)); the boundary term vanishes
-    because x/(floor(x)+1) < 1, which is asserted explicitly.  It is
-    ``abel_scan`` on [floor(x), floor(x)]; see there for how both sides are
-    evaluated.
+    because x/(floor(x)+1) < 1.  It is ``abel_scan`` on [floor(x), floor(x)];
+    see there for how both sides are evaluated.
     """
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if floor_div(x, n + 1) != 0:
-        raise AssertionError(f"boundary argument floor(x/(n+1)) nonzero at x = {x}")
     return abel_scan(n, n, tables=tables)[0]
 
 
@@ -347,10 +334,7 @@ def decomposition_scan(
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None:
-        tables = SummatoryTables(hi)
-    elif tables.limit < hi:
-        raise ValueError(f"tables cover [1, {tables.limit}] < x = {hi}")
+    tables = SummatoryTables._covering(tables, hi)
     fv, fe = tables.f_arrays
     (hv, he), (tv, te) = tables._run_sums(lo, hi, tables.P_arrays, tables.T_arrays)
     out = []
@@ -376,10 +360,7 @@ def abel_scan(
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    if tables is None:
-        tables = SummatoryTables(hi)
-    elif tables.limit < hi:
-        raise ValueError(f"tables cover [1, {tables.limit}] < x = {hi}")
+    tables = SummatoryTables._covering(tables, hi)
     rv, rerr = _abel_rhs(lo, hi, tables)
     hv, he = tables.h_arrays
     out = []

@@ -20,6 +20,15 @@ the scan-style consumers.  Bound scans, ``series_scan`` and the convergence
 reports read them chunk by chunk (``SummatoryTables._chunks``), streamed
 with the bits of the held lanes, so only the int8 mu lane is full length.
 All tables are immutable after construction and safe to share read-only.
+
+Each quantity has one definition of its terms and error bound: the point
+functions ``g_float``, ``f_value``, ``theta``, ``harmonic``, ``epsilon`` and
+``h_direct`` (and ``identities.prime_power_tail``) return their lane's entry
+at floor(x), bit for bit, streamed the same way.
+
+A function that takes a caller's ``tables=`` or ``prefix=`` reads them when
+they cover the range it needs, builds its own when given None and raises
+``ValueError`` when they cover less (``_Table._covering``).
 """
 
 from __future__ import annotations
@@ -74,18 +83,6 @@ def floor_arg(x: Real) -> int:
     return n
 
 
-def _exact_ratio(x: Real) -> Fraction:
-    """The argument as an exact rational (floats via their binary expansion)."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def floor_div(x: Real, d: int) -> int:
-    """floor(x / d) computed exactly for int, float, or Fraction x."""
-    if isinstance(x, (int, np.integer)):
-        return int(x) // d
-    return math.floor(_exact_ratio(x) / d)
-
-
 # ---------------------------------------------------------------------------
 # Exact prefix tables over a common denominator
 # ---------------------------------------------------------------------------
@@ -133,7 +130,22 @@ def _prefix_lane(attr: str) -> property:
     return _lane(attr)(build)
 
 
-class ScaledMoebiusPrefix:
+class _Table:
+    """A table over [1, limit], built by ``cls(limit)``."""
+
+    @classmethod
+    def _covering(cls, given, limit: int):
+        """The tables a function reads over [1, limit] when its caller passes
+        ``given``: ``given`` itself if it covers that range, new tables if it
+        is None; raises ``ValueError``, building nothing, if it covers less."""
+        if given is None:
+            return cls(limit)
+        if given.limit < limit:
+            raise ValueError(f"{cls.__name__} covers [1, {given.limit}] < {limit}")
+        return given
+
+
+class ScaledMoebiusPrefix(_Table):
     """Exact prefix sums of mu(k)/k, scaled by L = lcm(1..limit).
 
     ``scaled_g[k] = g(k) * L`` is an integer for every k <= limit, so the
@@ -242,17 +254,20 @@ def theta(x: Real) -> CertifiedFloat:
 
 
 def epsilon(x: Real) -> CertifiedFloat:
-    """Relative deviation theta(x)/x - 1; by convention 0 at x = 0."""
-    xr = _exact_ratio(x)
+    """Relative deviation theta(x)/x - 1; by convention 0 at x = 0.  At a
+    double x it is ``_eps`` over theta's entry, so at an integer the eps
+    lane's entry, bit for bit."""
+    xr = x if isinstance(x, Fraction) else Fraction(x)  # floats exactly
     if xr == 0:
         return ZERO
     if xr < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     th = theta(x)
     xf = float(xr)
-    if xf == xr:
-        return th.div_exact(xf).add_exact(-1.0)
-    return th.mul(from_exact(1 / xr)).add_exact(-1.0)
+    if xf != xr:
+        return th.mul(from_exact(1 / xr)).add_exact(-1.0)
+    [v], [e] = _eps(np.array([xf]), np.array([th.value]), np.array([th.err]))
+    return CertifiedFloat(float(v), float(e))
 
 
 def harmonic(x: Real) -> CertifiedFloat:
@@ -264,14 +279,14 @@ def harmonic(x: Real) -> CertifiedFloat:
 
 
 def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFloat:
-    """h(x) = sum_{p<=x} (log p / p) g(x/p), certified: ``tables.h_certified``
-    on ``SummatoryTables(floor(x))`` unless scan consumers share ``tables``."""
+    """h(x) = sum_{p<=x} (log p / p) g(x/p), certified: the h lane's entry at
+    floor(x), bit for bit, sliced from ``tables`` if they hold the lane and
+    else streamed (``SummatoryTables._sample``), one 2^15 chunk at a time."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"h is defined for x >= 1, got {x}")
-    if tables is None:
-        tables = SummatoryTables(n)
-    return tables.h_certified(n)
+    [v], [e] = SummatoryTables._covering(tables, n)._sample("_h", n, n)
+    return CertifiedFloat(float(v), float(e))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +616,7 @@ def _running_sums(mu: np.ndarray, grid: Iterator[tuple[int, int]]) -> Iterator[t
         yield a, m
 
 
-class SummatoryTables:
+class SummatoryTables(_Table):
     """Shared certified prefix tables over [1, limit].
 
     Lazily built lanes (each an array indexed by x, position 0 a zero pad):
@@ -621,11 +636,12 @@ class SummatoryTables:
 
     The h and tail lanes are h(x) and the prime-power tail summed by their
     increments, which need only mu; h's increment is minus f's and the
-    tail's (``_h_terms``).  ``h_certified``, ``tail_certified`` and
+    tail's (``_h_terms``).  ``h_direct`` and ``identities.prime_power_tail``
+    return their entries.  ``h_certified``, ``tail_certified`` and
     ``_run_sums`` (at every x of a range) sum the same quantities from the g
     lane instead, over the floor-quotient runs of x with the weight lanes P
-    and T; the decomposition check f = -h - tail needs that form, because
-    summed by increments it holds by construction and would check nothing.
+    and T: the independent side of the decomposition check f = -h - tail,
+    which summed by increments holds by construction and checks nothing.
 
     ``block_size`` is the length of one ``np.cumsum`` in the prefix lanes; it
     changes their low-order bits, and above ``MAX_PREFIX_BLOCK`` (2^28) the
@@ -992,17 +1008,14 @@ def series_scan(
     """Sample records at multiples of ``stride``, with the bits of the table
     lanes there, gathered chunk by chunk (``SummatoryTables._sample``).
 
-    Each record agrees with the pointwise operations: exactly for the integer
-    lanes, within combined error bounds for the certified lanes.  h comes
-    from the increment lane ``h_arrays``, not from per-sample run sums, so its
-    low-order bits differ from ``h_certified``'s while the intervals overlap.
+    Each record is the pointwise operations' values and bounds, bit for bit
+    (M exactly).  h comes from the increment lane ``h_arrays``, not from
+    per-sample run sums, so its low-order bits differ from ``h_certified``'s
+    while the intervals overlap.
     """
     if limit < 1 or stride < 1:
         raise ValueError(f"need limit >= 1 and stride >= 1, got {limit}, {stride}")
-    if tables is None:
-        tables = SummatoryTables(limit)
-    elif tables.limit < limit:
-        raise ValueError(f"tables cover [1, {tables.limit}] < limit {limit}")
+    tables = SummatoryTables._covering(tables, limit)
     xs = np.arange(stride, limit + 1, stride, dtype=np.int64)
     lanes = ("_g", "_f", "_theta", "_h", "_M")
     g, f, theta, h, M = (tables._sample(a, stride, limit) for a in lanes)

@@ -21,7 +21,7 @@ from mobsum.bounds import (
 )
 from mobsum.certified import EULER_GAMMA
 from mobsum.cli import _check_row, _fmt
-from mobsum.summatory import SummatoryTables
+from mobsum.summatory import ScaledMoebiusPrefix, SummatoryTables
 
 
 def test_g_bound_examples():
@@ -299,3 +299,79 @@ def test_scan_nan_lane_entry_fails_with_nan_max(scan, x, tables_20k, monkeypatch
     counts = (r.checked, len(r.violations), len(r.indeterminate))
     row, ok = _check_row(r.name, r.lo, r.hi, *counts, _fmt(r.max_ratio), r.note)
     assert row[4:8] == ["0", "1", "nan", "FAIL"] and not ok
+
+
+# -- the tables a caller passes in
+
+# each function that takes a caller's tables or prefix, over [1, 300] with
+# its exact part (cutoff 20) where it has one
+_SITES = {
+    "g_bound": lambda t, p: check_g_bound(1, 300, cutoff=20, tables=t, prefix=p),
+    "mangoldt": lambda t, p: check_mangoldt_bound(1, 300, tables=t),
+    "theta": lambda t, p: check_theta_bounds(1, 300, tables=t),
+    "harmonic": lambda t, p: check_harmonic_bound(1, 300, tables=t),
+    "tail": lambda t, p: tail_bound_scan(1, 300, tables=t),
+    "empirical_G": lambda t, p: empirical_G(0.3, 300, tables=t),
+    "h_convergence": lambda t, p: h_convergence(0.3, 300, 7, tables=t),
+    "m_over_x": lambda t, p: m_over_x_convergence(0.3, 300, 7, cutoff=20, tables=t),
+}
+
+
+def _build_nothing(monkeypatch) -> None:
+    """Make any table construction fail, for the rest of this test."""
+
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(SummatoryTables, "__init__", built)
+    monkeypatch.setattr(ScaledMoebiusPrefix, "__init__", built)
+
+
+@pytest.mark.parametrize(
+    "site,short", [(s, "tables") for s in sorted(_SITES)] + [("g_bound", "prefix")]
+)
+def test_undersized_tables_are_refused_and_none_builds_its_own(site, short, monkeypatch):
+    # tables covering the range are read, None builds the same, and tables
+    # that cover less raise ValueError before anything is built
+    call = _SITES[site]
+    tables, prefix = SummatoryTables(300), ScaledMoebiusPrefix(20)
+    assert call(None, None) == call(tables, prefix)
+    if short == "tables":
+        tables = SummatoryTables(299)
+    else:
+        prefix = ScaledMoebiusPrefix(19)
+    _build_nothing(monkeypatch)
+    with pytest.raises(ValueError):
+        call(tables, prefix)
+
+
+def test_g_bound_exact_part_reports_violations(monkeypatch):
+    prefix = ScaledMoebiusPrefix(100)
+    L = prefix.denominator
+    gn = list(prefix.scaled_g)
+    gn[37], gn[50] = 2 * L, -3 * L
+    monkeypatch.setattr(prefix, "scaled_g", gn)
+    r = check_g_bound(1, 100, prefix=prefix)
+    assert r.violations == [(37, 2.0, 1.0), (50, -3.0, 1.0)]
+    assert r.max_ratio == 3.0 and not r.passed
+
+
+def test_h_convergence_envelope_fails_on_a_spike(monkeypatch):
+    tables = SummatoryTables(2000)
+    v, e = (a.copy() for a in tables.h_arrays)
+    v[1000] = 1e6
+    monkeypatch.setattr(tables, "_h", (v, e))
+    rep = h_convergence(0.9, 2000, 50, tables=tables)
+    assert rep.G is not None and rep.bound_ok is False
+
+
+def test_m_over_x_partial_summation_fails_on_a_wrong_mu(monkeypatch):
+    # M is summed from the tables' mu, the exact side from a prefix of its own
+    tables = SummatoryTables(2000)
+    mu = tables.mu.copy()
+    assert mu[1000] == 0
+    mu[1000] = 1
+    monkeypatch.setattr(tables, "_mu", mu)
+    assert m_over_x_convergence(0.5, 2000, 13, tables=tables).abel_ok is False
+    monkeypatch.undo()
+    assert m_over_x_convergence(0.5, 2000, 13, tables=tables).abel_ok is True

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import mobsum
 from mobsum.cli import _TABLE_HEADER, _TABLE_ROW, main
-from mobsum.summatory import SummatoryTables, series_scan
+from mobsum.summatory import SummatoryTables, g_exact, series_scan
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -122,6 +124,41 @@ def test_fast_crosscheck(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("quantity,recursive,direct,agrees")
     assert all(r.split(",")[3] == "true" for r in lines[1:])
+
+
+def test_fast_at_the_cutoff_checks_g_exactly(capsys):
+    # at or below --cutoff both sides of g are exact rationals, shown rounded
+    code, out = _run(capsys, "fast", "--limit", "1000", "--cutoff", "1000")
+    assert code == 0
+    rows = [r.split(",")[:4] for r in out.splitlines()[1:]]
+    assert rows[0] == ["M(1000)", "2", "2", "true"]
+    assert rows[1][0] == "g(1000)" and rows[1][1] == rows[1][2] and rows[1][3] == "true"
+    assert float(rows[1][1]) == float(g_exact(1000))
+
+
+# the SHA-256 of the CSVs of scripts/golden_csvs.py's configurations, in order
+_GOLDEN = [
+    "dd8bae27602f327793c9a25683b68ecb6316d162486bc2ba09f8809115c844af",  # verify 1e5
+    "a4af5ec1766f6187f1c4d5d3f9d71cbc959de3c1578cdeaddcb9d0211d06b606",  # verify 5e5 cutoff 200
+    "d6a7edff194ac91f24bb28776430aa8d5925f7af5e8344408a9026c4e01f742e",  # table 2e5 stride 20
+    "9ebcbf92dff3e73e3e81c742e56796c56aec11ca15039116b36fe0a58bee5295",  # table 1e4 stride 1
+    "690719ad6b3487a046dd5e4f7b1c0a3e7bafdc905c0637e8cc19e00447042589",  # converge 1e5 stride 100
+    "a75bf88506171310685e2fcd0092901adfcd96f8d9527685402286621ff60db5",  # converge 2e4 stride 1
+]
+
+
+def test_golden_csvs_are_byte_identical(tmp_path):
+    # the CSVs that scripts/golden_csvs.py prints the digests of, made in process
+    script = Path(mobsum.__file__).resolve().parents[2] / "scripts" / "golden_csvs.py"
+    spec = importlib.util.spec_from_file_location("golden_csvs", script)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    out = tmp_path / "out.csv"
+    digests = []
+    for args in golden.CONFIGS:
+        assert main([*args, "--out", str(out)]) == 0, args
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == _GOLDEN
 
 
 def test_bench_runs(capsys):

@@ -1,14 +1,25 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mobsum.certified import EPS, CertifiedFloat, _HEADROOM
+from mobsum.fast import g_recursive_exact
+from mobsum.identities import (
+    abel_scan,
+    capital_f,
+    decomposition_scan,
+    gram_identity,
+    gram_scan,
+    prime_power_tail,
+)
 from mobsum.sieve import DEFAULT_BLOCK_CAPACITY, _primes_upto
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
+    SummatorySeries,
     SummatoryTables,
     big_m,
     epsilon,
@@ -425,3 +436,90 @@ def test_tables_limit_validation(tables_2k):
         tables_2k.h_certified(2001)
     with pytest.raises(ValueError):
         SummatoryTables(0)
+
+
+# -- h, the tail and eps at a point are their lanes' entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**15, 2**15 + 1, 2**20 + 1])
+def test_h_tail_and_eps_points_are_the_held_lanes_bit_for_bit(n):
+    t = SummatoryTables(n)
+    lanes = ("h_arrays", "tail_arrays", "eps_arrays")
+    for point, lane in zip((h_direct, prime_power_tail, epsilon), lanes):
+        vals, errs = getattr(t, lane)
+        r = point(n)
+        assert (r.value.hex(), r.err.hex()) == (vals[n].hex(), errs[n].hex()), (point.__name__, n)
+
+
+def test_h_and_eps_points_are_the_table_cells():
+    # the rows of table --limit 200000 --stride 20, and the run sums of h and
+    # the tail, which share no sum with the lanes, overlap them
+    s = series_scan(200000, 20)
+    t = SummatoryTables(200000)
+    for i in [*range(0, len(s), 333), len(s) - 1]:
+        rec = s.record(i)
+        x = rec.x
+        assert h_direct(x) == rec.h and epsilon(x) == rec.epsilon, x
+        hc = t.h_certified(x)
+        assert abs(hc.value - rec.h.value) <= hc.err + rec.h.err, x
+        tc, tp = t.tail_certified(x), prime_power_tail(x)
+        assert abs(tc.value - tp.value) <= tc.err + tp.err, x
+
+
+@pytest.mark.parametrize("point", [h_direct, prime_power_tail], ids=lambda f: f.__name__)
+def test_h_and_tail_points_stream_their_lanes(point):
+    # the int8 mu lane and 2^15 chunks; run sums over full g and weight
+    # lanes traced about 130 MiB at 4e6
+    point(10**3)
+    tracemalloc.start()
+    try:
+        point(4 * 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+def test_epsilon_at_a_rational_that_is_no_double():
+    x = Fraction(10, 3)
+    r = epsilon(x)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Fraction(Decimal(6).ln() * 3 / 10 - 1)  # theta(10/3) = log 6
+    assert r.err > 0.0
+    assert abs(Fraction(r.value) - exact) <= Fraction(r.err)
+
+
+# -- the tables a caller passes in
+
+_SITES = {
+    "h_direct": lambda t, p: h_direct(300, tables=t),
+    "series_scan": lambda t, p: series_scan(300, 7, tables=t),
+    "gram_identity": lambda t, p: gram_identity(300, prefix=p),
+    "gram_scan": lambda t, p: gram_scan(1, 300, prefix=p),
+    "capital_f": lambda t, p: capital_f(2, 601, tables=t),  # reads g to 300
+    "decomposition_scan": lambda t, p: decomposition_scan(1, 300, tables=t),
+    "abel_scan": lambda t, p: abel_scan(1, 300, tables=t),
+    "g_recursive_exact": lambda t, p: g_recursive_exact(300, tables=p),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SITES))
+def test_undersized_tables_are_refused_and_none_builds_its_own(site, monkeypatch):
+    # the contract of the bound scans (tests/test_bounds.py): tables covering
+    # the range are read, None builds the same, and tables that cover less
+    # raise ValueError before anything is built
+    call = _SITES[site]
+    got, ref = call(None, None), call(SummatoryTables(300), ScaledMoebiusPrefix(300))
+    if isinstance(ref, SummatorySeries):
+        got, ref = list(got), list(ref)
+    assert got == ref
+    short = SummatoryTables(299), ScaledMoebiusPrefix(299)
+
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(SummatoryTables, "__init__", built)
+    monkeypatch.setattr(ScaledMoebiusPrefix, "__init__", built)
+    with pytest.raises(ValueError):
+        call(*short)
