@@ -33,7 +33,9 @@ CONFIGS = [
 
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    # without PYTHONDONTWRITEBYTECODE the children reuse the package's bytecode
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         for args in CONFIGS:

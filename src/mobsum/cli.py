@@ -453,8 +453,8 @@ def _timed(fn, x: int):
 
 def _cmd_fast(args: argparse.Namespace) -> int:
     x = args.limit
-    # the base lane of the certified g recursion takes about 22 B per entry
-    if not _fits(args, 24 * fast_mod.default_crossover(x), exact=x if x <= args.cutoff else 0):
+    # the certified g recursion holds more than m_recursive and the streamed direct sums
+    if not _fits(args, fast_mod._g_float_bytes(x), exact=x if x <= args.cutoff else 0):
         return 2
     m_rec, t_rec = _timed(fast_mod.m_recursive, x)
     m_dir, t_dir = _timed(big_m, x)

@@ -10,44 +10,38 @@ floor(x/nu) takes O(sqrt(x)) distinct values.  Base values are sieved up to
 a crossover K (default ~x^(2/3), raised to isqrt(x) when below it); the
 values above K are y_j = floor(x/j) for the chain indices j <= J =
 floor(x/(K+1)), and floor(y_j/nu) = floor(x/(j nu)), so the terms of y_j's
-sum with j nu <= J are chain entries and the rest, its table part, come off
-the base table: O(x^(2/3)) work in all.
+sum with j nu <= J are chain entries and the rest, its table part T_j, come
+off the base table: O(x^(2/3)) work in all.
 
-M inverts the chain away.  The table parts T_k are independent, and Mobius
-inversion over the multiples of k <= J gives M(x) = M(J) - sum mu(k) T_k, a
-sum over the squarefree k with no memo (``_mertens_value``).  Each T_k sums
-the quotients above isqrt(y) by parts, over the q <= sqrt(x), with mu read
-off the table as M(q) - M(q-1) (``_mertens_tails``).  Of M's int32 base
-table only the head [0, H], H = max(sqrt(x), 2^20) (at most K), is held:
-it serves every M(Q), mu(q) and M(J) and the dense bulk of the reads.  The
-few reads above it, M(y // nu) for nu <= y // (H+1), are summed per k as
-each block of (H, K] is sieved, and the block is dropped
-(``_mertens_far``), so memory is O(sqrt(x) + 2^20) and not O(x^(2/3)).
-
-g keeps its chain, filled from J down to 1: the same inversion would change
-the float bits of its value and bound.  ``_runs(y)`` gives the runs of equal
-quotient of one root (exact mode); the certified sum takes those of many
-roots at once from ``summatory._run_layout``, the layout of the scans.  A
-run weighs its harmonic segment H(nu_hi) - H(nu_lo - 1), a single nu 1/nu;
-only the single nu = 2 .. J // j reach above K, read from the chain.
+Neither recursion fills the chain.  The T_k are independent, and Mobius
+inversion over the multiples of k <= J gives M(x) = M(J) - sum mu(k) T_k and
+g(x) = g(J) - sum mu(k)/k T_k, sums over the squarefree k with no memo
+(``_mertens_value``, ``_g_value``).  One kernel computes the T_k of both
+(``_tails``): each sums the quotients above isqrt(y) by their runs, over the
+q <= sqrt(x).  It takes three choices from a base (``_MertensBase``,
+``_GBase``): the weight of a single nu (1 for M, 1/nu for g), the weight of a
+run of equal quotient (its count for M, summed by parts against mu, and the
+harmonic segment H(nu_hi) - H(nu_lo - 1) for g), and the base table (the
+integer M, or the certified g lane with its error bounds).  Of the base
+table only the head [0, H], H = max(sqrt(x), 2^20) (at most K), is held: it
+serves every run, mu(q), M(J) or g(J) read and the dense bulk of the reads.
+The few reads above it, B(y // nu) for nu <= y // (H+1), are summed per k
+over one chunk of (H, K] at a time, and the chunk is dropped (``_far``), so
+the base table takes memory O(sqrt(x) + 2^20) and not O(x^(2/3)).
 
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
-numbers, and each level's division by L is checked to be exact.  Certified
-float mode takes 1/nu for a single nu (charged 1 ulp) and the asymptotic
-harmonic evaluator for longer runs, and propagates error bounds through the
-recursion.
+numbers, and the inverted sum's division by L^2 is checked to be exact.
+Certified float mode takes 1/nu for a single nu and the asymptotic harmonic
+evaluator for longer runs, sums each T_k with ``math.fsum`` and propagates
+error bounds through the inversion (``_GBase.tail``).
 
-Cost per index.  Root y = x // j has about 2 sqrt(y) terms, but J is only
+Cost per index.  Root y = x // k has about 2 sqrt(y) terms, but J is only
 O(x^(1/3)), about 200 to 2000 at x = 10^7 .. 10^10, where a NumPy call (1 to
-3 microseconds) per index weighs as much as the elements.  M computes its
-per-index scalars at once; each k then makes one float division into one
-reused buffer (``_quotients``), a gather-and-sum and a dot.  Certified g
-lays out the terms and input errors of a batch of about 2^14 runs of
-consecutive indices at once (``_g_float_batch``); each index then takes two
-``np.sum`` over its slice in run order and one ``fsum``.  A batch ends
-before an index at or below half its first, so the chain entries read are
-filled.
+3 microseconds) per index weighs as much as the elements.  The kernel
+computes its per-index scalars at once; each k then makes one float division
+into one reused buffer (``_quotients``) and the base's fixed handful of
+calls over its slices.
 """
 
 from __future__ import annotations
@@ -65,9 +59,11 @@ from .summatory import (
     EXACTNESS_CUTOFF,
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _CHUNK,
     _harmonic_arrays,
-    _run_counts,
-    _run_layout,
+    _ks,
+    _prefix_with_err,
+    moebius_values_upto,
 )
 
 def default_crossover(x: int) -> int:
@@ -140,7 +136,7 @@ class FloorValueMap:
 
 
 # ---------------------------------------------------------------------------
-# Mertens recursion (exact integers)
+# Mertens recursion (exact integers), on the squarefree-k kernel shared with g
 # ---------------------------------------------------------------------------
 
 # The base table is int32: |M(k)| <= k, so every table shorter than 2^31 fits.
@@ -150,7 +146,7 @@ _MERTENS_ROOT_LIMIT = (1 << 53) - 1
 # Tables up to this limit, the crossovers of roots below about 2.6e5, are views
 # of one table, sieved on first use.
 _SHARED_TABLE = 1 << 12
-# The reads above the head that one block of (H, K] serves are laid out at
+# The reads above the head that one chunk of (H, K] serves are laid out at
 # most this many at a time.
 _FAR_BATCH = 1 << 16
 
@@ -191,8 +187,8 @@ def _mertens_table(limit: int) -> np.ndarray:
 
 def _head_limit(x: int, K: int) -> int:
     """The head H of the base table [0, K] for roots up to x: the one part
-    that is held, at least isqrt(x) (every M(Q), mu(q) and M(J) read) and
-    at least one sieve block (the dense bulk of the reads)."""
+    that is held, at least isqrt(x) (every run and every mu(q), M(J) and
+    g(J) read) and at least one sieve block (the dense bulk of the reads)."""
     return min(K, max(isqrt(x), DEFAULT_BLOCK_CAPACITY))
 
 
@@ -222,85 +218,124 @@ def _quotients(y: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _mertens_far(ys: np.ndarray, a: np.ndarray, b: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """sum_{a_i < nu <= b_i} M(ys_i // nu) for every i, as int64, where each
-    quotient lies above the head M(0..H): nu <= y // (H+1) puts y // nu > H.
+def _far(ys: np.ndarray, a: np.ndarray, b: np.ndarray, base) -> np.ndarray:
+    """The reads past the head, B(ys_i // nu) for a_i < nu <= b_i: row i
+    holds the sums over them of each column of ``base.reads``.
 
-    (H, top], top the largest quotient, is sieved one block at a time into
-    one int32 buffer: the block's M is its cumsum from M at the block before.
-    Its reads are nu in (y // (hi+1), y // lo] for the block [lo, hi]
-    (``_block_reads``); the block is dropped before the next is sieved.
+    Each such quotient lies above the head B(0..H): nu <= y // (H+1) puts
+    y // nu > H.  ``base.chunks`` gives (H, top], top the largest quotient,
+    one chunk [lo, hi] at a time; its reads are nu in (y // (hi+1), y // lo]
+    (``_block_reads``), and the chunk is dropped before the next is made.
     """
-    sums = np.zeros(ys.size, dtype=np.int64)
-    live = np.flatnonzero(b > a)
-    if not live.size:
+    sums = np.zeros((ys.size, base.far_width), dtype=base.far_dtype)
+    live = b > a
+    if not live.any():
         return sums
-    ys, a, b = ys[live], a[live], b[live]
-    H = M.size - 1
-    top = int((ys // (a + 1)).max())
-    buf = np.empty(min(top - H, DEFAULT_BLOCK_CAPACITY), dtype=np.int32)
-    m = M[H:]
-    for block in iter_moebius_blocks(H + 1, top):
-        lo, hi, carry, m = block.lo, block.hi, m[-1], buf[: len(block)]
-        m[:] = block.values
-        del block  # before the next block is sieved
-        m[0] += carry
-        np.cumsum(m, dtype=np.int32, out=m)
+    top = int((ys[live] // (a[live] + 1)).max())
+    for lo, hi, chunk in base.chunks(top):
         first = np.maximum(a, ys // (hi + 1))
-        sums[live] += _block_reads(ys, first, np.minimum(b, ys // lo) - first, m, lo)
+        _block_reads(sums, ys, first, np.minimum(b, ys // lo) - first, lo, chunk, base)
     return sums
 
 
 def _block_reads(
-    ys: np.ndarray, first: np.ndarray, n: np.ndarray, m: np.ndarray, lo: int
-) -> np.ndarray:
-    """sum_{first_i < nu <= first_i + n_i} m[ys_i // nu - lo] for every i
-    (none where n_i <= 0), as int64: the reads laid out in order of i at
-    most ``_FAR_BATCH`` at a time, gathered, and summed per i by the
-    differences of one int64 cumsum."""
-    sums = np.zeros(ys.size, dtype=np.int64)
+    sums: np.ndarray, ys: np.ndarray, first: np.ndarray, n: np.ndarray, lo: int, chunk, base
+) -> None:
+    """Add to row i of ``sums`` the columns of ``base.reads`` summed over
+    first_i < nu <= first_i + n_i (none where n_i <= 0), read off ``chunk``
+    at ys_i // nu - lo: the reads laid out in order of i at most
+    ``_FAR_BATCH`` at a time, summed per i by ``np.bincount`` in float64 and
+    added in ``base.far_dtype``."""
     off = np.concatenate(([0], np.cumsum(np.maximum(n, 0))))
+    index = np.arange(ys.size)
     for p in range(0, int(off[-1]), _FAR_BATCH):
         edges = np.clip(off, p, p + _FAR_BATCH) - p
-        i = np.repeat(np.arange(ys.size), np.diff(edges))
+        i = np.repeat(index, np.diff(edges))
         nu = np.arange(p + 1, p + i.size + 1) - off[i] + first[i]
         q = ys[i] // nu
         q -= lo
-        cs = np.zeros(i.size + 1, dtype=np.int64)
-        np.cumsum(m.take(q), dtype=np.int64, out=cs[1:])
-        sums += cs[edges[1:]] - cs[edges[:-1]]
-    return sums
+        for col, w in enumerate(base.reads(nu, q, chunk)):
+            sums[:, col] += np.bincount(i, w, ys.size).astype(base.far_dtype, copy=False)
 
 
-def _mertens_tails(x: int, ks: np.ndarray, K: int, M: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """T_k = sum_{nu > J//k} M(x // (k nu)), the table part of the unit
-    identity at x // k, for the int64 chain indices ``ks``.
+def _tails(x: int, ks: np.ndarray, K: int, base) -> list:
+    """T_k = sum_{nu > J//k} w(nu) B(x // (k nu)), the table part of the unit
+    identity at y = x // k, for the int64 chain indices ``ks``, with the
+    weight w and base table B of ``base``.
 
-    K >= isqrt(x) is the crossover, J = x // (K+1) and x < 2^53; M is the
-    head of the base table over [0, H], isqrt(x) <= H <= K, and mu is
-    mu(0..isqrt(x)).  For y = x // k and s = isqrt(y), a = J // k <= s,
-    and k nu > J puts the nu in (a, s] on the base table.  Above s the
-    quotients are the q <= Q = y // (s+1), each taken y//q - y//(q+1) times;
-    by parts, with y // (Q+1) = s and Q <= s,
-    T_k = sum_{nu=a+1}^{s} M(y // nu) + sum_{q<=Q} (y // q) mu(q) - s M(Q).
-    Q <= s <= H puts M(Q) and mu(q) on the head, and y // nu on it for
-    nu > b = max(a, y // (H+1)); the few nu in (a, b] are read past it
-    (``_mertens_far``).  The scalars of every k are computed at once; per k,
-    one float division over a slice of one lane into one reused buffer gives
-    both sums' y // nu.
+    K >= isqrt(x) is the crossover, J = x // (K+1) and x < 2^53; the base
+    holds B over its head [0, H], isqrt(x) <= H <= K.  For s = isqrt(y),
+    a = J // k <= s, and k nu > J puts the nu in (a, s] on the base table.
+    Above s the quotients are the q <= Q = y // (s+1), q taken by the nu in
+    (y // (q+1), y // q], with y // (Q+1) = s and Q <= s, so
+
+        T_k = sum_{nu=a+1}^{s} w(nu) B(y // nu) + sum_{q<=Q} B(q) r_q,
+
+    r_q the run weight of q.  Q <= s <= H puts the runs on the head, and
+    y // nu on it for nu > b = max(a, y // (H+1)); the few nu in (a, b] are
+    read past it (``_far``).  The scalars of every k are computed at once;
+    per k, one float division over a slice of one lane into one reused buffer
+    gives y // nu for nu <= s + 1, which ``base.tail`` sums with the far sum.
     """
     ys = x // ks
     ss = np.array([isqrt(y) for y in ys.tolist()], dtype=np.int64)
     Qs = ys // (ss + 1)
     heads = x // (K + 1) // ks
-    bs = np.maximum(heads, ys // M.size)
-    T = (_mertens_far(ys, heads, bs, M) - ss * M[Qs]).tolist()
-    nus = np.arange(isqrt(x) + 1, dtype=np.float64)
-    buf = np.empty(nus.size, dtype=np.int64)
-    for i, (y, s, b, Q) in enumerate(zip(ys.tolist(), ss.tolist(), bs.tolist(), Qs.tolist())):
-        q = _quotients(y, nus[1 : s + 1], buf[:s])
-        T[i] += int(M.take(q[b:]).sum(dtype=np.int64)) + int(np.dot(q[:Q], mu[1 : Q + 1]))
-    return np.array(T, dtype=np.int64)
+    bs = np.maximum(heads, ys // base.size)
+    far = _far(ys, heads, bs, base).tolist()
+    nus = np.arange(isqrt(x) + 2, dtype=np.float64)
+    buf = np.empty(nus.size - 1, dtype=np.int64)
+    return [
+        base.tail(_quotients(y, nus[1 : s + 2], buf[: s + 1]), b, s, Q, f)
+        for y, s, b, Q, f in zip(ys.tolist(), ss.tolist(), bs.tolist(), Qs.tolist(), far)
+    ]
+
+
+class _MertensBase:
+    """M's base for ``_tails``: the table M(0..K), held over its head M(0..H)
+    with mu(0..isqrt(x)).  A single nu weighs 1 and a run its count
+    y//q - y//(q+1); by parts, with y // (Q+1) = s,
+
+        sum_{q<=Q} M(q) (y//q - y//(q+1)) = sum_{q<=Q} (y // q) mu(q) - s M(Q),
+
+    which reads mu(q) and M(Q) off the head."""
+
+    def __init__(self, head: np.ndarray, mu: np.ndarray):
+        self.head, self.mu = head, mu
+        self.size = head.size
+
+    def chunks(self, top: int):
+        """(lo, hi, M over [lo, hi]) for the blocks of (H, top]: each sieved
+        into one reused int32 buffer, and M there the block's cumsum from M at
+        the block before."""
+        H = self.size - 1
+        buf = np.empty(min(top - H, DEFAULT_BLOCK_CAPACITY), dtype=np.int32)
+        m = self.head[H:]
+        for block in iter_moebius_blocks(H + 1, top):
+            lo, hi, carry, m = block.lo, block.hi, m[-1], buf[: len(block)]
+            m[:] = block.values
+            del block  # before the next block is sieved
+            m[0] += carry
+            np.cumsum(m, dtype=np.int32, out=m)
+            yield lo, hi, m
+
+    # a batch sums at most 2^16 values below 2^31 in magnitude per i: exact in float64
+    far_dtype, far_width = np.int64, 1
+
+    @staticmethod
+    def reads(nu: np.ndarray, q: np.ndarray, m: np.ndarray) -> tuple:
+        return (m.take(q),)
+
+    def tail(self, q: np.ndarray, b: int, s: int, Q: int, far: list) -> int:
+        M = self.head
+        direct = int(M.take(q[b:s]).sum(dtype=np.int64))
+        return far[0] + direct + int(np.dot(q[:Q], self.mu[1 : Q + 1])) - s * int(M[Q])
+
+
+def _mertens_tails(x: int, ks: np.ndarray, K: int, M: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The T_k of ``_tails`` for M, as int64: M the head of the base table
+    over [0, H], isqrt(x) <= H <= K, and mu is mu(0..isqrt(x))."""
+    return np.array(_tails(x, ks, K, _MertensBase(M, mu)), dtype=np.int64)
 
 
 def _mertens_value(x: int, K: int, M: np.ndarray, mu: np.ndarray) -> int:
@@ -317,7 +352,7 @@ def _mertens_value(x: int, K: int, M: np.ndarray, mu: np.ndarray) -> int:
     if not J:  # x <= K is the base table's own entry, past the head the read nu = 1 of x
         if x < M.size:
             return int(M[x])
-        return int(_mertens_far(np.array([x]), np.array([0]), np.array([1]), M)[0])
+        return int(_far(np.array([x]), np.array([0]), np.array([1]), _MertensBase(M, mu))[0, 0])
     ks = np.flatnonzero(mu[: J + 1])
     return int(M[J]) - int(np.dot(mu[ks], _mertens_tails(x, ks, K, M, mu)))
 
@@ -412,26 +447,29 @@ def mertens_prefix_recursive(limit: int, *, base_limit: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unit_sum_scaled(y: int, j: int, K: int, prefix: ScaledMoebiusPrefix, chain: list) -> int:
-    """sum_{nu=2}^{y} (1/nu) g(floor(y/nu)) for y = x // j, scaled by L^2, as an integer.
-
-    g(q) * L comes off ``prefix`` for q <= K and off chain entry j nu_hi above.
-    """
+def _unit_sum_scaled(y: int, a: int, prefix: ScaledMoebiusPrefix) -> int:
+    """sum_{nu=a+1}^{y} (1/nu) g(floor(y/nu)) for 1 <= a <= isqrt(y), scaled
+    by L^2, as an integer: over the runs of y from nu = a + 1 on, each the
+    scaled harmonic segment times g(q) L off ``prefix``, which covers y // (a+1)."""
     gl = prefix.scaled_g
     hl = prefix.scaled_harmonic
     total = 0
-    for qq, a, b in zip(*(arr.tolist() for arr in _runs(y))):
-        total += (hl[b] - hl[a - 1]) * (gl[qq] if qq <= K else chain[j * b])
+    # _runs(y) starts at nu = 2, and the nu <= isqrt(y) are one run each
+    for qq, lo, hi in zip(*(arr[a - 1 :].tolist() for arr in _runs(y))):
+        total += (hl[hi] - hl[lo - 1]) * gl[qq]
     return total
 
 
 def g_recursive_exact(
     x: int, *, crossover: int | None = None, tables: ScaledMoebiusPrefix | None = None
 ) -> Fraction:
-    """Exact g(x) by the floor-quotient recursion in scaled integers.
+    """Exact g(x) = g(J) - sum_{k<=J} mu(k)/k T_k (``_g_value``) in scaled
+    integers, over the squarefree k only and with no chain.
 
     ``tables`` is an exact prefix covering x; its values g(k) * L for
-    k <= crossover are the base table, the rest come from the chain.
+    k <= crossover are the base table.  With L^2 T_k from
+    ``_unit_sum_scaled``, g(x) L^3 = g(J) L^3 - sum mu(k) (L/k) L^2 T_k, whose
+    division by L^2 is checked to be exact.
     """
     x = int(x)
     if x < 1:
@@ -440,14 +478,16 @@ def g_recursive_exact(
     tables = ScaledMoebiusPrefix._covering(tables, x)
     L = tables.denominator
     J = x // (K + 1)
-    chain = [0] * (J + 1)
-    for j in range(J, 0, -1):
-        t = _unit_sum_scaled(x // j, j, K, tables, chain)
-        # t = L * (L - g(y) L); exact divisibility is a structural invariant
-        if t % L:
-            raise AssertionError(f"scaled recursion lost exact divisibility at {x // j}")
-        chain[j] = L - t // L
-    return Fraction(chain[1] if J else tables.scaled_g[x], L)
+    if not J:
+        return Fraction(tables.scaled_g[x], L)
+    mu = moebius_values_upto(J)
+    total = tables.scaled_g[J] * L * L
+    for k in np.flatnonzero(mu).tolist():
+        total -= int(mu[k]) * (L // k) * _unit_sum_scaled(x // k, J // k, tables)
+    # total = g(x) L^3: exact divisibility is a structural invariant
+    if total % (L * L):
+        raise AssertionError(f"scaled recursion lost exact divisibility at {x}")
+    return Fraction(total // (L * L), L)
 
 
 # ---------------------------------------------------------------------------
@@ -455,103 +495,129 @@ def g_recursive_exact(
 # ---------------------------------------------------------------------------
 
 
-# Runs per batch of g chain indices: the terms of a batch of consecutive
-# indices are laid out at once, in arrays of about this many runs (an index
-# with more runs is a batch alone).  Batches of 2^15 runs took about 2.5
-# times the page faults of 2^14 in g_recursive_float(10**7), and more time.
-_G_BATCH = 1 << 14
+class _GBase:
+    """g's base for ``_tails``: the certified g lane of ``tables`` over
+    [0, K], held over its head [0, H] and read above it through
+    ``tables._chunks``, whose chunks are the held lane's bits whether the
+    tables hold the lane or stream it.  A single nu weighs 1/nu and a run of
+    two or more the harmonic segment H(nu_hi) - H(nu_lo - 1).
 
-
-def _g_float_batch(
-    x: int, js: list[int], J: int, gv: np.ndarray, ge: np.ndarray, cv: np.ndarray, ce: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of the sums sum_{nu=2}^{y} (1/nu) g(floor(y/nu)), y = x // j,
-    over the chain indices ``js``, every one above max(js) / 2.
-
-    Over the ``_run_layout`` of the roots, a run weighs w = H(nu_hi) -
-    H(nu_lo - 1), with error werr, if nu_hi > nu_lo, else 1/nu_hi.  Its g is
-    the chain entry (cv, ce) at j nu for nu = 1 .. min(J // j, isqrt(y)),
-    else the base lane entry (gv, ge) at q.  As j nu >= 2j > max(js) for
-    nu >= 2, the chain entries read were filled before the batch; the head
-    reads the unfilled entry j and is summed by no index.  Returns rows
-    (terms w g, their input errors w gerr + werr |g| + EPS |w g|, |w g|) and
-    the layout's starts and counts: index i's terms are positions
-    starts[i] + 1 .. starts[i] + counts[i] - 1.  Every element gets the
-    float operations it gets for one index alone.
+    ``math.fsum`` is assumed to return the correctly rounded sum of its
+    inputs (CPython's does, under round-to-nearest), so a sum s that it
+    returns errs by at most u |s|, u = EPS/2; a test checks it on cancelling
+    sums.  Every term t = g w carries the input error w gerr + werr (|g| +
+    gerr) and one rounding of the product, u |t|, and for w = 1/nu the
+    division's u w |g| <= u |t| (1 + u): EPS |t| for both.
     """
-    jb = np.array(js, dtype=np.int64)
-    q, hi, starts, counts = _run_layout(x // jb)
-    w = 1.0 / hi
-    werr = EPS * w
-    # H is read once at every segment and at the position before it, its nu_lo - 1
-    seg = np.zeros(q.size, dtype=bool)
-    np.greater(hi[1:], hi[:-1] + 1, out=seg[1:])
-    read = seg.copy()
-    read[:-1] |= seg[1:]
-    Hv, He = _harmonic_arrays(hi[read])
-    hseg = Hv[1:] - Hv[:-1]
-    He = (He[1:] + He[:-1] + EPS * np.abs(hseg)) * _HEADROOM
-    pick = seg[read][1:]  # the segments among the pairs of read positions
-    w[seg], werr[seg] = hseg[pick], He[pick]
-    m = np.minimum(J // jb, _run_counts(x // jb)[0])
-    nu = np.arange(1, int(m.sum()) + 1) - np.repeat(np.cumsum(m) - m, m)
-    heads, at = np.repeat(starts - 1, m) + nu, np.repeat(jb, m) * nu
-    q[heads] = 0
-    g, gerr = gv[q], ge[q]
-    g[heads], gerr[heads] = cv[at], ce[at]
-    rows = np.empty((3, q.size))
-    terms, ins, mags = rows
-    np.multiply(w, g, out=terms)
-    np.multiply(w, gerr, out=ins)
-    np.abs(g, out=g)
-    g *= werr
-    ins += g
-    np.abs(terms, out=mags)
-    ins += EPS * mags
-    return rows, starts, counts
+
+    def __init__(self, tables: SummatoryTables, H: int, x: int):
+        self.tables = tables
+        self.size = H + 1
+        self.gv, self.ge = _prefix_with_err(*tables._lane_terms("_g")(0, H), tables.block_size)
+        s = isqrt(x)
+        self.inv = np.divide(1.0, _ks(0, s + 1))  # 1/nu at nu <= s + 1
+        self.gmag = np.abs(self.gv[: s + 2]) + self.ge[: s + 2]
+        self.terms = np.empty(2 * s + 2)
+
+    def chunks(self, top: int):
+        """(lo, hi, (values, bounds)) over (H, top], ``_CHUNK`` entries at a time."""
+        for lo, v, e in self.tables._chunks("_g", self.size, top, _CHUNK):
+            yield lo, lo + v.size - 1, (v, e)
+
+    far_dtype, far_width = np.float64, 4
+
+    @staticmethod
+    def reads(nu: np.ndarray, q: np.ndarray, chunk: tuple) -> tuple:
+        """The terms t = g(q) / nu, |t|, their input errors and a count."""
+        v, e = chunk
+        w = np.divide(1.0, nu)
+        t = v.take(q) * w
+        return t, np.abs(t), e.take(q) * w, None
+
+    def tail(self, q: np.ndarray, b: int, s: int, Q: int, far: list) -> tuple[float, float]:
+        """(T_k, its bound) from y // nu, nu = 1 .. s + 1, in ``q``.
+
+        The single nu in (b, s] read the head at y // nu; the runs q <= Q
+        read it at q and weigh H(y // q) - H(y // (q+1)) from
+        ``_harmonic_arrays``, its two bounds plus u for the subtraction, or
+        1/nu where the run is the one nu = y // q.  ``math.fsum`` adds these
+        terms and the far sum in one rounding.  The far sum of n terms of
+        magnitudes A, added in any order in at most 2n additions, errs by at
+        most EPS n A besides its terms' own errors.
+        """
+        gv, ge = self.gv, self.ge
+        n = s - b
+        t = self.terms[: n + Q + 1]
+        qd = q[b:s]
+        w = self.inv[b + 1 : s + 1]
+        np.multiply(gv.take(qd), w, out=t[:n])
+        ins = float(np.dot(ge.take(qd), w))
+        Hv, He = _harmonic_arrays(q[: Q + 1])
+        w = Hv[:-1] - Hv[1:]
+        werr = He[:-1] + He[1:]
+        werr += 0.5 * EPS * w
+        hi = q[:Q]
+        single = np.flatnonzero(hi - q[1 : Q + 1] == 1)
+        w[single] = np.divide(1.0, hi[single])
+        werr[single] = 0.5 * EPS * w[single]
+        np.multiply(gv[1 : Q + 1], w, out=t[n:-1])
+        ins += float(np.dot(ge[1 : Q + 1], w)) + float(np.dot(werr, self.gmag[1 : Q + 1]))
+        fv, fa, fe, fn = far
+        t[-1] = fv
+        ins += EPS * float(np.abs(t[:-1]).sum()) + fe + EPS * (fn + 1.0) * fa
+        T = fsum(memoryview(t))
+        return T, (ins + 0.5 * EPS * abs(T)) * _HEADROOM
 
 
-def _g_float_batches(x: int, J: int):
-    """The chain indices J, J - 1, ..., 1 in consecutive batches of about
-    ``_G_BATCH`` runs, each index of a batch above half its first."""
-    js = np.arange(J, 0, -1, dtype=np.int64)
-    batch, runs = [], 0
-    for j, c in zip(js.tolist(), _run_counts(x // js)[1].tolist()):
-        if batch and (runs >= _G_BATCH or 2 * j <= batch[0]):
-            yield batch
-            batch, runs = [], 0
-        batch.append(j)
-        runs += c - 1
-    yield batch
+def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
+    """g(x) = g(J) - sum_{k<=J} mu(k)/k T_k over the squarefree k, with T_k
+    from ``_tails`` and ``base`` holding the g lane's head [0, H],
+    isqrt(x) <= H <= K.
+
+    Proof.  Let C(j) = g(x // j) for j <= J.  The unit identity at x // k
+    splits at nu = J // k into chain entries and T_k: F(k) := sum_{nu <= J/k}
+    C(k nu) / nu = 1 - T_k.  So sum_{nu <= J/k} mu(nu)/nu F(k nu) =
+    sum_{m <= J/k} C(k m)/m sum_{nu | m} mu(nu) = C(k), and at k = 1,
+    g(x) = sum_{k<=J} mu(k)/k (1 - T_k) = g(J) - sum mu(k)/k T_k;
+    J <= isqrt(x) <= H puts g(J) on the head.
+
+    Each T_k / k rounds once (u), the sign is exact, and ``math.fsum``
+    rounds the sum with g(J) once (u |g(x)|); T_k's bound enters divided by k.
+    """
+    J = x // (K + 1)
+    if not J:  # x <= K is the lane's own entry
+        if x < base.size:
+            return CertifiedFloat(float(base.gv[x]), float(base.ge[x]))
+        v, e = base.tables._sample("_g", x, x)
+        return CertifiedFloat(float(v[0]), float(e[0]))
+    mu = base.tables.mu[: J + 1]
+    ks = np.flatnonzero(mu)
+    tv, te = np.array(_tails(x, ks, K, base)).T
+    p = tv / ks
+    p *= -mu[ks]
+    value = fsum(memoryview(np.concatenate(([base.gv[J]], p))))
+    err = float(base.ge[J]) + float((te / ks).sum())
+    err += 0.5 * EPS * (float(np.abs(p).sum()) + abs(value))
+    return CertifiedFloat(value, err * _HEADROOM)
 
 
 def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat:
-    """Certified g(x) by the floor-quotient recursion; O(x^(2/3)) time.
-
-    The sum of y = x // j over its n runs, the head nu = 2 .. m off the
-    chain at j nu and the rest off the base lane, is the ``fsum`` of its
-    terms t, with the bound (EPS sum |t| (n + 4) + sum ins) _HEADROOM over
-    their input errors ins, both sums by ``np.sum`` over the runs in order.
-    The terms of a batch of indices are computed at once (``_g_float_batch``);
-    per index only the two sums over its slice and the ``fsum`` remain.
-    """
+    """Certified g(x) by the floor-quotient recursion (``_g_value``);
+    O(x^(2/3)) time, and memory for the int8 mu lane over [0, K], the head
+    of the g lane over max(sqrt(x), 2^20) entries and O(sqrt(x)) buffers."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     K = _crossover(x, crossover)
-    gv, ge = SummatoryTables(K).g_arrays
-    J = x // (K + 1)
-    if not J:
-        return CertifiedFloat(float(gv[x]), float(ge[x]))
-    cv, ce = np.zeros(J + 1), np.zeros(J + 1)
-    for js in _g_float_batches(x, J):
-        rows, starts, counts = _g_float_batch(x, js, J, gv, ge, cv, ce)
-        for j, a, b in zip(js, (starts + 1).tolist(), (starts + counts).tolist()):
-            terms, ins, mags = rows[:, a:b]
-            err = (EPS * float(mags.sum()) * (terms.size + 4.0) + float(ins.sum())) * _HEADROOM
-            v = 1.0 - fsum(memoryview(terms))
-            cv[j], ce[j] = v, (err + EPS * abs(v)) * _HEADROOM
-    return CertifiedFloat(float(cv[1]), float(ce[1]))
+    return _g_value(x, K, _GBase(SummatoryTables(K), _head_limit(x, K), x))
+
+
+def _g_float_bytes(x: int) -> int:
+    """About the peak bytes of ``g_recursive_float(x)`` above the interpreter's:
+    the int8 mu lane over [0, K], the head of the g lane (16 B per entry), the
+    per-root buffers (about 96 B per nu <= sqrt(x)) and the stream's chunks."""
+    K = _crossover(x, None)
+    return K + 16 * _head_limit(x, K) + 96 * isqrt(x) + (4 << 20)
 
 
 def g_recursive(

@@ -18,9 +18,8 @@ Verified here, each at a single evaluation point x:
 The decomposition and rearrangement checks at a point are their scans on
 [x, x].  The sums sum_nu w(nu) g(x/nu) behind the decomposition's h and
 tail and the rearranged right side run over the O(sqrt(x)) floor-quotient
-runs of x in the batched kernel of ``summatory`` (``_run_layout``, shared
-with the certified g recursion, ``_run_terms`` and ``_reduce_runs``), so
-both scans cost O(hi^1.5).  ``prime_power_tail`` is the tail lane's entry.
+runs of x in the batched kernel of ``summatory`` (``_run_layout``,
+``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).  ``prime_power_tail`` is the tail lane's entry.
 
 Exact checks carry zero tolerance.  A certified check holds exactly when
 the observed difference |lhs - rhs| is within lhs.err + rhs.err.
@@ -128,7 +127,7 @@ def gram_identity(
         raise CutoffExceededError(f"exact check at x = {n} exceeds cutoff {cutoff}")
     prefix = ScaledMoebiusPrefix._covering(prefix, n)
     # the nu = 1 term L * g(n) L plus the g recursion's own sum over nu >= 2
-    ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, 1, n, prefix, [])
+    ssum = prefix.denominator * prefix.scaled_g[n] + _unit_sum_scaled(n, 1, prefix)
     return _unit_check(n, ssum, prefix.denominator * prefix.denominator)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +137,17 @@ def test_fast_at_the_cutoff_checks_g_exactly(capsys):
     assert float(rows[1][1]) == float(g_exact(1000))
 
 
+def test_fast_memory_estimate_is_the_g_footprint(monkeypatch, capsys):
+    # the certified g recursion holds the int8 mu lane over [0, K], the head
+    # of the g lane and O(sqrt(x)) buffers; 24 B per base-table entry, the
+    # whole g lane, would ask 10.4 GiB at 10^13
+    monkeypatch.setattr(mobsum.sieve, "_available_bytes", lambda: 0)
+    assert main(["fast", "--limit", str(10**13)]) == 2
+    err = capsys.readouterr().err
+    mib = int(re.search(r"needs about (\d+) MiB", err).group(1))
+    assert 0 < mib < 2048, err
+
+
 # the SHA-256 of the CSVs of scripts/golden_csvs.py's configurations, in order
 _GOLDEN = [
     "dd8bae27602f327793c9a25683b68ecb6316d162486bc2ba09f8809115c844af",  # verify 1e5
@@ -215,6 +227,14 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _child_env(src: str) -> dict[str, str]:
+    """This process's environment for a child that imports mobsum from
+    ``src``, without PYTHONDONTWRITEBYTECODE: the children write and reuse
+    the package's bytecode instead of compiling it from source each time."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPATH": src}
+
+
 # Spawns ARGV, reaps it with wait4 and prints its exit code and ru_maxrss.
 _REAP = """
 import os, sys
@@ -231,7 +251,7 @@ def test_verify_wide_peak_rss(tmp_path):
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "500000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _child_env(src)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
@@ -245,7 +265,7 @@ def test_verify_frees_lanes_after_last_reader(tmp_path):
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "2000000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _child_env(src)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
@@ -259,7 +279,7 @@ def test_verify_streamed_scans_peak_rss(tmp_path):
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "10000000", "--cutoff", "200", "--out", str(tmp_path / "verify.csv")]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _child_env(src)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
@@ -295,7 +315,7 @@ def test_verify_exact_cutoff_peak_rss(tmp_path):
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "20000", "--cutoff", "20000", "--out", str(tmp_path / "verify.csv")]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _child_env(src)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
@@ -308,7 +328,7 @@ def test_m_recursive_peak_rss():
     src = str(Path(mobsum.__file__).resolve().parents[1])
     script = "from mobsum.fast import m_recursive; assert m_recursive(10**10) == -33722"
     argv = [sys.executable, "-c", _REAP, sys.executable, "-c", script]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _child_env(src)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0

@@ -1,4 +1,6 @@
+import math
 import random
+import statistics
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -9,6 +11,8 @@ import pytest
 from mobsum.fast import (
     FloorValueMap,
     MertensEvaluator,
+    _GBase,
+    _g_value,
     _mertens_table,
     _mertens_tails,
     _mertens_value,
@@ -285,24 +289,95 @@ def test_g_recursive_crossover_knob():
     assert (low.value.hex(), low.err.hex()) == (clamped.value.hex(), clamped.err.hex())
 
 
-# value and error bound of g_recursive_float, bit for bit: those of a plain
-# loop over each chain index's runs, which the batched layout must keep
+# value and error bound of g_recursive_float, bit for bit: the squarefree-k
+# inversion's, each T_k one fsum over its terms and the far sum
 _G_FLOAT_GOLDEN = [
-    (10**7, None, "0x1.a9d283f6a6000p-14", "0x1.4959bcb5e22e1p-36"),
-    (10**7 + 35276, None, "0x1.a395ec9848000p-14", "0x1.49d61077182c5p-36"),
-    (10**8, None, "0x1.577fe3d590000p-16", "0x1.182df74ebe39dp-34"),
-    (3000, 10, "-0x1.b3118e9f5f800p-10", "0x1.4fe88b36f3dd7p-42"),
-    (3000, 300, "-0x1.b3118e9f5f400p-10", "0x1.9aecfb78227bcp-43"),
+    (10**7, None, "0x1.a9d283f6a5780p-14", "0x1.db781acbe2a43p-40"),
+    (10**7 + 35276, None, "0x1.a395ec9847500p-14", "0x1.dc0df0df23f9dp-40"),
+    (10**8, None, "0x1.577fe3d588b80p-16", "0x1.d25d5d4c4e480p-39"),
+    (3000, 10, "-0x1.b3118e9f5f800p-10", "0x1.c3b152963bbefp-44"),
+    (3000, 300, "-0x1.b3118e9f5f580p-10", "0x1.b38e09043959cp-44"),
     # a chain root with isqrt 1: no single nu, only the run q = 1
-    (2, None, "0x1.0000000000000p-1", "0x1.2000024000014p-50"),
-    (3, None, "0x1.5555555555558p-3", "0x1.155557eaaaac9p-49"),
+    (2, None, "0x1.0000000000000p-1", "0x1.800003000001cp-51"),
+    (3, None, "0x1.5555555555558p-3", "0x1.7555585555572p-50"),
 ]
 
 
-@pytest.mark.parametrize("x, crossover, value, err", _G_FLOAT_GOLDEN)
+@pytest.mark.parametrize(
+    "x, crossover, value, err",
+    [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in _G_FLOAT_GOLDEN],
+)
 def test_g_recursive_float_golden_bits(x, crossover, value, err):
     r = g_recursive_float(x, crossover=crossover)
     assert (r.value.hex(), r.err.hex()) == (value, err)
+
+
+def test_g_recursive_float_is_sound_and_tight():
+    # against exact g at every x <= 400 and at sampled x <= 10^4, at three
+    # crossovers (60 puts x < 60 on the lane itself, 10 is raised to isqrt(x))
+    pre = ScaledMoebiusPrefix(10**4)
+    rng = random.Random(26)
+    xs = [*range(1, 401), *sorted(rng.sample(range(401, 10**4), 150)), 10**4]
+    ratios = []
+    for x in xs:
+        exact = pre.g_fraction(x)
+        for k in (None, 10, 60):
+            r = g_recursive_float(x, crossover=k)
+            true_err = abs(Fraction(r.value) - exact)
+            assert true_err <= Fraction(r.err), (x, k)
+            if true_err:
+                ratios.append(r.err / float(true_err))
+    # the bound is within a few decades of the true error, not the chain's 10^4..10^6
+    assert len(ratios) > 1000 and statistics.median(ratios) <= 1e3, statistics.median(ratios)
+
+
+def test_g_far_reads_stream_the_held_lane_bits():
+    # K = 1.59e6 > H = 2^20: the nu in (J // k, y // (H+1)] read g past the
+    # head.  Held or streamed, ``_chunks`` gives the same chunks, so the whole
+    # lane and the head alone give one value and bound, bit for bit; a head
+    # that is the whole table (no far reads) overlaps them.
+    x = 2 * 10**9 + 1234
+    K = default_crossover(x)
+    H = 2**20
+    assert x // (K + 1) < x // (H + 1)
+    whole = SummatoryTables(K)
+    whole.g_arrays
+    held = _g_value(x, K, _GBase(whole, H, x))
+    streamed = _g_value(x, K, _GBase(SummatoryTables(K), H, x))
+    assert (held.value.hex(), held.err.hex()) == (streamed.value.hex(), streamed.err.hex())
+    r = g_recursive_float(x)
+    assert (r.value.hex(), r.err.hex()) == (streamed.value.hex(), streamed.err.hex())
+    near = _g_value(x, K, _GBase(whole, K, x))
+    assert abs(near.value - held.value) <= near.err + held.err
+    assert held.err <= 1e-5 * abs(held.value)
+
+
+def test_g_recursive_float_two_crossovers_at_1e10():
+    x = 10**10
+    a = g_recursive_float(x)
+    b = g_recursive_float(x, crossover=default_crossover(x) // 2)
+    assert abs(a.value - b.value) <= a.err + b.err
+    assert a.err <= 1e-5 * abs(a.value) and b.err <= 1e-5 * abs(b.value), (a, b)
+
+
+def test_fsum_rounds_correctly():
+    # ``_GBase`` charges an fsum result s only u |s|: the correctly rounded sum
+    u = 2.0**-53
+    cases = [
+        [1.0, 1e100, 1.0, -1e100],
+        [1.0, u],  # a tie, to even
+        [1.0, u, u * u],  # just above the tie
+        [1.0, -u / 2, -(u**2)],
+        [1e16, 1.0, -1e16, 1e-16],
+        [0.1] * 10 + [-1.0],
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(2, 40)
+        terms = [rng.uniform(-1, 1) * 2.0 ** rng.randrange(-60, 60) for _ in range(n)]
+        cases.append(terms + [-t for t in terms[::2]])
+    for terms in cases:
+        assert math.fsum(terms) == float(sum(map(Fraction, terms))), terms
 
 
 def test_g_recursive_float_crossover_knob():

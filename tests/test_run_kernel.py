@@ -54,7 +54,7 @@ def test_run_batches_match_runs(batch, monkeypatch):
 
 
 def test_run_layout_of_chain_roots_matches_runs():
-    # the chain roots x // j, j = J .. 1, of g_recursive_float(x): not consecutive
+    # the chain roots x // j, j = J .. 1, of a recursion at x: not consecutive
     x = 10**7 + 35276
     J = x // (_crossover(x, None) + 1)
     ys = x // np.arange(J, 0, -1, dtype=np.int64)
