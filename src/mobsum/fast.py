@@ -32,8 +32,9 @@ the base table takes memory O(sqrt(x) + 2^20) and not O(x^(2/3)).
 Exact mode works in integers scaled by L = lcm(1..x): g(y) * L is an
 integer for every y <= x, run weights are differences of scaled harmonic
 numbers, and the inverted sum's division by L^2 is checked to be exact.
-Certified float mode takes 1/nu for a single nu and the asymptotic harmonic
-evaluator for longer runs, sums each T_k with ``math.fsum`` and propagates
+Certified float mode weighs each run by H(nu_hi) - H(nu_lo - 1) from
+``summatory._harmonic_diff``, whose bound is relative to the weight itself
+(1/nu for a run of one nu), sums each T_k with ``math.fsum`` and propagates
 error bounds through the inversion (``_GBase.tail``).
 
 Cost per index.  Root y = x // k has about 2 sqrt(y) terms, but J is only
@@ -60,7 +61,8 @@ from .summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
     _CHUNK,
-    _harmonic_arrays,
+    _H_DIFF_REL,
+    _harmonic_diff,
     _ks,
     _prefix_with_err,
     moebius_values_upto,
@@ -499,15 +501,17 @@ class _GBase:
     """g's base for ``_tails``: the certified g lane of ``tables`` over
     [0, K], held over its head [0, H] and read above it through
     ``tables._chunks``, whose chunks are the held lane's bits whether the
-    tables hold the lane or stream it.  A single nu weighs 1/nu and a run of
-    two or more the harmonic segment H(nu_hi) - H(nu_lo - 1).
+    tables hold the lane or stream it.  A single nu weighs 1/nu and a run
+    the harmonic segment H(nu_hi) - H(nu_lo - 1) of ``_harmonic_diff``.
 
     ``math.fsum`` is assumed to return the correctly rounded sum of its
     inputs (CPython's does, under round-to-nearest), so a sum s that it
     returns errs by at most u |s|, u = EPS/2; a test checks it on cancelling
-    sums.  Every term t = g w carries the input error w gerr + werr (|g| +
-    gerr) and one rounding of the product, u |t|, and for w = 1/nu the
-    division's u w |g| <= u |t| (1 + u): EPS |t| for both.
+    sums.  Every term t = g w carries one rounding of the product, u |t|,
+    and the input error w gerr + werr (|g| + gerr).  For a single nu, 1/nu
+    rounds once, u w |g| <= u |t| (1 + u): EPS |t| for both.  A run's weight
+    errs by werr <= r w, r = ``_H_DIFF_REL``, so its input error is at most
+    w (gerr + r (|g| + gerr)), ``wmag`` times w.
     """
 
     def __init__(self, tables: SummatoryTables, H: int, x: int):
@@ -516,7 +520,8 @@ class _GBase:
         self.gv, self.ge = _prefix_with_err(*tables._lane_terms("_g")(0, H), tables.block_size)
         s = isqrt(x)
         self.inv = np.divide(1.0, _ks(0, s + 1))  # 1/nu at nu <= s + 1
-        self.gmag = np.abs(self.gv[: s + 2]) + self.ge[: s + 2]
+        ge = self.ge[: s + 2]
+        self.wmag = ge + _H_DIFF_REL * (np.abs(self.gv[: s + 2]) + ge)
         self.terms = np.empty(2 * s + 2)
 
     def chunks(self, top: int):
@@ -539,11 +544,11 @@ class _GBase:
 
         The single nu in (b, s] read the head at y // nu; the runs q <= Q
         read it at q and weigh H(y // q) - H(y // (q+1)) from
-        ``_harmonic_arrays``, its two bounds plus u for the subtraction, or
-        1/nu where the run is the one nu = y // q.  ``math.fsum`` adds these
-        terms and the far sum in one rounding.  The far sum of n terms of
-        magnitudes A, added in any order in at most 2n additions, errs by at
-        most EPS n A besides its terms' own errors.
+        ``_harmonic_diff``, all of them in one call, as m = y // (q+1) falls
+        along q.  ``math.fsum`` adds these terms and the far sum in one
+        rounding.  The far sum of n terms of magnitudes A, added in any order
+        in at most 2n additions, errs by at most EPS n A besides its terms'
+        own errors.
         """
         gv, ge = self.gv, self.ge
         n = s - b
@@ -552,16 +557,9 @@ class _GBase:
         w = self.inv[b + 1 : s + 1]
         np.multiply(gv.take(qd), w, out=t[:n])
         ins = float(np.dot(ge.take(qd), w))
-        Hv, He = _harmonic_arrays(q[: Q + 1])
-        w = Hv[:-1] - Hv[1:]
-        werr = He[:-1] + He[1:]
-        werr += 0.5 * EPS * w
-        hi = q[:Q]
-        single = np.flatnonzero(hi - q[1 : Q + 1] == 1)
-        w[single] = np.divide(1.0, hi[single])
-        werr[single] = 0.5 * EPS * w[single]
+        w = _harmonic_diff(q[:Q], q[1 : Q + 1])
         np.multiply(gv[1 : Q + 1], w, out=t[n:-1])
-        ins += float(np.dot(ge[1 : Q + 1], w)) + float(np.dot(werr, self.gmag[1 : Q + 1]))
+        ins += float(np.dot(self.wmag[1 : Q + 1], w))
         fv, fa, fe, fn = far
         t[-1] = fv
         ins += EPS * float(np.abs(t[:-1]).sum()) + fe + EPS * (fn + 1.0) * fa

@@ -45,7 +45,6 @@ import numpy as np
 
 from .certified import (
     EPS,
-    EULER_GAMMA,
     CertifiedFloat,
     ZERO,
     _HEADROOM,
@@ -1024,45 +1023,103 @@ def series_scan(
 
 
 # ---------------------------------------------------------------------------
-# Certified harmonic numbers at large arguments (asymptotic)
+# Harmonic differences H(b) - H(m), certified relative to the difference
 # ---------------------------------------------------------------------------
 
 _H_SMALL_LIMIT = 512
+# ``_harmonic_diff`` errs by at most this times the difference it returns
+_H_DIFF_REL = 3.53 * EPS
 
 
 @functools.lru_cache(maxsize=1)
-def _build_small_harmonic() -> tuple[np.ndarray, np.ndarray]:
-    vals = [ZERO]
-    acc = Fraction(0)
-    for k in range(1, _H_SMALL_LIMIT + 1):
-        acc += Fraction(1, k)
-        vals.append(from_exact(acc))
-    return np.array([c.value for c in vals]), np.array([c.err for c in vals])
+def _small_harmonic() -> tuple[np.ndarray, np.ndarray]:
+    """H(n) = hi + lo + e for 0 <= n <= 2 ``_H_SMALL_LIMIT``: hi the double
+    nearest H(n) and lo the double nearest H(n) - hi, so |lo| <= u H(n) and
+    |e| <= u |lo|, u = EPS/2.  H(n) = S_n / L with L = lcm(1..1024) and the
+    integer S_n = sum_{k<=n} L // k, and int/int true division rounds
+    correctly."""
+    n = 2 * _H_SMALL_LIMIT
+    L = lcm_upto(n)
+    hi, lo = [], []
+    for s in itertools.accumulate((L // k for k in range(1, n + 1)), initial=0):
+        h = s / L
+        a, p = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((s * p - a * L) / (L * p))
+    return np.array(hi), np.array(lo)
 
 
-def _harmonic_arrays(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified H(n) and its error bound for an int64 array n >= 0.
+def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """H(b) - H(m) for int64 arrays 0 <= m < b < 2^53, m non-increasing and
+    b <= 2 ``_H_SMALL_LIMIT`` wherever m < ``_H_SMALL_LIMIT``.  Each entry w
+    errs by at most ``_H_DIFF_REL`` w.
 
-    Small n come from an exact table.  Large n use the expansion
-    H(n) = log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - r_n with
-    0 < r_n < 1/(252 n^6); the published error covers the remainder interval
-    plus evaluation rounding.
+    A run of one nu, b = m + 1, is 1/b, rounded once: u w.  Below the limit,
+    w = (hi_b - hi_m) + (lo_b - lo_m) off ``_small_harmonic``: the two
+    differences and their sum round once each, and |lo| <= 8u, so w errs by
+    u w + u |w| + O(u^2) besides the tables' |e| <= 8u^2 each, with
+    w >= 1/b >= 2^-10: EPS w to first order.  No run subtracts two rounded
+    H(n), whose errors would be relative to H and not to w.
+
+    From the limit on (m >= 512), with d = b - m and z = d/m, Euler-Maclaurin
+    (the expansion of H and its remainder, NIST DLMF 2.10 and 5.11) gives
+
+        w = log1p(z) - C + rho,  C = (d/(bm)) P,
+        P = 1/2 - s1 (1/12 - s2/120),  s1 = 1/b + 1/m,  s2 = 1/b^2 + 1/m^2,
+
+    C being -d/(2bm) + d(b+m)/(12 b^2 m^2) - (1/(120 m^4) - 1/(120 b^4)), and
+    H(n) = log n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4) - r_n with
+    0 < r_n < 1/(252 n^6), so rho = r_m - r_b and |rho| < 1/(252 m^6); gamma
+    cancels.  Let L = log1p(z); L >= z/(1+z) = d/b >= 1/(m+1), and C <= L/(2m).
+      - z rounds once, and log1p's gain z/((1+z) log1p z) <= 1 passes that
+        on as at most u L; log1p itself is charged 2 ulp, 2 EPS L.
+      - C: z, 1/b, their product, P and the last product round once each,
+        and P's own roundings are under 1.01u P (s1 (...) <= 7e-4 P), so
+        C errs by under 5.1u C <= 0.005u L; w = L - C rounds once, u L.
+      - |rho| < (m+1)/(252 m^6) L <= 0.51 EPS L at m >= 512.
+    In all, 3.5125 EPS L, and L <= w (1 + 1/1023): 3.52 EPS w to first order.
+    So ``_H_DIFF_REL`` = 3.53 EPS bounds every entry; its slack and
+    ``_HEADROOM`` cover the second order.
     """
-    hv, he = _build_small_harmonic()
-    nf = np.maximum(n, _H_SMALL_LIMIT).astype(np.float64)
-    rem = 1.0 / (252.0 * nf**6)
-    v = np.log(nf) + EULER_GAMMA + 0.5 / nf - 1.0 / (12.0 * nf * nf) + 1.0 / (120.0 * nf**4)
-    v -= 0.5 * rem
-    err = (0.5 * rem + 8.0 * EPS * np.abs(v)) * _HEADROOM
-    small = np.flatnonzero(n <= _H_SMALL_LIMIT)
-    v[small], err[small] = hv[n[small]], he[n[small]]
-    return v, err
+    w = np.empty(b.size)
+    single = np.flatnonzero(b - m == 1)
+    c = int(np.count_nonzero(m >= _H_SMALL_LIMIT))
+    if c:
+        bl, ml, L = b[:c], m[:c], w[:c]
+        z = np.subtract(bl, ml)  # d, and then d/m in its memory
+        z = np.divide(z, ml, out=z.view(np.float64))
+        np.log1p(z, out=L)
+        ib, im = np.divide(1.0, bl), np.divide(1.0, ml)
+        z *= ib  # d/(bm)
+        s1 = ib + im
+        ib *= ib
+        im *= im
+        ib += im  # s2
+        ib *= -1.0 / 120.0
+        ib += 1.0 / 12.0
+        ib *= s1
+        np.subtract(0.5, ib, out=ib)  # P
+        z *= ib
+        L -= z
+    if c < b.size:
+        hi, lo = _small_harmonic()
+        bs, ms = b[c:], m[c:]
+        np.subtract(hi.take(bs), hi.take(ms), out=w[c:])
+        w[c:] += lo.take(bs) - lo.take(ms)
+    w[single] = np.divide(1.0, b[single])
+    return w
 
 
 def harmonic_number(n: int) -> CertifiedFloat:
-    """Certified H(n) in O(1) for large n; see ``_harmonic_arrays``, which
-    the floor-quotient recursion for g uses for its run weights."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    v, e = _harmonic_arrays(np.array([n], dtype=np.int64))
-    return CertifiedFloat(float(v[0]), float(e[0]))
+    """Certified H(n) for 0 <= n < 2^53: the exact table's entry up to
+    ``_H_SMALL_LIMIT``, and above it the table's H(512) plus the segment
+    (512, n] of ``_harmonic_diff``, which the g recursion's run weights use."""
+    if not 0 <= n < 2**53:
+        raise ValueError(f"n must lie in [0, 2^53), got {n}")
+    hi, lo = _small_harmonic()
+    if n <= _H_SMALL_LIMIT:
+        return CertifiedFloat(float(hi[n]), abs(float(lo[n])) * _HEADROOM)
+    w = float(_harmonic_diff(np.array([n]), np.array([_H_SMALL_LIMIT]))[0])
+    v = float(hi[_H_SMALL_LIMIT]) + w
+    err = abs(float(lo[_H_SMALL_LIMIT])) + _H_DIFF_REL * w + 0.5 * EPS * v
+    return CertifiedFloat(v, err * _HEADROOM)

@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,6 +23,10 @@ from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatorySeries,
     SummatoryTables,
+    _H_DIFF_REL,
+    _H_SMALL_LIMIT,
+    _harmonic_diff,
+    _small_harmonic,
     big_m,
     epsilon,
     f_value,
@@ -179,6 +185,104 @@ def test_harmonic_number_asymptotic_matches_direct():
 def test_harmonic_number_small_table_exact():
     hn = harmonic_number(4)
     assert abs(hn.value - 25 / 12) <= hn.err + EPS_SLOP
+
+
+def test_small_harmonic_table_is_the_fraction_sums():
+    # hi the correctly rounded H(n), bit for bit the float of the Fraction sum,
+    # and lo the correctly rounded H(n) - hi
+    hi, lo = _small_harmonic()
+    assert hi.size == lo.size == 2 * _H_SMALL_LIMIT + 1
+    acc = Fraction(0)
+    for n in range(hi.size):
+        acc += Fraction(1, n) if n else 0
+        if n <= _H_SMALL_LIMIT:
+            assert hi[n].hex() == float(acc).hex(), n
+        assert lo[n].hex() == float(acc - Fraction(hi[n])).hex(), n
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n from sum_{j<=k} C(k+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for k in range(1, n + 1):
+        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B
+
+
+_B = _bernoulli(20)
+
+
+def _harmonic_diff_reference(b: int, m: int) -> Decimal:
+    """H(b) - H(m) to 50 digits: the direct sum up to b = 4096, and above
+    it log(b/m) plus Euler-Maclaurin through B_20 at both ends, whose
+    remainder at m >= 512 is below 1e-55 (gamma cancels)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if b <= 4096:
+            return sum((Decimal(1) / k for k in range(m + 1, b + 1)), Decimal(0))
+        assert m >= 512
+
+        def tail(n: int) -> Decimal:
+            t = Decimal(1) / (2 * n)
+            for k in range(1, 11):
+                c = _B[2 * k] / (2 * k)
+                t -= Decimal(c.numerator) / (c.denominator * Decimal(n) ** (2 * k))
+            return t
+
+        return Decimal(b).ln() - Decimal(m).ln() + tail(b) - tail(m)
+
+
+def _diff_samples() -> list[tuple[int, int]]:
+    rng = random.Random(27)
+    runs = []
+    for m in (0, 1, 2, 3, 100, 300, 510, 511, 512, 513, 4000, 10**13):
+        top = 2 * _H_SMALL_LIMIT if m < _H_SMALL_LIMIT else 2 * m + 1
+        runs += [(m + d, m) for d in (1, 2, 9, m - 1, m, m + 1) if 1 <= d and m + d <= top]
+    for _ in range(150):
+        m = int(10 ** rng.uniform(math.log10(512), 13))
+        runs += [(m + d, m) for d in (1, 2, 9, rng.randrange(1, m + 2))]
+    return runs
+
+
+def test_harmonic_diff_reference_series_is_the_direct_sum():
+    # the two branches of the reference meet at b = 4096
+    for m in (512, 2000, 4000):
+        series, direct = _harmonic_diff_reference(4097, m), _harmonic_diff_reference(4096, m)
+        assert abs(series - direct - Decimal(1) / 4097) < Decimal("1e-45"), m
+
+
+def test_harmonic_diff_contains_decimal_and_is_tight():
+    # w = H(b) - H(m) errs by at most _H_DIFF_REL w, and that bound is within
+    # about a decade of the true error: on both sides of the limit, for b = m + 1,
+    # m + 2, m + 9, about 2m and 2m + 1, and m up to 10^13
+    runs = sorted(_diff_samples(), key=lambda r: -r[1])
+    b, m = (np.array(col, dtype=np.int64) for col in zip(*runs))
+    w = _harmonic_diff(b, m)
+    ratios = []
+    for (bi, mi), wi in zip(runs, w.tolist()):
+        true_err = abs(Decimal(wi) - _harmonic_diff_reference(bi, mi))
+        bound = Decimal(_H_DIFF_REL * wi)
+        assert true_err <= bound, (bi, mi, wi)
+        if true_err:
+            ratios.append(float(bound / true_err))
+    assert len(ratios) > 500 and statistics.median(ratios) <= 100, statistics.median(ratios)
+
+
+def test_libm_log_and_log1p_within_one_ulp():
+    # the weights' log1p(d/m) and the lanes' log k: the code assumes 1 ulp
+    # and charges 2
+    runs = [r for r in _diff_samples() if r[1] >= _H_SMALL_LIMIT]
+    z = [float(b - m) / m for b, m in runs]
+    ks = sorted({k for run in runs for k in run})
+    cases = [(np.log1p, v, lambda d: (1 + d).ln()) for v in z]
+    cases += [(np.log, float(k), lambda d: d.ln()) for k in ks]
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for fn, v, ref in cases:
+            exact = ref(Decimal(v))
+            got = float(fn(v))
+            worst = max(worst, float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact)))))
+    assert len(cases) > 1000 and worst <= 1.0, worst
 
 
 # -- the point sums, streamed ----------------------------------------------
