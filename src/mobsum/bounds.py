@@ -35,6 +35,7 @@ bits of the held lanes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,20 +154,31 @@ def _scan_tables(lo: int, hi: int, tables: SummatoryTables | None) -> SummatoryT
     return SummatoryTables._covering(tables, hi)
 
 
+class _Verdicts:
+    """The verdicts of one scan, fed its chunks (a, lhs, lhs_err, rhs,
+    rhs_err) of a range in ascending x, each classified by ``_classify``:
+    the lists come out in ascending x, and the max ratio is the whole
+    range's, NaN if any ratio is NaN, as ``np.max`` gives."""
+
+    def __init__(self, strict: bool = False):
+        self.strict = strict
+        self.violations: list = []
+        self.indeterminate: list = []
+        self.maxima: list = []
+
+    def add(self, a: int, *sides) -> None:
+        v, u, r = _classify(a, *sides, strict=self.strict)
+        self.violations += v
+        self.indeterminate += u
+        self.maxima.append(r)
+
+
 def _scan(chunks, strict: bool = False) -> tuple[list, list, float]:
-    """``_classify`` over consecutive chunks (a, lhs, lhs_err, rhs, rhs_err) of
-    a range, in ascending x.  The lists come back in ascending x, and the max
-    ratio is the whole range's: NaN if any ratio is NaN, as ``np.max`` gives.
-    """
-    violations: list = []
-    indeterminate: list = []
-    maxima = []
-    for a, *sides in chunks:
-        v, u, r = _classify(a, *sides, strict=strict)
-        violations += v
-        indeterminate += u
-        maxima.append(r)
-    return violations, indeterminate, float(np.max(maxima))
+    """(violations, indeterminate, max ratio) of ``_Verdicts`` fed ``chunks``."""
+    verdicts = _Verdicts(strict)
+    for chunk in chunks:
+        verdicts.add(*chunk)
+    return verdicts.violations, verdicts.indeterminate, float(np.max(verdicts.maxima))
 
 
 def check_g_bound(
@@ -182,58 +194,92 @@ def check_g_bound(
     Exact rational comparison up to ``cutoff``; certified floats (requiring
     |value| + err <= 1) above it.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    violations: list = []
-    indeterminate: list = []
-    max_ratio = 0.0
-    exact_hi = min(hi, cutoff)
-    if lo <= exact_hi:
-        prefix = ScaledMoebiusPrefix._covering(prefix, exact_hi)
-        L = prefix.denominator
-        gn = prefix.scaled_g
-        worst = 0
-        for x in range(lo, exact_hi + 1):
-            a = abs(gn[x])
-            if a > worst:
-                worst = a
-            if a > L:
-                violations.append((x, float(Fraction(gn[x], L)), 1.0))
-        max_ratio = float(Fraction(worst, L))
-    if hi > exact_hi:
-        tables = SummatoryTables._covering(tables, hi)
-        chunks = tables._chunks("_g", max(lo, exact_hi + 1), hi, _SCAN_CHUNK)
-        v, u, r = _scan((a, np.abs(g), e, 1.0, 0.0) for a, g, e in chunks)
-        violations += v
-        indeterminate += u
-        max_ratio = float(np.max([max_ratio, r]))
-    note = f"exact below {exact_hi + 1}; certified above"
-    return _report("g_unit_bound", lo, hi, violations, indeterminate, max_ratio, note=note)
+    [report] = _g_scans(lo, hi, tables, exact=(cutoff, prefix))
+    return report
 
 
 def check_mangoldt_bound(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> BoundReport:
     """Verify |log(x) g(x) - f(x)| <= 3 + gamma on [lo, hi], certified."""
-    tables = _scan_tables(lo, hi, tables)
-    rhs = 3.0 + EULER_GAMMA
-    rhs_err = 2.0 * EPS * rhs
+    [report] = _g_scans(lo, hi, tables, mangoldt=True)
+    return report
 
-    def chunks() -> Iterator[tuple]:
-        # the g and f streams run on one grid, so their chunks pair up
-        for (a, g, ge), (_, f, fe) in zip(
-            tables._chunks("_g", lo, hi, _SCAN_CHUNK), tables._chunks("_f", lo, hi, _SCAN_CHUNK)
-        ):
-            lx = np.log(np.arange(a, a + g.size, dtype=np.float64))
-            prod = lx * g
-            prod_err = np.abs(lx) * ge + 2.0 * EPS * np.abs(lx) * np.abs(g) + EPS * np.abs(prod)
-            lhs = np.abs(prod - f)
-            lhs_err = (prod_err + fe + EPS * lhs) * _HEADROOM
-            yield a, lhs, lhs_err, rhs, rhs_err
 
-    return _report(
-        "mangoldt_bound", lo, hi, *_scan(chunks()), gamma=EULER_GAMMA, note=GAMMA_PROVENANCE
-    )
+_MANGOLDT_RHS = 3.0 + EULER_GAMMA
+
+
+def _mangoldt_sides(a: int, g, ge, f, fe) -> tuple:
+    """The chunk of the Mangoldt scan at x = a, a + 1, ... from g and f there."""
+    lx = np.log(np.arange(a, a + g.size, dtype=np.float64))
+    prod = lx * g
+    prod_err = np.abs(lx) * ge + 2.0 * EPS * np.abs(lx) * np.abs(g) + EPS * np.abs(prod)
+    lhs = np.abs(prod - f)
+    lhs_err = (prod_err + fe + EPS * lhs) * _HEADROOM
+    return a, lhs, lhs_err, _MANGOLDT_RHS, 2.0 * EPS * _MANGOLDT_RHS
+
+
+def _g_scans(
+    lo: int,
+    hi: int,
+    tables: SummatoryTables | None,
+    exact: tuple[int, ScaledMoebiusPrefix | None] | None = None,
+    mangoldt: bool = False,
+) -> list[BoundReport]:
+    """The reports of ``check_g_bound`` on [lo, hi], when ``exact`` gives its
+    (cutoff, prefix), and of ``check_mangoldt_bound``, when ``mangoldt`` is
+    set, in that order: both scans read one stream of the g lane.
+
+    The g bound is exact up to the cutoff and certified above it, where the
+    stream from lo (the Mangoldt scan's) or from the cutoff serves it; the
+    g and f streams run on one grid, so their chunks pair up.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    reports = []
+    g_bound, m_bound = _Verdicts(), _Verdicts()
+    g_lo = hi + 1  # the first x of the certified g bound
+    if exact is not None:
+        cutoff, prefix = exact
+        exact_hi = min(hi, cutoff)
+        violations: list = []
+        max_ratio = 0.0
+        if lo <= exact_hi:
+            prefix = ScaledMoebiusPrefix._covering(prefix, exact_hi)
+            L = prefix.denominator
+            gn = prefix.scaled_g
+            worst = 0
+            for x in range(lo, exact_hi + 1):
+                a = abs(gn[x])
+                if a > worst:
+                    worst = a
+                if a > L:
+                    violations.append((x, float(Fraction(gn[x], L)), 1.0))
+            max_ratio = float(Fraction(worst, L))
+        g_lo = max(lo, exact_hi + 1)
+    stream_lo = lo if mangoldt else g_lo
+    if stream_lo <= hi:
+        tables = SummatoryTables._covering(tables, hi)
+        gs = tables._chunks("_g", stream_lo, hi, _SCAN_CHUNK)
+        fs = tables._chunks("_f", lo, hi, _SCAN_CHUNK) if mangoldt else itertools.repeat(None)
+        for (a, g, ge), f in zip(gs, fs):
+            s = max(g_lo - a, 0)
+            if s < g.size:
+                g_bound.add(a + s, np.abs(g[s:]), ge[s:], 1.0, 0.0)
+            if mangoldt:
+                m_bound.add(*_mangoldt_sides(a, g, ge, *f[1:]))
+    if exact is not None:
+        max_ratio = float(np.max([max_ratio, *g_bound.maxima]))
+        note = f"exact below {exact_hi + 1}; certified above"
+        v, u = violations + g_bound.violations, g_bound.indeterminate
+        reports.append(_report("g_unit_bound", lo, hi, v, u, max_ratio, note=note))
+    if mangoldt:
+        r = float(np.max(m_bound.maxima))
+        v, u = m_bound.violations, m_bound.indeterminate
+        reports.append(
+            _report("mangoldt_bound", lo, hi, v, u, r, gamma=EULER_GAMMA, note=GAMMA_PROVENANCE)
+        )
+    return reports
 
 
 def check_theta_bounds(

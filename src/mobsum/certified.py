@@ -6,9 +6,22 @@ guaranteed to lie in ``[value - err, value + err]``.
 
 Error model
 -----------
+The prefix lanes of ``mobsum.summatory.SummatoryTables`` (g, f, theta, H,
+h, the tail, E, P and T) compute the rounding error of their sums instead
+of bounding it.  ``np.cumsum`` adds strictly left to right, which a test
+checks, and Knuth's TwoSum gives the exact error of each of its adds under
+round-to-nearest.  A prefix is therefore published with the bound |D| + E:
+D is the float sum of those signed errors, together with the signed
+residuals that some terms carry (1/k in g and H, ``_reciprocals``), and E is
+the sum of the terms' input errors plus a charge for D's own rounding
+(``_prefix_step``).  The scalars ``g_float``, ``f_value``, ``theta`` and
+``harmonic`` stream the same kernel block by block and return the lane's
+entry bit for bit.  The g recursion sums each of its table parts T_k the
+same way (``summatory._corrected_sum``).
+
 The floor-quotient run sums of ``mobsum.summatory`` (h, the tail and the
 rearranged h - 1, per x by ``np.add.reduceat``) and F(p, x) add with a
-summation tree they do not fix (NumPy's pairwise sums), and publish the
+summation tree they do not fix (NumPy's pairwise sums).  They publish the
 cheap worst-case estimate
 
     err <= (number of float additions) * EPS * (sum of |terms|) + input errors
@@ -17,18 +30,11 @@ where EPS is the double-precision machine epsilon (2^-52).  This bound is
 valid for *any* summation order and dominates the true error by orders of
 magnitude.
 
-The prefix lanes of ``mobsum.summatory.SummatoryTables`` (g, f, theta, H, h
-and the tail) add strictly left to right with ``np.cumsum``, which a test
-checks, so they publish Wilkinson's running bound instead: under
-round-to-nearest an add whose result is s errs by at most u * |s|, with
-u = EPS/2, so a prefix value is charged u times the sum of the |partial
-sums| before it, plus its input errors (see ``_prefix_with_err``).  The
-scalars ``g_float``, ``f_value``, ``theta`` and ``harmonic`` stream the same
-kernel block by block and return the lane's entry bit for bit.
-
 Per-term input errors account for inexact term construction: platform
 logarithms are assumed correct to 1 ulp and are charged 2 ulp each; a
-division is charged 1 ulp unless it is exact.
+division is charged 1 ulp unless it is exact or its exact residual is
+carried.  All of this assumes round-to-nearest double arithmetic without
+overflow or underflow.
 
 A sum of zero or one terms involves no float addition, so its rounding error
 is exactly zero; only input errors survive.  This keeps trivially exact
@@ -48,9 +54,11 @@ EPS = 2.0 ** -52
 EULER_GAMMA = 0.5772156649015329
 
 # Relative headroom absorbing second-order effects (rounding of the error
-# accounting itself; sound up to ~10^8 accumulated operations, and for the
-# prefix lanes up to blocks of 2^28 terms, ``summatory.MAX_PREFIX_BLOCK``).
-# Keeps exact zeros exactly zero.
+# accounting itself; sound up to ~10^8 accumulated operations).  In the
+# prefix kernel it covers the float sum of the magnitudes, within 2^-25 (1 +
+# 2^-24) of itself for blocks up to 2^28 terms (``summatory.MAX_PREFIX_BLOCK``),
+# and the rounding of the last add and of a carry add.  Keeps exact zeros
+# exactly zero.
 _HEADROOM = 1.0 + 2.0 ** -24
 
 

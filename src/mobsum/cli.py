@@ -389,8 +389,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         del checks
 
     reports = [
-        bounds_mod.check_g_bound(1, limit, cutoff=cutoff, tables=tables, prefix=prefix),
-        bounds_mod.check_mangoldt_bound(1, limit, tables=tables),
+        # the g bound and the Mangoldt scan read one stream of the g lane
+        *bounds_mod._g_scans(1, limit, tables, exact=(cutoff, prefix), mangoldt=True),
         bounds_mod.check_theta_bounds(1, limit, tables=tables),
         bounds_mod.check_harmonic_bound(1, limit, tables=tables),
         bounds_mod.tail_bound_scan(1, limit, tables=tables),

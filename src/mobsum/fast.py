@@ -34,8 +34,9 @@ integer for every y <= x, run weights are differences of scaled harmonic
 numbers, and the inverted sum's division by L^2 is checked to be exact.
 Certified float mode weighs each run by H(nu_hi) - H(nu_lo - 1) from
 ``summatory._harmonic_diff``, whose bound is relative to the weight itself
-(1/nu for a run of one nu), sums each T_k with ``math.fsum`` and propagates
-error bounds through the inversion (``_GBase.tail``).
+(1/nu for a run of one nu), sums each T_k by the TwoSum-corrected cumsum
+of ``summatory._corrected_sum`` and propagates error bounds through the
+inversion (``_GBase.tail``).
 
 Cost per index.  Root y = x // k has about 2 sqrt(y) terms, but J is only
 O(x^(1/3)), about 200 to 2000 at x = 10^7 .. 10^10, where a NumPy call (1 to
@@ -62,9 +63,10 @@ from .summatory import (
     SummatoryTables,
     _CHUNK,
     _H_DIFF_REL,
+    _corrected_sum,
     _harmonic_diff,
+    _held_prefix,
     _ks,
-    _prefix_with_err,
     moebius_values_upto,
 )
 
@@ -504,10 +506,7 @@ class _GBase:
     tables hold the lane or stream it.  A single nu weighs 1/nu and a run
     the harmonic segment H(nu_hi) - H(nu_lo - 1) of ``_harmonic_diff``.
 
-    ``math.fsum`` is assumed to return the correctly rounded sum of its
-    inputs (CPython's does, under round-to-nearest), so a sum s that it
-    returns errs by at most u |s|, u = EPS/2; a test checks it on cancelling
-    sums.  Every term t = g w carries one rounding of the product, u |t|,
+    Every term t = g w carries one rounding of the product, u |t|,
     and the input error w gerr + werr (|g| + gerr).  For a single nu, 1/nu
     rounds once, u w |g| <= u |t| (1 + u): EPS |t| for both.  A run's weight
     errs by werr <= r w, r = ``_H_DIFF_REL``, so its input error is at most
@@ -517,7 +516,7 @@ class _GBase:
     def __init__(self, tables: SummatoryTables, H: int, x: int):
         self.tables = tables
         self.size = H + 1
-        self.gv, self.ge = _prefix_with_err(*tables._lane_terms("_g")(0, H), tables.block_size)
+        self.gv, self.ge = _held_prefix(H, tables.block_size, tables._lane_terms("_g"))
         s = isqrt(x)
         self.inv = np.divide(1.0, _ks(0, s + 1))  # 1/nu at nu <= s + 1
         ge = self.ge[: s + 2]
@@ -545,10 +544,10 @@ class _GBase:
         The single nu in (b, s] read the head at y // nu; the runs q <= Q
         read it at q and weigh H(y // q) - H(y // (q+1)) from
         ``_harmonic_diff``, all of them in one call, as m = y // (q+1) falls
-        along q.  ``math.fsum`` adds these terms and the far sum in one
-        rounding.  The far sum of n terms of magnitudes A, added in any order
-        in at most 2n additions, errs by at most EPS n A besides its terms'
-        own errors.
+        along q.  ``_corrected_sum`` adds these terms and the far sum, within
+        about u |T_k| of their exact sum.  The far sum of n terms of
+        magnitudes A, added in any order in at most 2n additions, errs by at
+        most EPS n A besides its terms' own errors.
         """
         gv, ge = self.gv, self.ge
         n = s - b
@@ -562,9 +561,10 @@ class _GBase:
         ins += float(np.dot(self.wmag[1 : Q + 1], w))
         fv, fa, fe, fn = far
         t[-1] = fv
-        ins += EPS * float(np.abs(t[:-1]).sum()) + fe + EPS * (fn + 1.0) * fa
-        T = fsum(memoryview(t))
-        return T, (ins + 0.5 * EPS * abs(T)) * _HEADROOM
+        mag = float(np.abs(t[:-1]).sum())
+        ins += EPS * mag + fe + EPS * (fn + 1.0) * fa
+        T, rounding = _corrected_sum(t, mag + abs(fv))
+        return T, (ins + rounding) * _HEADROOM
 
 
 def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
@@ -580,7 +580,9 @@ def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
     J <= isqrt(x) <= H puts g(J) on the head.
 
     Each T_k / k rounds once (u), the sign is exact, and ``math.fsum``
-    rounds the sum with g(J) once (u |g(x)|); T_k's bound enters divided by k.
+    rounds the sum with g(J) once (u |g(x)|): it returns the correctly
+    rounded sum of its inputs (CPython's does, under round-to-nearest; a test
+    checks it on cancelling sums).  T_k's bound enters divided by k.
     """
     J = x // (K + 1)
     if not J:  # x <= K is the lane's own entry

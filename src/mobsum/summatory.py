@@ -121,10 +121,10 @@ def _lane(attr: str):
 
 def _prefix_lane(attr: str) -> property:
     """The lazy lane cached in ``attr`` of a ``SummatoryTables``: the certified
-    prefix (``_prefix_with_err``) of its ``_lane_terms(attr)`` over [0, limit]."""
+    prefix (``_held_prefix``) of its ``_lane_terms(attr)`` over [0, limit]."""
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
-        return _prefix_with_err(*self._lane_terms(attr)(0, self.limit), self.block_size)
+        return _held_prefix(self.limit, self.block_size, self._lane_terms(attr))
 
     return _lane(attr)(build)
 
@@ -274,7 +274,7 @@ def harmonic(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"harmonic sum needs x >= 1, got {x}")
-    return _stream_at(n, _H_terms)
+    return _stream_at(n, _reciprocals)
 
 
 def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFloat:
@@ -293,70 +293,154 @@ def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFl
 # ---------------------------------------------------------------------------
 
 
-# Largest block of one np.cumsum in ``_prefix_with_err``: the bound's own
-# float sum over a block is then off by under block * EPS/2 <= 2^-25 of
-# itself, which ``_HEADROOM`` (2^-24) covers.
+# Largest block of one np.cumsum in the prefix kernel (``_prefix_step``):
+# each of its float sums then errs by at most gamma_{2^28} < 2^-25 (1 +
+# 2^-24) of the sum of its summands' magnitudes, which ``_ERR_SUM_REL`` and
+# ``_HEADROOM`` cover.
 MAX_PREFIX_BLOCK = 1 << 28
 
 # Chunk length of the element-wise passes that need a temporary array.
 _CHUNK = 1 << 15
 
+# Charged per unit of sum_j |sigma_j| for the rounding of the float sum of a
+# prefix block's signed errors sigma_j and of each sigma_j (``_prefix_step``)
+_ERR_SUM_REL = 2.0**-24
 
-def _add_scaled_abs(
-    acc: np.ndarray, v: np.ndarray, c: float, where: np.ndarray | None = None
-) -> None:
-    """acc += c * |v| (only where ``where`` is set, if given), through
-    chunk-sized temporaries."""
+
+def _add_scaled_abs(acc: np.ndarray, v: np.ndarray, c: float) -> None:
+    """acc += c * |v|, through chunk-sized temporaries."""
     for lo in range(0, v.size, _CHUNK):
         t = np.abs(v[lo : lo + _CHUNK])
         t *= c
-        if where is not None:
-            t *= where[lo : lo + _CHUNK]
         acc[lo : lo + _CHUNK] += t
+
+
+def _two_sum(a: np.ndarray, b, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The exact errors (a + b) - s of the adds s = fl(a + b), element-wise,
+    written into ``out`` and returned; ``b`` (an array or a float) is
+    overwritten when it is an array.  ``out`` may be ``a``, and a view of
+    one array may give a = s[:-1] and s[1:]: s is read for the last time
+    before ``out`` is written.
+
+    Knuth's TwoSum (The Art of Computer Programming, vol. 2, 4.2.2, Thm. B;
+    Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26 (2005), Alg. 3.1): with
+    b' = s - a and a' = s - b', the error is (a - a') + (b - b'), and every
+    one of these operations is exact under round-to-nearest, without
+    overflow, whatever the magnitudes of a and b.
+    """
+    bp = np.subtract(s, a)
+    b = np.subtract(b, bp, out=b if isinstance(b, np.ndarray) else None)
+    np.subtract(s, bp, out=bp)  # a'
+    np.subtract(a, bp, out=out)
+    out += b
+    return out
+
+
+def _corrected_sum(t: np.ndarray, mag: float) -> tuple[float, float]:
+    """The sum T of the n >= 1 entries of ``t`` (overwritten), and a bound
+    on |T - sum t| for any mag >= sum |t|.
+
+    ``np.cumsum`` adds left to right, c_j = fl(c_{j-1} + t_j), and TwoSum
+    gives the exact errors delta_j of its n - 1 adds, so sum t = c_n +
+    sum delta_j.  ``np.sum`` adds the delta_j in an order it does not fix,
+    erring by at most gamma_{n-2} sum |delta_j|, where |delta_j| <= u |c_j|
+    <= u (1 + gamma_n) mag: under (n u)^2 mag in all.  T = fl(c_n + that
+    sum) rounds once more, by u |T| (1 + u) (Ogita, Rump and Oishi's Sum2).
+    The bound is u |T| + (n EPS)^2 mag; the caller's ``_HEADROOM`` covers
+    the second order.
+    """
+    n = t.size
+    c = np.cumsum(t)
+    delta = _two_sum(c[:-1], t[1:], c[1:], c[:-1])
+    T = float(c[-1]) + float(delta.sum())
+    return T, 0.5 * EPS * abs(T) + (n * EPS) ** 2 * mag
 
 
 def _prefix_step(
     v: np.ndarray,
     e: np.ndarray,
-    carry: tuple[float, float] | None,
-    local: tuple[float, float] | None = None,
+    carry: tuple[float, float, float] | None,
+    local: tuple[float, float, float] | None = None,
     last_only: bool = False,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """One chunk of a block of ``_prefix_with_err``, in place.
+    r: np.ndarray | None = None,
+) -> tuple[np.ndarray, tuple[float, float, float], tuple[float, float, float]]:
+    """One chunk of a block of a prefix lane: the prefix kernel.
 
-    The chunk's terms ``v`` and input errors ``e`` become its prefix values
-    and bounds (with ``last_only`` only the last entry of each; the rest stay
-    block-local).  ``carry`` is the last (value, bound) of the block before,
-    None for the block that starts at k = 1.  ``local`` is None for a chunk
-    that starts its block, and otherwise the block-local (prefix, error sum)
-    where the block's chunk before ended: the chunk continues that sum, so a
-    block run as several chunks gets the bits of one run as a whole.
+    From the chunk's terms ``v`` (overwritten) and input errors ``e`` it
+    makes its prefix values, returned as a new array, and their bounds, in
+    ``e`` (with ``last_only`` only the last entry of each is final; the rest
+    stay block-local).  ``r``, if given, holds signed parts of the terms'
+    errors, which the kernel sums with its own: term j is t_j + r_j +- e_j.
 
-    Returns the block-local (prefix, error sum) at the chunk's end, the
-    ``local`` of the next chunk, and its last (value, bound), the carry of
-    the next block when the chunk ends its block.
+    Within a block ``np.cumsum`` adds left to right (a test checks it), so
+    l_j = fl(l_{j-1} + t_j) from l_0 = t_0, and TwoSum gives every add's
+    exact error delta_j = l_{j-1} + t_j - l_j (delta_0 = 0): the block's
+    exact sum is l_k + sum_{j<=k} (delta_j + r_j +- e_j).  The kernel sums
+    sigma_j = fl(delta_j + r_j) left to right into D_k, and e_j + c
+    |sigma_j|, c = ``_ERR_SUM_REL``, into E_k, and publishes (E_k + |D_k|)
+    ``_HEADROOM``.  Rounding makes D_k err by at most gamma_{k-1} sum
+    |sigma_j| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 4.2) and each sigma_j by u |sigma_j| (1 + u); with k <=
+    ``MAX_PREFIX_BLOCK`` both fit under c sum |sigma_j|.  E_k sums k
+    nonnegative numbers, each rounded at most three times, so it lies within
+    2^-25 (1 + 2^-24) of the exact sum of its parts, and the last add and
+    the product by ``_HEADROOM`` (1 + 2^-24) round once each: the bound
+    exceeds that exact sum plus |D_k| by a factor over 1 + 2^-26.  Exact
+    terms give exact zero errors, so a single term, or a sum whose adds are
+    all exact, is certified at +/- 0.
+
+    ``carry`` is the (value, signed error, magnitude) of the block before,
+    None for the block that starts at k = 1: the block's exact prefix lies
+    within the magnitude of value + error.  The error and the magnitude start
+    the block's D and E (with c |error| in E, the error being one more
+    summand of D), and the value is added to every entry, s_k = fl(l_k +
+    value), whose TwoSum error joins D_k: d_k = fl(D_k + delta'_k).  That
+    add's rounding, u |d_k| (1 + u), fits in the factor's slack over |d_k|,
+    and the carry passed on charges it as EPS |d_k|.
+
+    ``local`` is None for a chunk that starts its block, and otherwise the
+    block-local (prefix, D, E) where the block's chunk before ended: the
+    chunk continues those sums, so a block run as several chunks gets the
+    bits of one run as a whole.  Returns the values, the ``local`` of the
+    next chunk and the chunk's last (value, signed error, magnitude), the
+    carry of the next block when the chunk ends its block.
     """
-    u = 0.5 * EPS
-    # adding an exact 0 rounds nothing, so only the nonzero terms' adds are
-    # charged; the block's own first element is a term, not a sum
-    s = 1 if local is None else 0
-    nonzero = v[s:] != 0.0
+    prev, t0 = 0.0 if local is None else local[0], float(v[0])
     if local is not None:
-        v[0] += local[0]
-    np.cumsum(v, out=v)
-    _add_scaled_abs(e[s:], v[s:], u, nonzero)
+        v[0] += prev
+    l = np.cumsum(v)
+    z = np.empty(v.size, dtype=np.complex128)  # sigma_j, then D_j; E's parts, then E_j
+    d, m = z.real, z.imag
+    _two_sum(l[:-1], v[1:], l[1:], d[1:])
+    d[0] = (prev - (l[0] - (l[0] - prev))) + (t0 - (l[0] - prev))
+    if r is not None:
+        d += r
+    mag = np.abs(d)
+    mag *= _ERR_SUM_REL
+    np.add(e, mag, out=m)
     if local is not None:
-        e[0] += local[1]
-    np.cumsum(e, out=e)
-    local = float(v[-1]), float(e[-1])
+        d[0] += local[1]
+        m[0] += local[2]
+    elif carry is not None:
+        d[0] += carry[1]
+        m[0] += carry[2] + _ERR_SUM_REL * abs(carry[1])
+    # one cumsum for D and E: a complex add adds the real and the imaginary
+    # parts as two float adds, which a test checks bit for bit
+    np.cumsum(z, out=z)
+    local = float(l[-1]), float(d[-1]), float(m[-1])
     if last_only:
-        v, e = v[-1:], e[-1:]
+        vals, d, m, e, mag = l[-1:], d[-1:], m[-1:], e[-1:], mag[-1:]
+    else:
+        vals = l
     if carry is not None:
-        v += carry[0]
-        e += carry[1]
-        _add_scaled_abs(e, v, u)
+        s = vals + carry[0]
+        d += _two_sum(vals, carry[0], s, mag)
+        vals[...] = s
+    np.abs(d, out=e)
+    e += m
     e *= _HEADROOM
-    return local, (float(v[-1]), float(e[-1]))
+    last_e = (local[2] + EPS * abs(float(d[-1]))) * _HEADROOM
+    return l, local, (float(l[-1]), float(d[-1]), last_e)
 
 
 def _prefix_with_err(
@@ -365,34 +449,34 @@ def _prefix_with_err(
     """Cumulative sums of ``terms`` (index 0 unused) with certified bounds.
 
     Works in place: ``terms`` becomes the prefix and ``input_err_terms`` its
-    error bound, so both must be float64 arrays the caller gives up.
-
-    Each block of ``block_size`` terms is summed by ``np.cumsum``, which adds
-    left to right, and every block after the first is then offset by the
-    last prefix value of the block before (the carry).  Under
-    round-to-nearest an add whose result is s errs by at most u * |s|, with
-    u = EPS/2, so element k of a block is charged Wilkinson's running bound
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.3)
-
-        sum_{j<=k} (e_j + u * |l_j| [j >= 2, t_j != 0]) + c * (u * |s_k| + err_carry),
-
-    times ``_HEADROOM``.  Here e_j is the term's input error, l_j the
-    block's own prefix sums (a block's first element is a term, not a sum,
-    and costs nothing, which keeps exact singletons at +/- 0; an add of a
-    zero term t_j returns l_{j-1} exactly and costs nothing), and c = 1 in
-    every block but the first (the carry add and the carry's own error).
-    ``_HEADROOM`` covers the float error of the bound's own cumsum, below
-    block_size * u; hence ``MAX_PREFIX_BLOCK``.  ``_prefix_stream`` runs the
-    same step over chunks of the blocks built one at a time.
+    error bound, so both must be float64 arrays the caller gives up.  Each
+    block of ``block_size`` terms is one left-to-right sum of the prefix
+    kernel (``_prefix_step``), run in ``_CHUNK`` pieces, and every block
+    after the first is offset by the block before (the carry).
     """
     terms[0] = input_err_terms[0] = 0.0
-    carry = None
-    for lo in range(1, terms.size, block_size):
-        hi = lo + block_size
-        _, carry = _prefix_step(terms[lo:hi], input_err_terms[lo:hi], carry)
+    n = terms.size - 1
+    # the kernel overwrites the views of a chunk's terms before they get its values
+    for lo, v, _ in _prefix_stream(
+        n, block_size, lambda lo, hi: (terms[lo : hi + 1], input_err_terms[lo : hi + 1]), _CHUNK
+    ):
+        terms[lo : lo + v.size] = v
     terms.flags.writeable = False
     input_err_terms.flags.writeable = False
     return terms, input_err_terms
+
+
+def _held_prefix(n: int, block_size: int, block_terms) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix lane over [0, n] (0 the zero pad) of ``block_terms``: its
+    ``_prefix_stream`` in ``_CHUNK`` pieces written into two new arrays, so
+    only the lane itself has full length."""
+    vals, errs = np.zeros(n + 1), np.zeros(n + 1)
+    for lo, v, e in _prefix_stream(n, block_size, block_terms, _CHUNK):
+        vals[lo : lo + v.size] = v
+        errs[lo : lo + v.size] = e
+    vals.flags.writeable = False
+    errs.flags.writeable = False
+    return vals, errs
 
 
 def _chunk_grid(n: int, block_size: int, chunk: int) -> Iterator[tuple[int, int]]:
@@ -409,16 +493,17 @@ def _prefix_stream(
 ) -> Iterator[tuple]:
     """A prefix lane over [1, n] on ``_chunk_grid``, keeping only two carries.
 
-    ``block_terms(lo, hi)`` gives the terms of [lo, hi] and their input errors;
-    yields (lo, values, bounds), bit for bit ``_prefix_with_err``'s entries lo..hi
+    ``block_terms(lo, hi)`` gives the terms of [lo, hi], their input errors
+    and, for g and H, their signed residuals (``_reciprocals``); yields (lo,
+    values, bounds), bit for bit the held lane's entries lo..hi
     (with ``last_only``, only each chunk's last entry: ``_prefix_step``).
     """
     carry = local = last = None
     for lo, hi in _chunk_grid(n, block_size, chunk):
         if (lo - 1) % block_size == 0:
             carry, local = last, None
-        v, e = block_terms(lo, hi)
-        local, last = _prefix_step(v, e, carry, local, last_only)
+        v, e, *r = block_terms(lo, hi)
+        v, local, last = _prefix_step(v, e, carry, local, last_only, *r)
         yield lo, v, e
 
 
@@ -432,7 +517,7 @@ def _stream_at(n: int, chunk_terms) -> CertifiedFloat:
 
 
 # -- the terms of each prefix lane over [lo, hi] and their per-term input
-# errors, shared by the table lanes (lo = 0, the zero pad) and the streams
+# errors (and signed residuals), shared by the held lanes and the streams
 
 
 def _ks(lo: int, hi: int) -> np.ndarray:
@@ -443,13 +528,39 @@ def _ks(lo: int, hi: int) -> np.ndarray:
     return ks
 
 
-def _g_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one inexact division per nonzero term: <= 1 ulp each
-    terms = _ks(lo, lo + mu.size - 1)
-    np.divide(mu, terms, out=terms)
-    ins = np.abs(terms)
-    ins *= EPS
-    return terms, ins
+def _reciprocals(lo: int, hi: int, mu: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The terms t_k = mu(k) fl(1/k) of k in [lo, hi] < 2^53 (mu = 1 when
+    None; k = 0 taken as 1), their input errors e_k and their signed
+    residuals r_k, with mu(k)/k = t_k + r_k +- e_k.
+
+    q = fl(1/k) is a normal double M 2^(b - 1075), M in [2^52, 2^53) its
+    integer significand and b its biased exponent, so Q = q 2^106 =
+    M 2^(b - 969) is an integer, as q > 2^-54.  rho = 1 - k q has |rho| < u
+    (the relative error of a rounding), so rho 2^106 = 2^106 - k Q is an
+    integer of magnitude at most 2^53, exact as a double, and congruent to
+    -k (Q mod 2^64) mod 2^64, which the wrapping uint64 shift and product
+    give.  Then mu(k)/k = mu(k) q (1 + rho) exactly, and r_k = fl(rho 2^106
+    t_k) 2^-106 errs by q's rounding and the product's, (2u + u^2) |r_k|:
+    e_k = EPS |r_k|, the second order left to ``_HEADROOM``.
+    """
+    t = np.divide(1.0, _ks(lo, hi))
+    bits = t.view(np.uint64)
+    w = bits >> np.uint64(52)
+    w -= np.uint64(969)
+    m = bits & np.uint64((1 << 52) - 1)
+    m |= np.uint64(1 << 52)
+    np.left_shift(m, w, out=m)  # Q mod 2^64
+    m *= np.arange(-lo, -hi - 1, -1, dtype=np.int64).view(np.uint64)
+    if mu is not None:
+        t *= mu
+    r = m.view(np.int64).astype(np.float64)  # rho 2^106
+    r *= t
+    r *= 2.0**-106
+    return t, np.abs(r) * EPS, r
+
+
+def _g_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _reciprocals(lo, lo + mu.size - 1, mu)
 
 
 def _f_terms(lo: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,15 +614,6 @@ class _Segments:
         if hi - base == self.values.size:  # the stream leaves the segment
             self.segment, self.values = -1, None
         return values
-
-
-def _H_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    terms = _ks(lo, hi)
-    np.divide(1.0, terms, out=terms)
-    ins = terms * EPS
-    # 1/k is exact when k is a power of two
-    ins[[(1 << i) - lo for i in range(hi.bit_length()) if 1 << i >= lo]] = 0.0
-    return terms, ins
 
 
 # A modulus with at least this many multiples in the range of
@@ -648,7 +750,7 @@ class SummatoryTables(_Table):
 
     Immutable once built; safe to share read-only between scan consumers.
     ``_lane_terms`` gives the terms of the g, f, theta, H, h and tail lanes
-    over any [lo, hi]: each held lane is ``_prefix_with_err`` over them, and
+    over any [lo, hi]: each held lane is ``_held_prefix`` over them, and
     ``_chunks`` streams a lane the tables do not hold.
     """
 
@@ -741,12 +843,12 @@ class SummatoryTables(_Table):
     def _lane_terms(self, attr: str):
         """``block_terms(lo, hi)`` of the prefix lane cached in ``attr``
         (``"_g"``, ``"_f"``, ``"_theta"``, ``"_H"``, ``"_h"`` or ``"_tail"``):
-        the lane's terms over [lo, hi] and their input errors, with lo = 0
-        (the zero pad) for the held lane."""
+        the lane's terms over [lo, hi], their input errors and, for g and H,
+        their signed residuals; lo = 0 gives the zero pad."""
         if attr == "_theta":
             return functools.partial(_theta_terms, flags=_Segments(prime_flags, self.limit))
         if attr == "_H":
-            return _H_terms
+            return _reciprocals
         mu = self.mu
         if attr == "_g":
             return lambda lo, hi: _g_terms(lo, mu[lo : hi + 1])

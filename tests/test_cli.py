@@ -57,9 +57,10 @@ def test_table_is_the_reference_rendering(capsys, limit, stride):
     if stride > limit:
         assert out == _TABLE_HEADER
     else:
-        # f, theta and h are 0 at x = 1, a value the kernel leaves to '%'
+        # f, theta and h are 0 at x = 1, a value the kernel leaves to '%',
+        # and g(1) = 1 is exact
         zero = "0.0000000000000000e+00"
-        row1 = f"1,1,2.2204461815992111e-16,0,{zero},1,0,{zero},-1,0,{zero}"
+        row1 = f"1,1,{zero},0,{zero},1,0,{zero},-1,0,{zero}"
         assert out.splitlines()[1] == row1
 
 
@@ -150,10 +151,10 @@ def test_fast_memory_estimate_is_the_g_footprint(monkeypatch, capsys):
 
 # the SHA-256 of the CSVs of scripts/golden_csvs.py's configurations, in order
 _GOLDEN = [
-    "dd8bae27602f327793c9a25683b68ecb6316d162486bc2ba09f8809115c844af",  # verify 1e5
-    "a4af5ec1766f6187f1c4d5d3f9d71cbc959de3c1578cdeaddcb9d0211d06b606",  # verify 5e5 cutoff 200
-    "d6a7edff194ac91f24bb28776430aa8d5925f7af5e8344408a9026c4e01f742e",  # table 2e5 stride 20
-    "9ebcbf92dff3e73e3e81c742e56796c56aec11ca15039116b36fe0a58bee5295",  # table 1e4 stride 1
+    "2d800f23c4d97709e47a56c310633dcf88e2fdff21e09b796cf8ac8d4f05c27e",  # verify 1e5
+    "ca5b0b6c1a0090f5175425615ba838e61b1be29e3a800ea7aec2d79cbaeeefe8",  # verify 5e5 cutoff 200
+    "46c92101779430d5b5bc32a8ff5309e1ca2a76e04b4f299a6dd18eca63108769",  # table 2e5 stride 20
+    "a66ea84a42a5f3d1a63011a934c304a88865ceaeb949388c4c154d5d69747857",  # table 1e4 stride 1
     "690719ad6b3487a046dd5e4f7b1c0a3e7bafdc905c0637e8cc19e00447042589",  # converge 1e5 stride 100
     "a75bf88506171310685e2fcd0092901adfcd96f8d9527685402286621ff60db5",  # converge 2e4 stride 1
 ]

@@ -29,9 +29,11 @@ from mobsum.fast import (
     quotient_blocks,
 )
 from mobsum.sieve import sieve_moebius
+from mobsum.certified import _HEADROOM
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _corrected_sum,
     big_m,
     g_exact,
     g_float,
@@ -298,16 +300,16 @@ def test_g_recursive_crossover_knob():
 
 
 # value and error bound of g_recursive_float, bit for bit: the squarefree-k
-# inversion's, each T_k one fsum over its terms and the far sum
+# inversion's, each T_k one corrected sum over its terms and the far sum
 _G_FLOAT_GOLDEN = [
-    (10**7, None, "0x1.a9d283f6e7540p-14", "0x1.86b93c7b54f34p-44"),
-    (10**7 + 35276, None, "0x1.a395ec9863480p-14", "0x1.871bf0b4e9201p-44"),
-    (10**8, None, "0x1.577fe3d709300p-16", "0x1.5b119a79e4d45p-43"),
-    (3000, 10, "-0x1.b3118e9f5f9b0p-10", "0x1.df64ec731788dp-47"),
-    (3000, 300, "-0x1.b3118e9f5f800p-10", "0x1.efbc8a45aa586p-47"),
+    (10**7, None, "0x1.a9d283f6e7540p-14", "0x1.b1698f816a3f6p-48"),
+    (10**7 + 35276, None, "0x1.a395ec9863480p-14", "0x1.b16b327aec18ep-48"),
+    (10**8, None, "0x1.577fe3d709300p-16", "0x1.e36c2c3c0870bp-48"),
+    (3000, 10, "-0x1.b3118e9f5f9b0p-10", "0x1.43a9448a744f0p-48"),
+    (3000, 300, "-0x1.b3118e9f5f800p-10", "0x1.c00bd4675e6a0p-49"),
     # a chain root with isqrt 1: no single nu, only the run q = 1
-    (2, None, "0x1.0000000000000p-1", "0x1.20f5c4d147af6p-50"),
-    (3, None, "0x1.5555555555554p-3", "0x1.a1999cf222242p-50"),
+    (2, None, "0x1.0000000000000p-1", "0x1.81eb87e28f5d7p-51"),
+    (3, None, "0x1.5555555555554p-3", "0x1.2c44467ccccdep-50"),
 ]
 
 
@@ -335,8 +337,9 @@ def test_g_recursive_float_is_sound_and_tight():
             assert true_err <= Fraction(r.err), (x, k)
             if true_err:
                 ratios.append(r.err / float(true_err))
-    # the bound is within a few decades of the true error, not the chain's 10^4..10^6
-    assert len(ratios) > 1000 and statistics.median(ratios) <= 1e3, statistics.median(ratios)
+    # the bound is within a few decades of the true error, not the chain's
+    # 10^4..10^6; the median read 52.6 with the lane's computed errors
+    assert len(ratios) > 1000 and statistics.median(ratios) <= 5e2, statistics.median(ratios)
 
 
 def test_g_recursive_float_contains_decimal_where_log1p_weighs_runs():
@@ -375,7 +378,7 @@ def test_g_far_reads_stream_the_held_lane_bits():
     assert (r.value.hex(), r.err.hex()) == (streamed.value.hex(), streamed.err.hex())
     near = _g_value(x, K, _GBase(whole, K, x))
     assert abs(near.value - held.value) <= near.err + held.err
-    assert held.err <= 1e-6 * abs(held.value)
+    assert held.err <= 1e-7 * abs(held.value)
 
 
 def test_g_recursive_float_two_crossovers_at_1e10():
@@ -383,11 +386,11 @@ def test_g_recursive_float_two_crossovers_at_1e10():
     a = g_recursive_float(x)
     b = g_recursive_float(x, crossover=default_crossover(x) // 2)
     assert abs(a.value - b.value) <= a.err + b.err
-    assert a.err <= 1e-6 * abs(a.value) and b.err <= 1e-6 * abs(b.value), (a, b)
+    assert a.err <= 1e-7 * abs(a.value) and b.err <= 1e-7 * abs(b.value), (a, b)
 
 
 def test_fsum_rounds_correctly():
-    # ``_GBase`` charges an fsum result s only u |s|: the correctly rounded sum
+    # ``_g_value`` charges an fsum result s only u |s|: the correctly rounded sum
     u = 2.0**-53
     cases = [
         [1.0, 1e100, 1.0, -1e100],
@@ -404,6 +407,27 @@ def test_fsum_rounds_correctly():
         cases.append(terms + [-t for t in terms[::2]])
     for terms in cases:
         assert math.fsum(terms) == float(sum(map(Fraction, terms))), terms
+
+
+def _corrected_sum_contains(terms: list[float]) -> bool:
+    t = np.array(terms)
+    T, bound = _corrected_sum(t.copy(), float(np.abs(t).sum()))
+    return abs(Fraction(T) - sum(map(Fraction, terms))) <= Fraction(bound * _HEADROOM)
+
+
+def test_corrected_sum_charges_each_rounding():
+    # ``_GBase.tail`` sums each T_k with ``_corrected_sum``.  Its last add
+    # rounds: 1 + 2^-70 comes back as 1, which only u |T| covers
+    assert _corrected_sum_contains([1.0, 2.0**-70])
+    # the error sum rounds: the adds' errors 2^-53, 2^-160 and -2^-53 sum to
+    # 0 in floats and T = 0 while the sum is 2^-160, which only the error
+    # sum's charge covers
+    assert _corrected_sum_contains([1.0, 2.0**-53, 2.0**-160, 3 * 2.0**-53, -(1 + 2.0**-51)])
+    # and random cancelling sums, against exact rationals
+    rng = random.Random(28)
+    for _ in range(300):
+        terms = [rng.uniform(-1, 1) * 2.0 ** rng.randrange(-60, 60) for _ in range(rng.randrange(1, 40))]
+        assert _corrected_sum_contains(terms + [-t for t in terms[::2]]), terms
 
 
 def test_g_recursive_float_crossover_knob():

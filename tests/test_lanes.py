@@ -7,6 +7,7 @@ The references are exact rationals (``fractions``, the scaled prefix) and
 import functools
 import math
 import random
+import statistics
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -24,9 +25,12 @@ from mobsum.summatory import (
     SummatorySeries,
     SummatoryTables,
     _chunk_grid,
+    _g_terms,
     _prefix_stream,
     _prefix_with_err,
+    _reciprocals,
     _theta_terms,
+    _two_sum,
     lcm_upto,
     moebius_values_upto,
     series_scan,
@@ -87,6 +91,97 @@ def test_prefix_kernel_bound_contains_exact_sums():
                     k,
                 )
             assert errs[1] == 0.0  # a single term is exact
+
+
+def test_complex_cumsum_adds_both_parts_left_to_right():
+    # the prefix kernel sums its signed errors and their magnitudes as the
+    # real and the imaginary parts of one complex cumsum: each part must get
+    # the bits of its own left-to-right sum
+    rng = np.random.default_rng(12)
+    parts = rng.standard_normal((2, 20_000)) * np.exp2(rng.integers(-40, 40, (2, 20_000)))
+    z = np.empty(20_000, dtype=np.complex128)
+    z.real, z.imag = parts
+    np.cumsum(z, out=z)
+    for got, part in zip((z.real, z.imag), parts):
+        acc, ref = 0.0, []
+        for t in part.tolist():
+            acc += t
+            ref.append(acc)
+        assert np.array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+
+
+def test_two_sum_is_exact():
+    # TwoSum gives the exact error of every add, for random doubles across
+    # 80 binades of either sign, and for a scalar second operand
+    rng = random.Random(41)
+    a, b = (
+        np.array([rng.uniform(-1, 1) * 2.0 ** rng.randint(-40, 40) for _ in range(3000)])
+        for _ in range(2)
+    )
+    s = a + b
+    err = _two_sum(a.copy(), b.copy(), s, np.empty_like(s))
+    for x, y, sx, ex in zip(a.tolist(), b.tolist(), s.tolist(), err.tolist()):
+        assert Fraction(x) + Fraction(y) == Fraction(sx) + Fraction(ex), (x, y)
+    c = 2.0**-7 / 3.0
+    s = a + c
+    err = _two_sum(a.copy(), c, s, np.empty_like(s))
+    for x, sx, ex in zip(a.tolist(), s.tolist(), err.tolist()):
+        assert Fraction(x) + Fraction(c) == Fraction(sx) + Fraction(ex), x
+
+
+def _lane_contains_exact_sums(terms: list[float], block: int) -> None:
+    """Every entry of ``_prefix_with_err`` over exact ``terms`` holds their sum."""
+    vals, errs = _prefix_with_err(np.array(terms), np.zeros(len(terms)), block)
+    exact = Fraction(0)
+    for k in range(1, len(terms)):
+        exact += Fraction(terms[k])
+        assert abs(Fraction(float(vals[k])) - exact) <= Fraction(float(errs[k])), (block, k)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_prefix_kernel_charges_the_carry_adds(block):
+    # with blocks of one to three terms most adds are carry adds, s_k =
+    # fl(l_k + value): only their TwoSum errors, which join the signed error,
+    # cover their roundings
+    rng = random.Random(block)
+    terms = [0.0] + [rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(300)]
+    _lane_contains_exact_sums(terms, block)
+
+
+def test_prefix_kernel_charges_the_error_sum_rounding():
+    # the adds' errors 2^-53, 2^-160 and -2^-53 sum to 0 in floats while the
+    # prefix errs by 2^-160: only the charge on the error sum covers it
+    terms = [0.0, 1.0, 2.0**-53, 2.0**-160, 3 * 2.0**-53]
+    vals, errs = _prefix_with_err(np.array(terms), np.zeros(5), 1 << 20)
+    assert Fraction(float(vals[4])) == sum(map(Fraction, terms)) - Fraction(2) ** -160
+    assert 2.0**-160 <= errs[4] < 2.0**-70
+    _lane_contains_exact_sums(terms, 2)
+
+
+def test_prefix_kernel_bound_covers_the_input_errors_exact_sum():
+    # exact adds, so the bound is the float sum of the input errors alone,
+    # which rounds 1 + 2^-53 + 2^-53 down to 1: the headroom covers that
+    errs = [0.0, 1.0, 2.0**-53, 2.0**-53, 2.0**-53]
+    vals, bounds = _prefix_with_err(np.array([0.0, 1.0, 1.0, 2.0, 4.0]), np.array(errs), 1 << 20)
+    assert vals.tolist() == [0.0, 1.0, 2.0, 4.0, 8.0]
+    for k in range(1, 5):
+        assert Fraction(float(bounds[k])) >= sum(map(Fraction, errs[: k + 1])), k
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 3000), (2**26 - 500, 2**26 + 500), (2**53 - 600, 2**53 - 1)])
+def test_reciprocal_terms_carry_their_residuals(lo, hi):
+    # mu(k)/k = t + r +- e for g's and H's terms: the residual r of 1/k is
+    # exact but for one rounding, which e charges, below and above 2^26
+    rng = random.Random(hi)
+    mu = np.array([rng.choice((-1, 0, 1)) for _ in range(hi - lo + 1)], dtype=np.int8)
+    mu[: 1 if lo == 0 else 0] = 0
+    rounded = 0
+    for (t, e, r), m in ((_g_terms(lo, mu), mu), (_reciprocals(lo, hi), np.ones_like(mu))):
+        for k, mk, tk, ek, rk in zip(range(lo, hi + 1), m.tolist(), t.tolist(), e.tolist(), r.tolist()):
+            exact = Fraction(mk, k) - Fraction(tk) if k else Fraction(0)
+            assert abs(exact - Fraction(rk)) <= Fraction(ek), k
+            rounded += exact != rk
+    assert rounded > 0
 
 
 def test_prefix_kernel_rejects_oversized_blocks():
@@ -210,6 +305,68 @@ def test_f_theta_harmonic_lanes_contain_decimal_reference(tables_20k):
                 ref = refs[name][x]
                 slack = Decimal("1e-38") * (1 + abs(ref))
                 assert _contains_decimal(v[x], e[x], ref, slack), (name, x)
+
+
+def test_g_and_harmonic_lanes_are_tight(tables_20k):
+    # g's and H's terms carry their exact residuals, so their bounds are the
+    # lanes' computed errors: against exact rationals at every x <= 2e4,
+    # each bound holds and, where the true error is nonzero, is at most 10^4
+    # times it, and at most 10 times in the median (both read 1.00001)
+    pre = ScaledMoebiusPrefix(N)
+    L = pre.denominator
+    for (v, e), exact in (
+        (tables_20k.g_arrays, pre.scaled_g),
+        (tables_20k.harmonic_arrays, pre.scaled_harmonic),
+    ):
+        ratios = []
+        for x in range(1, N + 1):
+            vn, vd = float(v[x]).as_integer_ratio()
+            en, ed = float(e[x]).as_integer_ratio()
+            diff = abs(vn * L - exact[x] * vd)  # the true error times vd L
+            assert diff * ed <= en * vd * L, x
+            if diff:
+                ratios.append(en * vd * L / (ed * diff))
+        worst, median = max(ratios), statistics.median(ratios)
+        assert len(ratios) > N - 10 and worst <= 1e4 and median <= 10, (worst, median)
+
+
+def test_log_lanes_are_tight_at_the_sampled_x(tables_20k):
+    # f, theta, h and the tail charge every log 2 ulp a priori.  Against
+    # their 45-digit decimal references at the sampled x, each bound is at
+    # most 10^4 times the true error, and at most 10 times in the median
+    # (f 4.6, theta 1.6, h 5.6), but the tail's: a priori charges of 2.5 EPS
+    # a term make most of its bound, and its median read 42
+    xs = _sampled_xs()
+    mu = moebius_values_upto(N)
+    primes = set(_primes_upto(N).tolist())
+    refs = {"f": {}, "theta": {}}
+    f = th = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        for k in range(1, N + 1):
+            m = int(mu[k])
+            if m and k > 1:
+                f += m * Decimal(k).ln() / k
+            if k in primes:
+                th += Decimal(k).ln()
+            refs["f"][k], refs["theta"][k] = f, th
+    refs["h"], refs["tail"] = _decimal_references(xs)
+    lanes = {
+        "f": (tables_20k.f_arrays, 10),
+        "theta": (tables_20k.theta_arrays, 10),
+        "h": (tables_20k.h_arrays, 10),
+        "tail": (tables_20k.tail_arrays, 100),
+    }
+    for name, ((v, e), median_gate) in lanes.items():
+        ratios = []
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x in xs:
+                true_err = abs(Decimal(float(v[x])) - refs[name][x])
+                if true_err > Decimal("1e-37"):  # the references' own error
+                    ratios.append(float(Decimal(float(e[x])) / true_err))
+        worst, median = max(ratios), statistics.median(ratios)
+        assert len(ratios) > 60 and worst <= 1e4 and median <= median_gate, (name, worst, median)
 
 
 def test_abel_right_side_contains_decimal_h(tables_20k):
