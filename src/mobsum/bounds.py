@@ -245,16 +245,14 @@ def _g_scans(
         violations: list = []
         max_ratio = 0.0
         if lo <= exact_hi:
-            prefix = ScaledMoebiusPrefix._covering(prefix, exact_hi)
-            L = prefix.denominator
-            gn = prefix.scaled_g
+            L, gls = ScaledMoebiusPrefix._reads(prefix, exact_hi)
             worst = 0
-            for x in range(lo, exact_hi + 1):
-                a = abs(gn[x])
+            for x, gl in itertools.islice(enumerate(gls, 1), lo - 1, None):
+                a = abs(gl)
                 if a > worst:
                     worst = a
                 if a > L:
-                    violations.append((x, float(Fraction(gn[x], L)), 1.0))
+                    violations.append((x, float(Fraction(gl, L)), 1.0))
             max_ratio = float(Fraction(worst, L))
         g_lo = max(lo, exact_hi + 1)
     stream_lo = lo if mangoldt else g_lo
@@ -491,10 +489,9 @@ def m_over_x_convergence(
     [M] = tables._sample("_M", stride, scan_limit)
     xs = range(stride, scan_limit + 1, stride)
     exact_hi = min(scan_limit, cutoff)
-    prefix = ScaledMoebiusPrefix(exact_hi)
-    gn = prefix.scaled_g
-    sg = prefix.scaled_g_cumsum
-    L = prefix.denominator
+    # g(x) L in order, with sg = (sum_{k<x} g(k)) L running beside it
+    L, gls = ScaledMoebiusPrefix._reads(None, exact_hi)
+    sg = 0
     samples = []
     xi = None
     abel_ok = True
@@ -506,8 +503,12 @@ def m_over_x_convergence(
         samples.append((x, rv))
         xi = (xi or x) if rv + rerr <= delta else None  # opens after the last failure
         if x <= exact_hi:
-            if m * L != -sg[x - 1] + gn[x] * x:
+            for gl in itertools.islice(gls, stride - 1):
+                sg += gl
+            gl = next(gls)
+            if m * L != -sg + gl * x:
                 abel_ok = False
+            sg += gl
     return ConvergenceReport(
         kind="m_over_x",
         delta=delta,

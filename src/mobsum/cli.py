@@ -44,7 +44,6 @@ from .certified import EULER_GAMMA
 from .sieve import iter_moebius_blocks
 from .summatory import (
     EXACTNESS_CUTOFF,
-    ScaledMoebiusPrefix,
     SummatorySeries,
     SummatoryTables,
     big_m,
@@ -62,16 +61,28 @@ def _fmt_err(v: float) -> str:
     return format(float(v), ".16e")
 
 
-def _fits(args: argparse.Namespace, need: int, exact: int = 0) -> bool:
-    """Whether the subcommand's rough peak above the interpreter's own fits in
-    the memory available, and if not, says so: ``need`` bytes plus the exact
-    checks up to ``exact``, two lists of 1.44 n-bit integers, 0.18 n^2 B each."""
-    need += 2 * (18 * exact * exact // 100)
+def _fits(args: argparse.Namespace, need: int) -> bool:
+    """Whether the subcommand's rough peak above the interpreter's own,
+    ``need`` bytes, fits in the memory available, and if not, says so."""
     avail = sieve_mod._available_bytes()
     if need > avail:
         mib = f"about {need / 2**20:.0f} MiB, more than the {avail / 2**20:.0f} MiB available"
         print(f"mobsum: {args.command} --limit {args.limit} needs {mib}", file=sys.stderr)
     return need <= avail
+
+
+def _exact_int_bytes(n: int) -> int:
+    """About the bytes of one exact value g(k) L or H(k) L with
+    L = lcm(1..n), an integer of about 1.44 n bits."""
+    return 18 * n // 100 + 32
+
+
+def _verify_exact_bytes(n: int) -> int:
+    """About the peak bytes of ``verify``'s exact and identity checks up to
+    n: a few exact values at a time, the about 4 sqrt(n) of them that the
+    unit identity's end check records, and the identity tables' lanes over
+    [1, n], about 160 B per x."""
+    return (4 * math.isqrt(n) + 16) * _exact_int_bytes(n) + 160 * n
 
 
 def _output(path: str | None):
@@ -365,32 +376,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cutoff = args.cutoff
     exact_hi = min(limit, cutoff)
     # the int8 mu lane that the bound scans stream from, 1 B per x
-    if not _fits(args, limit, exact=exact_hi):
+    if not _fits(args, limit + _verify_exact_bytes(exact_hi)):
         return 2
     # the bound scans stream their lanes from mu, the one full-length lane built here
     tables = SummatoryTables(limit)
-    prefix = ScaledMoebiusPrefix(exact_hi)
 
     sums = ident_mod.divisor_sum_scan(exact_hi).tolist()
     div_bad = sum(1 for t in range(1, exact_hi + 1) if sums[t] != (1 if t == 1 else 0))
     results = [_check_row("divisor_sum_unit", 1, exact_hi, exact_hi, div_bad, 0, _fmt(0.0))]
 
-    # the identity scans read their lanes only up to exact_hi, so their tables stop there
+    # the identity scans read their lanes only up to exact_hi, so their tables
+    # stop there; each gives its verdicts as arrays, counted here
     ident_tables = SummatoryTables(exact_hi)
-    for name, scan, kw in (
-        ("gram_unit_sum", ident_mod.gram_scan, {"prefix": prefix}),
-        ("prime_decomposition", ident_mod.decomposition_scan, {"tables": ident_tables}),
-        ("abel_rearrangement", ident_mod.abel_scan, {"tables": ident_tables}),
+    for columns in (
+        lambda: ident_mod._gram_columns(1, exact_hi, None),
+        lambda: ident_mod._decomposition_columns(1, exact_hi, ident_tables),
+        lambda: ident_mod._abel_columns(1, exact_hi, ident_tables),
     ):
-        checks = scan(1, exact_hi, **kw)
-        failures = sum(not c.holds for c in checks)
-        slack = _fmt_err(max((c.slack for c in checks), default=0.0))
-        results.append(_check_row(name, 1, exact_hi, len(checks), failures, 0, slack))
-        del checks
+        c = columns()
+        failures = int(np.count_nonzero(~c.holds))
+        results.append(_check_row(c.name, 1, exact_hi, c.holds.size, failures, 0, _fmt_err(c.slack.max())))
+        del c
 
     reports = [
         # the g bound and the Mangoldt scan read one stream of the g lane
-        *bounds_mod._g_scans(1, limit, tables, exact=(cutoff, prefix), mangoldt=True),
+        *bounds_mod._g_scans(1, limit, tables, exact=(cutoff, None), mangoldt=True),
         bounds_mod.check_theta_bounds(1, limit, tables=tables),
         bounds_mod.check_harmonic_bound(1, limit, tables=tables),
         bounds_mod.tail_bound_scan(1, limit, tables=tables),
@@ -413,10 +423,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    # the int8 mu lane and its streams, about 1.3 B per x, and the reports'
-    # samples (Python objects), about 308 B each
+    # the int8 mu lane and its streams, about 1.3 B per x, the reports'
+    # samples (Python objects), about 308 B each, and the few exact values
+    # of the partial-summation check held at a time
     need = 2 * args.limit + 310 * (args.limit // args.stride)
-    if not _fits(args, need, exact=min(args.limit, args.cutoff)):
+    if not _fits(args, need + 8 * _exact_int_bytes(min(args.limit, args.cutoff))):
         return 2
     tables = SummatoryTables(args.limit)
     hrep = bounds_mod.h_convergence(args.delta, args.limit, args.stride, tables=tables)
@@ -453,8 +464,10 @@ def _timed(fn, x: int):
 
 def _cmd_fast(args: argparse.Namespace) -> int:
     x = args.limit
-    # the certified g recursion holds more than m_recursive and the streamed direct sums
-    if not _fits(args, fast_mod._g_float_bytes(x), exact=x if x <= args.cutoff else 0):
+    # the certified g recursion holds more than m_recursive and the streamed
+    # direct sums; the exact one, two lists of x exact values
+    exact = 2 * x * _exact_int_bytes(x) if x <= args.cutoff else 0
+    if not _fits(args, fast_mod._g_float_bytes(x) + exact):
         return 2
     m_rec, t_rec = _timed(fast_mod.m_recursive, x)
     m_dir, t_dir = _timed(big_m, x)

@@ -62,7 +62,6 @@ from .summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
     _CHUNK,
-    _H_DIFF_REL,
     _corrected_sum,
     _harmonic_diff,
     _held_prefix,
@@ -509,8 +508,9 @@ class _GBase:
     Every term t = g w carries one rounding of the product, u |t|,
     and the input error w gerr + werr (|g| + gerr).  For a single nu, 1/nu
     rounds once, u w |g| <= u |t| (1 + u): EPS |t| for both.  A run's weight
-    errs by werr <= r w, r = ``_H_DIFF_REL``, so its input error is at most
-    w (gerr + r (|g| + gerr)), ``wmag`` times w.
+    errs by werr <= r w, r the run's own charge from ``_harmonic_diff``, so
+    its input error is at most w gerr + r w (|g| + gerr), ``gmag`` =
+    |g| + gerr.
     """
 
     def __init__(self, tables: SummatoryTables, H: int, x: int):
@@ -519,8 +519,7 @@ class _GBase:
         self.gv, self.ge = _held_prefix(H, tables.block_size, tables._lane_terms("_g"))
         s = isqrt(x)
         self.inv = np.divide(1.0, _ks(0, s + 1))  # 1/nu at nu <= s + 1
-        ge = self.ge[: s + 2]
-        self.wmag = ge + _H_DIFF_REL * (np.abs(self.gv[: s + 2]) + ge)
+        self.gmag = np.abs(self.gv[: s + 2]) + self.ge[: s + 2]
         self.terms = np.empty(2 * s + 2)
 
     def chunks(self, top: int):
@@ -556,9 +555,10 @@ class _GBase:
         w = self.inv[b + 1 : s + 1]
         np.multiply(gv.take(qd), w, out=t[:n])
         ins = float(np.dot(ge.take(qd), w))
-        w = _harmonic_diff(q[:Q], q[1 : Q + 1])
+        w, r = _harmonic_diff(q[:Q], q[1 : Q + 1])
         np.multiply(gv[1 : Q + 1], w, out=t[n:-1])
-        ins += float(np.dot(self.wmag[1 : Q + 1], w))
+        r *= w
+        ins += float(np.dot(ge[1 : Q + 1], w)) + float(np.dot(self.gmag[1 : Q + 1], r))
         fv, fa, fe, fn = far
         t[-1] = fv
         mag = float(np.abs(t[:-1]).sum())

@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from types import SimpleNamespace
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -70,6 +71,43 @@ class IdentityCheck:
     rhs: Value
     holds: bool
     slack: float
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Verdicts of one identity at every x of [lo, lo + holds.size), as
+    arrays: ``holds`` and ``slack`` are those of ``IdentityCheck`` at
+    x = lo + i, and ``sides(i)`` gives its lhs and rhs.  ``verify`` counts
+    the arrays; the public scans are ``checks()``."""
+
+    name: str
+    lo: int
+    holds: np.ndarray
+    slack: np.ndarray
+    sides: Callable[[int], tuple[Value, Value]]
+
+    def checks(self) -> list[IdentityCheck]:
+        verdicts = zip(self.holds.tolist(), self.slack.tolist())
+        return [
+            IdentityCheck(self.name, self.lo + i, *self.sides(i), holds, slack)
+            for i, (holds, slack) in enumerate(verdicts)
+        ]
+
+
+def _certified_columns(
+    name: str, lo: int, lhs: tuple[np.ndarray, np.ndarray], rhs: tuple[np.ndarray, np.ndarray]
+) -> _Columns:
+    """The certified check at every x of [lo, ...] from the (value, err)
+    arrays of both sides: it holds exactly when |lhs - rhs| <= lhs.err +
+    rhs.err, and its slack is |lhs - rhs| + lhs.err + rhs.err."""
+    (lv, le), (rv, re) = lhs, rhs
+    delta = np.abs(lv - rv)
+    budget = le + re
+
+    def sides(i: int) -> tuple[Value, Value]:
+        return CertifiedFloat(float(lv[i]), float(le[i])), CertifiedFloat(float(rv[i]), float(re[i]))
+
+    return _Columns(name, lo, delta <= budget, delta + budget, sides)
 
 
 def divisor_sum(t: int) -> int:
@@ -148,7 +186,22 @@ def _unit_check(n: int, ssum: int, l2: int) -> IdentityCheck:
 def gram_scan(
     lo: int, hi: int, *, prefix: ScaledMoebiusPrefix | None = None
 ) -> list[IdentityCheck]:
-    """gram_identity at every integer in [lo, hi] over one shared table.
+    """gram_identity at every integer in [lo, hi]: the checks of
+    ``_gram_columns``, which reads g(k) L in one pass over k <= hi, off
+    ``prefix`` when given, else streamed (``summatory._scaled_g_stream``)."""
+    return _gram_columns(lo, hi, prefix).checks()
+
+
+def _unit_sum_reads(y: int) -> set[int]:
+    """The k whose g(k) L and H(k) L the blocked unit sum at y reads (the
+    nu = 1 term and ``_unit_sum_scaled(y, 1, .)``): 0 .. isqrt(y) + 1 and
+    every y // j, the floor values of y."""
+    s = isqrt(y)
+    return {*range(s + 2), *(y // j for j in range(1, s + 1))}
+
+
+def _gram_columns(lo: int, hi: int, prefix: ScaledMoebiusPrefix | None) -> _Columns:
+    """The unit identity at every x in [lo, hi], telescoped over one pass.
 
     With S(x) = sum_{nu<=x} (1/nu) g(floor(x/nu)) and g(0) = 0, the floors
     floor(x/nu) and floor((x-1)/nu) differ only when nu | x, and then by
@@ -159,37 +212,99 @@ def gram_scan(
     This is algebra on the floor function alone: it holds for whatever
     numbers the table holds, so the running S(x) equals the blocked sum of
     ``gram_identity`` at every x even on a corrupted table, and each
-    verdict, lhs and slack is the same.  Scaled by L^2, the increment is
-    (L/x) * sum_{m|x} t[m] with t[m] = m * (gl[m] - gl[m-1]); adding each
-    nonzero t[m] into all its multiples costs about hi * ln(hi) big-integer
-    adds, where re-summing costs about 2 sqrt(x) big-integer products per
-    x.  As a run-time invariant, the blocked ``gram_identity`` is evaluated
-    once at hi and must give the same check.
+    verdict, lhs and slack is the same.  Scaled by L^2 the increment is
+    (L/x) sum_{m|x} t[m], with t[m] = m (gl[m] - gl[m-1]) and gl = g L.
+
+    The pass writes t[m] = L c[m] + r[m] and keeps only c, in int64.  On a
+    sound table t[m] = mu(m) L, so r = 0 and c = mu.  While every m <= x has
+    r[m] = 0 and |c[m]| <= 2^62 / hi (so no divisor sum of at most hi of
+    them leaves int64), and every y <= x has a[y] = sum_{m|y} c[m] = [y = 1],
+    L^2 S(x) = sum_{y<=x} (L/y) L a[y] = L^2: the identity holds at x with
+    lhs 1 and slack 0, and no big integer is kept.  From the first x where
+    that fails, ``_gram_recurrence`` takes over: it sums every t[m] into
+    its multiples from x on as big integers, a second pass over the table,
+    and S(x) from there.  A sound table never reaches it.
+
+    As a run-time invariant, the blocked sum at hi (``_unit_sum_scaled``)
+    must equal the telescoped one.  It reads g L and H L only at the
+    O(sqrt(hi)) floor values of hi (``_unit_sum_reads``), which the pass
+    records.  H L is summed beside g L; L // m = |d| wherever t[m] = +-L,
+    so only the other m cost a division.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    prefix = ScaledMoebiusPrefix._covering(prefix, hi)
-    gl = prefix.scaled_g
-    L = prefix.denominator
-    acc = [0] * (hi + 1)
-    prev = 0  # g(0) L = 0; scaled_g[0] is never read
-    for m in range(1, hi + 1):
-        t = m * (gl[m] - prev)
-        prev = gl[m]
-        if t:
-            for x in range(m, hi + 1, m):
-                acc[x] += t
+    L, gls = ScaledMoebiusPrefix._reads(prefix, hi)
+    c_max = (1 << 62) // hi
+    c = np.zeros(hi + 1, dtype=np.int64)
+    split_to = hi + 1  # every m below it has t[m] = L c[m], |c[m]| <= c_max
+    reads = _unit_sum_reads(hi)
+    g_at, h_at = {}, {0: 0}
+    prev = hl = 0  # g(0) L = H(0) L = 0
+    for m, gl in enumerate(gls, 1):
+        d = gl - prev
+        prev = gl
+        t = m * d
+        if t == L:  # as at a squarefree m of a sound table: L // m = d, no division
+            cm, r, lm = 1, 0, d
+        elif t == -L:
+            cm, r, lm = -1, 0, -d
+        else:
+            (cm, r), lm = divmod(t, L), L // m
+        hl += lm
+        if m < split_to:
+            if r or abs(cm) > c_max:
+                split_to = m
+            elif cm:
+                c[m] = cm
+        if m in reads:
+            g_at[m], h_at[m] = gl, hl
+    a = np.zeros(split_to + 1, dtype=np.int64)  # a[y] - [y = 1] for y < split_to
+    for m in np.flatnonzero(c[:split_to]).tolist():
+        a[m::m] += c[m]
+    a[1] -= 1
+    off = np.flatnonzero(a[1:split_to])
+    x0 = int(off[0]) + 1 if off.size else split_to  # the first x left to big integers
     l2 = L * L
-    ssum = 0
-    out = []
-    for x in range(1, hi + 1):
-        if acc[x]:
-            ssum += L // x * acc[x]
-        if x >= lo:
-            out.append(_unit_check(x, ssum, l2))
-    if gram_identity(hi, prefix=prefix) != out[-1]:
+    holds = np.ones(hi - lo + 1, dtype=bool)
+    slack = np.zeros(hi - lo + 1)
+    lhs: dict[int, Fraction] = {}
+    ssum = l2  # L^2 S(hi) when every x holds
+    if x0 <= hi:
+        for x, ssum in _gram_recurrence(x0, hi, prefix, l2 if x0 > 1 else 0):
+            if x >= lo and ssum != l2:
+                lhs[x] = Fraction(ssum, l2)
+                holds[x - lo] = False
+                slack[x - lo] = abs(float(lhs[x] - 1))
+    recorded = SimpleNamespace(scaled_g=g_at, scaled_harmonic=h_at)
+    if L * g_at[hi] + _unit_sum_scaled(hi, 1, recorded) != ssum:
         raise AssertionError(f"telescoped unit sum differs from the blocked sum at {hi}")
-    return out
+
+    def sides(i: int) -> tuple[Value, Value]:
+        return lhs.get(lo + i, Fraction(1)), Fraction(1)
+
+    return _Columns("gram_unit_sum", lo, holds, slack, sides)
+
+
+def _gram_recurrence(
+    x0: int, hi: int, prefix: ScaledMoebiusPrefix | None, ssum: int
+) -> Iterator[tuple[int, int]]:
+    """(x, L^2 S(x)) for x = x0 .. hi, from ssum = L^2 S(x0 - 1): each t[m]
+    of a new pass over the table (``_gram_columns``) summed into its
+    multiples from x0 on as big integers, then (L/x) times each x's sum
+    added in turn."""
+    L, gls = ScaledMoebiusPrefix._reads(prefix, hi)
+    acc = [0] * (hi - x0 + 1)
+    prev = 0
+    for m, gl in enumerate(gls, 1):
+        t = m * (gl - prev)
+        prev = gl
+        if t:
+            for x in range(-(-x0 // m) * m, hi + 1, m):
+                acc[x - x0] += t
+    for x, t in enumerate(acc, x0):
+        if t:
+            ssum += L // x * t
+        yield x, ssum
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +355,6 @@ def decomposition_check(x: Real, *, tables: SummatoryTables | None = None) -> Id
     [floor(x), floor(x)] (default tables: ``SummatoryTables(floor(x))``)."""
     n = floor_arg(x)
     return decomposition_scan(n, n, tables=tables)[0]
-
-
-def _certified_check(name: str, x: int, lhs: CertifiedFloat, rhs: CertifiedFloat) -> IdentityCheck:
-    delta = abs(lhs.value - rhs.value)
-    budget = lhs.err + rhs.err
-    return IdentityCheck(
-        name=name,
-        x=x,
-        lhs=lhs,
-        rhs=rhs,
-        holds=delta <= budget,
-        slack=delta + budget,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,47 +426,52 @@ def _abel_rhs(
 def decomposition_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
-    """decomposition_check at every integer in [lo, hi].
+    """decomposition_check at every integer in [lo, hi]: the checks of
+    ``_decomposition_columns``."""
+    return _decomposition_columns(lo, hi, tables).checks()
+
+
+def _decomposition_columns(lo: int, hi: int, tables: SummatoryTables | None) -> _Columns:
+    """f(x) = -h(x) - tail(x) at every x in [lo, hi], as arrays.
 
     The left side f(x) reads the f prefix lane.  h(x) and the tail come from
     the g lane over the floor-quotient runs of x (``SummatoryTables._run_sums``
     with the weight lanes P and T), O(sqrt(x)) terms per x, so the scan costs
-    O(hi^1.5); both share no sum with the f lane.
+    O(hi^1.5); both share no sum with the f lane.  The right side's negation
+    is exact and its one subtraction is charged EPS |rhs| twice over.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     tables = SummatoryTables._covering(tables, hi)
     fv, fe = tables.f_arrays
     (hv, he), (tv, te) = tables._run_sums(lo, hi, tables.P_arrays, tables.T_arrays)
-    out = []
-    for i, x in enumerate(range(lo, hi + 1)):
-        lhs = CertifiedFloat(float(fv[x]), float(fe[x]))
-        rv = -hv[i] - tv[i]
-        rhs = CertifiedFloat(
-            float(rv), float((he[i] + te[i] + 2.0 * EPS * abs(rv)) * _HEADROOM)
-        )
-        out.append(_certified_check("prime_decomposition", x, lhs, rhs))
-    return out
+    rv = -hv - tv
+    rhs = rv, (he + te + 2.0 * EPS * np.abs(rv)) * _HEADROOM
+    return _certified_columns("prime_decomposition", lo, (fv[lo : hi + 1], fe[lo : hi + 1]), rhs)
 
 
 def abel_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
-    """abel_rearrangement_check at every integer in [lo, hi].
+    """abel_rearrangement_check at every integer in [lo, hi]: the checks of
+    ``_abel_columns``."""
+    return _abel_columns(lo, hi, tables).checks()
+
+
+def _abel_columns(lo: int, hi: int, tables: SummatoryTables | None) -> _Columns:
+    """The rearrangement of h(x) - 1 at every x in [lo, hi], as arrays.
 
     The right side comes from ``_abel_rhs``, O(sqrt(x)) terms per x over the
     floor-quotient runs, so the scan costs O(hi^1.5).  The left side
     h(x) - 1 reads the increment lane ``h_arrays``, which shares no sum with
-    the right side.
+    the right side; it is ``CertifiedFloat.add_exact(-1.0)`` of the entry,
+    the same operations on every x at once.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     tables = SummatoryTables._covering(tables, hi)
-    rv, rerr = _abel_rhs(lo, hi, tables)
+    rhs = _abel_rhs(lo, hi, tables)
     hv, he = tables.h_arrays
-    out = []
-    for i, x in enumerate(range(lo, hi + 1)):
-        lhs = CertifiedFloat(float(hv[x]), float(he[x])).add_exact(-1.0)
-        rhs = CertifiedFloat(float(rv[i]), float(rerr[i]))
-        out.append(_certified_check("abel_rearrangement", x, lhs, rhs))
-    return out
+    lv = hv[lo : hi + 1] + -1.0
+    lhs = lv, (he[lo : hi + 1] + EPS * np.abs(lv)) * _HEADROOM
+    return _certified_columns("abel_rearrangement", lo, lhs, rhs)

@@ -147,10 +147,12 @@ class _Table:
 class ScaledMoebiusPrefix(_Table):
     """Exact prefix sums of mu(k)/k, scaled by L = lcm(1..limit).
 
-    ``scaled_g[k] = g(k) * L`` is an integer for every k <= limit, so the
-    whole table builds with integer adds.  Optional companion tables (scaled
-    harmonic numbers, scaled cumulative sums of g) are built lazily; they are
-    what the exact identity checks consume.
+    ``scaled_g[k] = g(k) * L`` is an integer for every k <= limit, the list
+    of ``_scaled_g_stream``.  Companion tables (scaled harmonic numbers,
+    scaled cumulative sums of g) are built lazily.  Each list holds limit
+    integers of about 1.44 limit bits, so a table costs about 0.18 limit^2
+    bytes; the exact checks of ``verify`` and ``converge`` read the stream
+    instead (``_reads``) and hold none of them.
     """
 
     def __init__(self, limit: int):
@@ -158,16 +160,7 @@ class ScaledMoebiusPrefix(_Table):
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
         self.denominator = lcm_upto(limit)
-        mu = moebius_values_upto(limit)
-        L = self.denominator
-        gn = [0] * (limit + 1)
-        acc = 0
-        for k in range(1, limit + 1):
-            m = int(mu[k])
-            if m:
-                acc += m * (L // k)
-            gn[k] = acc
-        self.scaled_g = gn
+        self.scaled_g = [0, *_scaled_g_stream(limit, self.denominator)]
 
     def g_fraction(self, k: int) -> Fraction:
         return Fraction(self.scaled_g[k], self.denominator)
@@ -182,6 +175,36 @@ class ScaledMoebiusPrefix(_Table):
     def scaled_g_cumsum(self) -> list[int]:
         """(sum_{j<=k} g(j)) * L as integers."""
         return list(itertools.accumulate(self.scaled_g))
+
+    @classmethod
+    def _reads(cls, given, hi: int) -> tuple[int, Iterator[int]]:
+        """(L, g(k) * L for k = 1 .. hi in order) that an exact check reads
+        when its caller passes ``given``: the list of ``given``, which must
+        cover hi (``_covering`` raises ``ValueError`` first if it does not),
+        or for None ``_scaled_g_stream`` with L = lcm(1..hi), building no
+        table.  Each call starts a new pass."""
+        if given is None:
+            L = lcm_upto(hi)
+            return L, _scaled_g_stream(hi, L)
+        given = cls._covering(given, hi)
+        return given.denominator, itertools.islice(given.scaled_g, 1, hi + 1)
+
+
+def _scaled_g_stream(limit: int, L: int) -> Iterator[int]:
+    """g(k) * L for k = 1, 2, ..., limit, in order, for an L that every
+    k <= limit divides: L // k added or subtracted at each squarefree k, with
+    mu read one sieve block, ``_CHUNK`` values at a time.  It holds one
+    running integer of L's size, so its consumers read the exact prefix in
+    O(limit) memory besides what they keep."""
+    acc = 0
+    for block in iter_moebius_blocks(1, limit):
+        for s in range(0, block.values.size, _CHUNK):
+            for k, m in enumerate(block.values[s : s + _CHUNK].tolist(), block.lo + s):
+                if m > 0:
+                    acc += L // k
+                elif m:
+                    acc -= L // k
+                yield acc
 
 
 def moebius_values_upto(limit: int) -> np.ndarray:
@@ -1129,8 +1152,10 @@ def series_scan(
 # ---------------------------------------------------------------------------
 
 _H_SMALL_LIMIT = 512
-# ``_harmonic_diff`` errs by at most this times the difference it returns
+# the relative charges of ``_harmonic_diff``'s entries: on its log1p path
+# (runs from 512 on) and on its table path (runs below 512)
 _H_DIFF_REL = 3.53 * EPS
+_H_TABLE_REL = EPS * (1.0 + 2.0**-30)
 
 
 @functools.lru_cache(maxsize=1)
@@ -1151,17 +1176,24 @@ def _small_harmonic() -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi), np.array(lo)
 
 
-def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """H(b) - H(m) for int64 arrays 0 <= m < b < 2^53, m non-increasing and
-    b <= 2 ``_H_SMALL_LIMIT`` wherever m < ``_H_SMALL_LIMIT``.  Each entry w
-    errs by at most ``_H_DIFF_REL`` w.
+def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, r): w = H(b) - H(m) for int64 arrays 0 <= m < b < 2^53, m
+    non-increasing and b <= 2 ``_H_SMALL_LIMIT`` wherever m <
+    ``_H_SMALL_LIMIT``, and each entry's relative charge r: w errs by at
+    most r w.  Let u = EPS/2.
 
-    A run of one nu, b = m + 1, is 1/b, rounded once: u w.  Below the limit,
-    w = (hi_b - hi_m) + (lo_b - lo_m) off ``_small_harmonic``: the two
-    differences and their sum round once each, and |lo| <= 8u, so w errs by
-    u w + u |w| + O(u^2) besides the tables' |e| <= 8u^2 each, with
-    w >= 1/b >= 2^-10: EPS w to first order.  No run subtracts two rounded
-    H(n), whose errors would be relative to H and not to w.
+    A run of one nu, b = m + 1, is w = fl(1/b), rounded once: |w - 1/b|
+    <= u w (round to nearest, Higham, Thm. 2.3), so r = u.
+
+    Below the limit, w = fl(fl(A) + fl(B)) with A = hi_b - hi_m and
+    B = lo_b - lo_m off ``_small_harmonic``, and H(b) - H(m) = A + B + E
+    with |E| <= |e_b| + |e_m| <= 16u^2 (|lo| <= 8u there, as H(1024) < 8).
+    The three roundings err by at most u |A|, u |B| <= 16u^2 and u w, and
+    |A| <= W + |B| + |E|, W = H(b) - H(m), so |w - W| <= u (W + w) + 48u^2
+    + O(u^3).  W >= 1/b >= 2^-10, so 48u^2 <= 2^-90 W, and W <= w (1 + 3u):
+    |w - W| <= EPS w (1 + 2^-37), under r = ``_H_TABLE_REL`` =
+    EPS (1 + 2^-30).  No run subtracts two rounded H(n), whose errors would
+    be relative to H and not to w.
 
     From the limit on (m >= 512), with d = b - m and z = d/m, Euler-Maclaurin
     (the expansion of H and its remainder, NIST DLMF 2.10 and 5.11) gives
@@ -1180,7 +1212,7 @@ def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> np.ndarray:
         C errs by under 5.1u C <= 0.005u L; w = L - C rounds once, u L.
       - |rho| < (m+1)/(252 m^6) L <= 0.51 EPS L at m >= 512.
     In all, 3.5125 EPS L, and L <= w (1 + 1/1023): 3.52 EPS w to first order.
-    So ``_H_DIFF_REL`` = 3.53 EPS bounds every entry; its slack and
+    So r = ``_H_DIFF_REL`` = 3.53 EPS bounds every such entry; its slack and
     ``_HEADROOM`` cover the second order.
     """
     w = np.empty(b.size)
@@ -1209,7 +1241,10 @@ def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> np.ndarray:
         np.subtract(hi.take(bs), hi.take(ms), out=w[c:])
         w[c:] += lo.take(bs) - lo.take(ms)
     w[single] = np.divide(1.0, b[single])
-    return w
+    r = np.full(b.size, _H_DIFF_REL)
+    r[c:] = _H_TABLE_REL
+    r[single] = 0.5 * EPS
+    return w, r
 
 
 def harmonic_number(n: int) -> CertifiedFloat:
@@ -1221,7 +1256,7 @@ def harmonic_number(n: int) -> CertifiedFloat:
     hi, lo = _small_harmonic()
     if n <= _H_SMALL_LIMIT:
         return CertifiedFloat(float(hi[n]), abs(float(lo[n])) * _HEADROOM)
-    w = float(_harmonic_diff(np.array([n]), np.array([_H_SMALL_LIMIT]))[0])
+    [w], [r] = _harmonic_diff(np.array([n]), np.array([_H_SMALL_LIMIT]))
     v = float(hi[_H_SMALL_LIMIT]) + w
-    err = abs(float(lo[_H_SMALL_LIMIT])) + _H_DIFF_REL * w + 0.5 * EPS * v
+    err = abs(float(lo[_H_SMALL_LIMIT])) + float(r * w) + 0.5 * EPS * v
     return CertifiedFloat(v, err * _HEADROOM)

@@ -288,14 +288,15 @@ def test_verify_streamed_scans_peak_rss(tmp_path):
 
 
 def test_verify_beyond_memory_exits_2_before_allocating(capsys):
-    # a mu lane of 10^13 bytes, lanes of tens of bytes per x to 10^13, and
-    # exact lists of about 0.18 N^2 bytes each at N = 10^6, exceed any memory
-    # this runs in
+    # a mu lane of 10^13 bytes, lanes of tens of bytes per x to 10^13, the
+    # about 4 sqrt(N) exact values of 0.18 N bytes each that verify's unit
+    # identity records at N = 10^8, and fast's exact lists of about
+    # 0.18 N^2 bytes each at N = 10^6, exceed any memory this runs in
     tracemalloc.start()
     try:
         codes = [
             main(["verify", "--limit", str(10**13)]),
-            main(["verify", "--limit", str(10**6), "--cutoff", str(10**6)]),
+            main(["verify", "--limit", str(10**8), "--cutoff", str(10**8)]),
             main(["table", "--limit", str(10**13)]),
             main(["converge", "--delta", "0.3", "--limit", str(10**13)]),
             main(["fast", "--limit", str(10**6), "--cutoff", str(10**6)]),

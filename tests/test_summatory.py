@@ -251,16 +251,21 @@ def test_harmonic_diff_reference_series_is_the_direct_sum():
 
 
 def test_harmonic_diff_contains_decimal_and_is_tight():
-    # w = H(b) - H(m) errs by at most _H_DIFF_REL w, and that bound is within
-    # about a decade of the true error: on both sides of the limit, for b = m + 1,
-    # m + 2, m + 9, about 2m and 2m + 1, and m up to 10^13
+    # w = H(b) - H(m) errs by at most r w, r its entry's own charge: u for a
+    # run of one nu, EPS to first order below the limit and _H_DIFF_REL from
+    # it on; and that bound is within about a decade of the true error: on
+    # both sides of the limit, for b = m + 1, m + 2, m + 9, about 2m and
+    # 2m + 1, and m up to 10^13
     runs = sorted(_diff_samples(), key=lambda r: -r[1])
     b, m = (np.array(col, dtype=np.int64) for col in zip(*runs))
-    w = _harmonic_diff(b, m)
+    w, r = _harmonic_diff(b, m)
+    single, table = b - m == 1, (m < _H_SMALL_LIMIT) & (b - m > 1)
+    assert np.all(r[single] == 0.5 * EPS) and np.all(r[table] <= EPS * (1 + 2**-30))
+    assert np.all(r[~single & ~table] == _H_DIFF_REL)
     ratios = []
-    for (bi, mi), wi in zip(runs, w.tolist()):
+    for (bi, mi), wi, ri in zip(runs, w.tolist(), r.tolist()):
         true_err = abs(Decimal(wi) - _harmonic_diff_reference(bi, mi))
-        bound = Decimal(_H_DIFF_REL * wi)
+        bound = Decimal(ri * wi)
         assert true_err <= bound, (bi, mi, wi)
         if true_err:
             ratios.append(float(bound / true_err))
