@@ -307,3 +307,83 @@ def test_identitycheck_shape():
     assert isinstance(c, IdentityCheck)
     assert c.name == "gram_unit_sum"
     assert c.x == 5 and c.rhs == 1
+
+
+# -- the exact prefix streamed, and the unit identity's hand-over
+
+
+def _scaled_g_reference(n: int) -> tuple[int, list[int]]:
+    """L = lcm(1..n) and g(k) L for k <= n from mu by trial division
+    (``moebius_oracle``), with no sieve."""
+    from mobsum.sieve import moebius_oracle
+
+    L = summatory.lcm_upto(n)
+    out, acc = [0], 0
+    for k in range(1, n + 1):
+        acc += moebius_oracle(k) * (L // k)
+        out.append(acc)
+    return L, out
+
+
+@pytest.mark.parametrize("n", [1, 2, 97, 2000, 10**4])
+def test_streamed_prefix_equals_the_lists(n, monkeypatch):
+    # the stream is ScaledMoebiusPrefix's g list, and the g L and H L that
+    # the unit identity's pass records for its end check are the lists' entries
+    L, ref = _scaled_g_reference(n)
+    pre = ScaledMoebiusPrefix(n)
+    assert pre.denominator == L and pre.scaled_g == ref
+    assert list(summatory._scaled_g_stream(n, L)) == ref[1:]
+    recorded = []
+    blocked = identities._unit_sum_scaled
+
+    def spy(y, a, prefix):
+        recorded.append(prefix)
+        return blocked(y, a, prefix)
+
+    monkeypatch.setattr(identities, "_unit_sum_scaled", spy)
+    assert all(c.holds for c in gram_scan(1, n))
+    [rec] = recorded
+    assert set(rec.scaled_g) == {k for k in identities._unit_sum_reads(n) if 1 <= k <= n}
+    assert all(v == pre.scaled_g[k] for k, v in rec.scaled_g.items())
+    assert all(v == pre.scaled_harmonic[k] for k, v in rec.scaled_harmonic.items())
+
+
+def _corrupted(n: int, k: int, step: int) -> ScaledMoebiusPrefix:
+    """ScaledMoebiusPrefix(n) with g(j) L raised by ``step`` at every j >= k."""
+    pre = ScaledMoebiusPrefix(n)
+    pre.scaled_g[k:] = [v + step for v in pre.scaled_g[k:]]
+    return pre
+
+
+def test_gram_scan_hands_over_to_big_integers(monkeypatch):
+    # three corrupted prefixes, each equal to the point checks and each
+    # reaching the big-integer recurrence at the first x the int64 split
+    # cannot decide; a sound table never reaches it
+    handed = []
+    recurrence = identities._gram_recurrence
+
+    def spy(x0, *args):
+        handed.append(x0)
+        return recurrence(x0, *args)
+
+    monkeypatch.setattr(identities, "_gram_recurrence", spy)
+    assert all(c.holds for c in gram_scan(1, 2000, prefix=ScaledMoebiusPrefix(2000)))
+    assert all(c.holds for c in gram_scan(1, 1200))
+    assert handed == []
+    L = summatory.lcm_upto(1200)
+    cases = [
+        # (a) off by 1 past m = 1000: r[1009] = 1009
+        (_corrupted(1200, 1009, 1), 1009),
+        # (b) off by L from 500 on: r = 0 everywhere, but c[500] = 500 + mu(500),
+        # so a[500] = 500
+        (_corrupted(1200, 500, L), 500),
+        # (c) off by 2^70 L from 700 on: c[700] = 700 2^70 leaves int64
+        (_corrupted(1200, 700, 2**70 * L), 700),
+    ]
+    for bad, x0 in cases:
+        handed.clear()
+        checks = gram_scan(1, 1200, prefix=bad)
+        assert handed == [x0]
+        assert checks == [gram_identity(x, prefix=bad) for x in range(1, 1201)]
+        assert all(c.holds for c in checks[: x0 - 1]) and not checks[x0 - 1].holds
+        assert gram_scan(x0 + 7, 1200, prefix=bad) == checks[x0 + 6 :]

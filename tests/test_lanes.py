@@ -17,6 +17,7 @@ import pytest
 
 import mobsum.summatory
 from mobsum.bounds import empirical_G, h_convergence, m_over_x_convergence
+from mobsum import identities
 from mobsum.identities import abel_rearrangement_check, decomposition_scan
 from mobsum.sieve import _primes_upto, prime_flags
 from mobsum.summatory import (
@@ -616,3 +617,56 @@ def test_series_scan_memory_is_not_a_full_length_lane():
         tracemalloc.stop()
     assert int(s.M[-1]) == 212 and len(s) == 1000
     assert peak < 6 << 20, peak
+
+
+def _run_sum_references(n: int, xs: list[int]) -> tuple[dict, ...]:
+    """P(k) and T(k) at every k <= n, and h(x) and tail(x) at the x of xs,
+    as 40-digit decimal sums with exact inner g (``ScaledMoebiusPrefix``)."""
+    pre = ScaledMoebiusPrefix(n)
+    L = pre.denominator
+    primes = _primes_upto(n).tolist()
+    with localcontext() as ctx:
+        ctx.prec = 40
+        g = [Decimal(v) / L for v in pre.scaled_g]
+        # the weights log p / p^i at their moduli p^i <= n
+        weights = {}
+        for p in primes:
+            lp, q, i = Decimal(p).ln(), p, 1
+            while q <= n:
+                weights[q] = (lp / q, i)
+                q, i = q * p, i + 1
+        P, T, p_acc, t_acc = {}, {}, Decimal(0), Decimal(0)
+        for k in range(n + 1):
+            w, i = weights.get(k, (0, 0))
+            if i == 1:
+                p_acc += w
+            elif i:
+                t_acc += w
+            P[k], T[k] = p_acc, t_acc
+        h, tail = {}, {}
+        for x in xs:
+            h[x] = sum((w * g[x // q] for q, (w, i) in weights.items() if i == 1 and q <= x), Decimal(0))
+            tail[x] = sum((w * g[x // q] for q, (w, i) in weights.items() if i > 1 and q <= x), Decimal(0))
+    return P, T, h, tail
+
+
+def test_run_sums_and_their_weights_contain_decimal_references(tables_2k):
+    # the weight lanes P and T at every k <= 2000, and at sampled x <= 2000
+    # the run sums of h (over P) and of the tail (over T) and the rearranged
+    # right side, which is h(x) - 1, each within its bound of a 40-digit
+    # reference.  Tightness is not gated: the run terms' a priori charges
+    # dominate these bounds (their ratios to the true errors are in CHANGES.md)
+    n = 2000
+    rng = random.Random(31)
+    xs = sorted({1, 2, 3, 4, 8, 30, 210, 1024, n} | {rng.randint(5, n) for _ in range(60)})
+    P, T, href, tref = _run_sum_references(n, xs)
+    slack = Decimal("1e-36")  # the references sum at most a few thousand 40-digit terms
+    for (v, e), ref in ((tables_2k.P_arrays, P), (tables_2k.T_arrays, T)):
+        for k in range(n + 1):
+            assert _contains_decimal(v[k], e[k], ref[k], slack), k
+    (hv, he), (tv, te) = tables_2k._run_sums(1, n, tables_2k.P_arrays, tables_2k.T_arrays)
+    av, ae = identities._abel_rhs(1, n, tables_2k)
+    sides = (("h", hv, he, href, 0), ("tail", tv, te, tref, 0), ("abel", av, ae, href, 1))
+    for name, v, e, ref, shift in sides:
+        for x in xs:
+            assert _contains_decimal(v[x - 1], e[x - 1], ref[x] - shift, slack), (name, x)
