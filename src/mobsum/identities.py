@@ -7,7 +7,9 @@ Verified here, each at a single evaluation point x:
   * the unit identity  sum_{nu<=x} (1/nu) g(x/nu) = 1, checked in exact
     rational arithmetic only (a floating version would merely restate the
     rounding model); ``gram_scan`` checks it at every x of a range by
-    telescoping the sum instead of re-summing it (see its docstring);
+    telescoping the sum instead of re-summing it, over one in-order pass of
+    g(k) L that holds no list of exact values, and decides a sound table in
+    int64 (see ``_gram_columns``);
   * the prime-power series  F(p, x) = -sum_{i>=1} p^(-i) g(x/p^i), truncated
     where p^i > x since g vanishes below 1;
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
@@ -20,6 +22,10 @@ The decomposition and rearrangement checks at a point are their scans on
 tail and the rearranged right side run over the O(sqrt(x)) floor-quotient
 runs of x in the batched kernel of ``summatory`` (``_run_layout``,
 ``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).  ``prime_power_tail`` is the tail lane's entry.
+
+Each scan has a columnar core (``_gram_columns``, ``_decomposition_columns``
+and ``_abel_columns``) that gives its verdicts as arrays, which ``verify``
+counts; the public scans lay them out as lists of ``IdentityCheck``.
 
 Exact checks carry zero tolerance.  A certified check holds exactly when
 the observed difference |lhs - rhs| is within lhs.err + rhs.err.

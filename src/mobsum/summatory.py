@@ -13,7 +13,12 @@ Computed here, for real x (non-integer arguments are floored):
 Exact rational values use a common-denominator representation: with
 L = lcm(1..limit), the scaled prefix g(k)*L is an integer, so prefix tables
 build with pure integer adds instead of per-term gcd normalisation.  The
-rational results are identical; only the encoding differs.
+rational results are identical; only the encoding differs.  Each g(k)*L has
+about 1.44 limit bits, so a list of them costs about 0.18 limit^2 bytes:
+the exact checks read them in order from one generator over the mu sieve
+(``_scaled_g_stream``, through ``ScaledMoebiusPrefix._reads``) and keep only
+what they need, while ``ScaledMoebiusPrefix`` holds the list for the
+callers that index it.
 
 ``SummatoryTables`` gives certified-float prefix lanes over [1, limit] to
 the scan-style consumers.  Bound scans, ``series_scan`` and the convergence
