@@ -394,8 +394,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lambda: ident_mod._abel_columns(1, exact_hi, ident_tables),
     ):
         c = columns()
-        failures = int(np.count_nonzero(~c.holds))
-        results.append(_check_row(c.name, 1, exact_hi, c.holds.size, failures, 0, _fmt_err(c.slack.max())))
+        failures, slack = int(np.count_nonzero(~c.holds)), _fmt_err(c.slack.max())
+        results.append(_check_row(c.name, 1, exact_hi, c.holds.size, failures, 0, slack))
         del c
 
     reports = [

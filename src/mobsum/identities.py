@@ -111,7 +111,8 @@ def _certified_columns(
     budget = le + re
 
     def sides(i: int) -> tuple[Value, Value]:
-        return CertifiedFloat(float(lv[i]), float(le[i])), CertifiedFloat(float(rv[i]), float(re[i]))
+        lhs = CertifiedFloat(float(lv[i]), float(le[i]))
+        return lhs, CertifiedFloat(float(rv[i]), float(re[i]))
 
     return _Columns(name, lo, delta <= budget, delta + budget, sides)
 

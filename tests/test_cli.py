@@ -314,8 +314,8 @@ def test_verify_beyond_memory_exits_2_before_allocating(capsys):
 def test_verify_exact_cutoff_peak_rss(tmp_path):
     # the rearrangement scan over [1, 2e4] lays out its runs in batches of a
     # fixed size; all of them at once would add about 0.5 GB.  The exact
-    # checks stream g L, so no list of 2e4 exact values is held: the run
-    # peaks near 36 MiB (164 MiB with the lists)
+    # checks stream g L and hold no list of 2e4 exact values, about 70 MB
+    # each: the run peaks near 36 MiB
     src = str(Path(mobsum.__file__).resolve().parents[1])
     argv = [sys.executable, "-c", _REAP, sys.executable, "-m", "mobsum.cli", "verify"]
     argv += ["--limit", "20000", "--cutoff", "20000", "--out", str(tmp_path / "verify.csv")]

@@ -645,8 +645,12 @@ def _run_sum_references(n: int, xs: list[int]) -> tuple[dict, ...]:
             P[k], T[k] = p_acc, t_acc
         h, tail = {}, {}
         for x in xs:
-            h[x] = sum((w * g[x // q] for q, (w, i) in weights.items() if i == 1 and q <= x), Decimal(0))
-            tail[x] = sum((w * g[x // q] for q, (w, i) in weights.items() if i > 1 and q <= x), Decimal(0))
+            h[x] = tail[x] = Decimal(0)
+            for q, (w, i) in weights.items():
+                if q <= x and i == 1:
+                    h[x] += w * g[x // q]
+                elif q <= x:
+                    tail[x] += w * g[x // q]
     return P, T, h, tail
 
 
