@@ -389,9 +389,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # stop there; each gives its verdicts as arrays, counted here
     ident_tables = SummatoryTables(exact_hi)
     for columns in (
-        lambda: ident_mod._gram_columns(1, exact_hi, None),
-        lambda: ident_mod._decomposition_columns(1, exact_hi, ident_tables),
-        lambda: ident_mod._abel_columns(1, exact_hi, ident_tables),
+        lambda: ident_mod.gram_columns(1, exact_hi, None),
+        lambda: ident_mod.decomposition_columns(1, exact_hi, ident_tables),
+        lambda: ident_mod.abel_columns(1, exact_hi, ident_tables),
     ):
         c = columns()
         failures, slack = int(np.count_nonzero(~c.holds)), _fmt_err(c.slack.max())

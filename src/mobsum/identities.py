@@ -9,7 +9,7 @@ Verified here, each at a single evaluation point x:
     rounding model); ``gram_scan`` checks it at every x of a range by
     telescoping the sum instead of re-summing it, over one in-order pass of
     g(k) L that holds no list of exact values, and decides a sound table in
-    int64 (see ``_gram_columns``);
+    int64 (see ``gram_columns``);
   * the prime-power series  F(p, x) = -sum_{i>=1} p^(-i) g(x/p^i), truncated
     where p^i > x since g vanishes below 1;
   * the two-sum decomposition  f(x) = -h(x) - tail(x), where tail collects
@@ -23,8 +23,8 @@ tail and the rearranged right side run over the O(sqrt(x)) floor-quotient
 runs of x in the batched kernel of ``summatory`` (``_run_layout``,
 ``_run_terms`` and ``_reduce_runs``), so both scans cost O(hi^1.5).  ``prime_power_tail`` is the tail lane's entry.
 
-Each scan has a columnar core (``_gram_columns``, ``_decomposition_columns``
-and ``_abel_columns``) that gives its verdicts as arrays, which ``verify``
+Each scan has a columnar core (``gram_columns``, ``decomposition_columns``
+and ``abel_columns``) that gives its verdicts as arrays, which ``verify``
 counts; the public scans lay them out as lists of ``IdentityCheck``.
 
 Exact checks carry zero tolerance.  A certified check holds exactly when
@@ -80,7 +80,7 @@ class IdentityCheck:
 
 
 @dataclass(frozen=True)
-class _Columns:
+class IdentityColumns:
     """Verdicts of one identity at every x of [lo, lo + holds.size), as
     arrays: ``holds`` and ``slack`` are those of ``IdentityCheck`` at
     x = lo + i, and ``sides(i)`` gives its lhs and rhs.  ``verify`` counts
@@ -102,7 +102,7 @@ class _Columns:
 
 def _certified_columns(
     name: str, lo: int, lhs: tuple[np.ndarray, np.ndarray], rhs: tuple[np.ndarray, np.ndarray]
-) -> _Columns:
+) -> IdentityColumns:
     """The certified check at every x of [lo, ...] from the (value, err)
     arrays of both sides: it holds exactly when |lhs - rhs| <= lhs.err +
     rhs.err, and its slack is |lhs - rhs| + lhs.err + rhs.err."""
@@ -114,7 +114,7 @@ def _certified_columns(
         lhs = CertifiedFloat(float(lv[i]), float(le[i]))
         return lhs, CertifiedFloat(float(rv[i]), float(re[i]))
 
-    return _Columns(name, lo, delta <= budget, delta + budget, sides)
+    return IdentityColumns(name, lo, delta <= budget, delta + budget, sides)
 
 
 def divisor_sum(t: int) -> int:
@@ -194,9 +194,9 @@ def gram_scan(
     lo: int, hi: int, *, prefix: ScaledMoebiusPrefix | None = None
 ) -> list[IdentityCheck]:
     """gram_identity at every integer in [lo, hi]: the checks of
-    ``_gram_columns``, which reads g(k) L in one pass over k <= hi, off
+    ``gram_columns``, which reads g(k) L in one pass over k <= hi, off
     ``prefix`` when given, else streamed (``summatory._scaled_g_stream``)."""
-    return _gram_columns(lo, hi, prefix).checks()
+    return gram_columns(lo, hi, prefix).checks()
 
 
 def _unit_sum_reads(y: int) -> set[int]:
@@ -207,7 +207,7 @@ def _unit_sum_reads(y: int) -> set[int]:
     return {*range(s + 2), *(y // j for j in range(1, s + 1))}
 
 
-def _gram_columns(lo: int, hi: int, prefix: ScaledMoebiusPrefix | None) -> _Columns:
+def gram_columns(lo: int, hi: int, prefix: ScaledMoebiusPrefix | None) -> IdentityColumns:
     """The unit identity at every x in [lo, hi], telescoped over one pass.
 
     With S(x) = sum_{nu<=x} (1/nu) g(floor(x/nu)) and g(0) = 0, the floors
@@ -289,14 +289,14 @@ def _gram_columns(lo: int, hi: int, prefix: ScaledMoebiusPrefix | None) -> _Colu
     def sides(i: int) -> tuple[Value, Value]:
         return lhs.get(lo + i, Fraction(1)), Fraction(1)
 
-    return _Columns("gram_unit_sum", lo, holds, slack, sides)
+    return IdentityColumns("gram_unit_sum", lo, holds, slack, sides)
 
 
 def _gram_recurrence(
     x0: int, hi: int, prefix: ScaledMoebiusPrefix | None, ssum: int
 ) -> Iterator[tuple[int, int]]:
     """(x, L^2 S(x)) for x = x0 .. hi, from ssum = L^2 S(x0 - 1): each t[m]
-    of a new pass over the table (``_gram_columns``) summed into its
+    of a new pass over the table (``gram_columns``) summed into its
     multiples from x0 on as big integers, then (L/x) times each x's sum
     added in turn."""
     L, gls = ScaledMoebiusPrefix._reads(prefix, hi)
@@ -434,11 +434,11 @@ def decomposition_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
     """decomposition_check at every integer in [lo, hi]: the checks of
-    ``_decomposition_columns``."""
-    return _decomposition_columns(lo, hi, tables).checks()
+    ``decomposition_columns``."""
+    return decomposition_columns(lo, hi, tables).checks()
 
 
-def _decomposition_columns(lo: int, hi: int, tables: SummatoryTables | None) -> _Columns:
+def decomposition_columns(lo: int, hi: int, tables: SummatoryTables | None) -> IdentityColumns:
     """f(x) = -h(x) - tail(x) at every x in [lo, hi], as arrays.
 
     The left side f(x) reads the f prefix lane.  h(x) and the tail come from
@@ -461,11 +461,11 @@ def abel_scan(
     lo: int, hi: int, *, tables: SummatoryTables | None = None
 ) -> list[IdentityCheck]:
     """abel_rearrangement_check at every integer in [lo, hi]: the checks of
-    ``_abel_columns``."""
-    return _abel_columns(lo, hi, tables).checks()
+    ``abel_columns``."""
+    return abel_columns(lo, hi, tables).checks()
 
 
-def _abel_columns(lo: int, hi: int, tables: SummatoryTables | None) -> _Columns:
+def abel_columns(lo: int, hi: int, tables: SummatoryTables | None) -> IdentityColumns:
     """The rearrangement of h(x) - 1 at every x in [lo, hi], as arrays.
 
     The right side comes from ``_abel_rhs``, O(sqrt(x)) terms per x over the
