@@ -165,7 +165,10 @@ class ScaledMoebiusPrefix(_Table):
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
         self.denominator = lcm_upto(limit)
-        self.scaled_g = [0, *_scaled_g_stream(limit, self.denominator)]
+        gn = [0] * (limit + 1)  # sized once: this table is what its callers hold
+        for k, v in enumerate(_scaled_g_stream(limit, self.denominator), 1):
+            gn[k] = v
+        self.scaled_g = gn
 
     def g_fraction(self, k: int) -> Fraction:
         return Fraction(self.scaled_g[k], self.denominator)
@@ -195,16 +198,20 @@ class ScaledMoebiusPrefix(_Table):
         return given.denominator, itertools.islice(given.scaled_g, 1, hi + 1)
 
 
+# mu values ``_scaled_g_stream`` reads as Python ints at a time, 32 KiB of list
+_MU_READ = 1 << 12
+
+
 def _scaled_g_stream(limit: int, L: int) -> Iterator[int]:
     """g(k) * L for k = 1, 2, ..., limit, in order, for an L that every
     k <= limit divides: L // k added or subtracted at each squarefree k, with
-    mu read one sieve block, ``_CHUNK`` values at a time.  It holds one
+    mu read one sieve block, ``_MU_READ`` values at a time.  It holds one
     running integer of L's size, so its consumers read the exact prefix in
     O(limit) memory besides what they keep."""
     acc = 0
     for block in iter_moebius_blocks(1, limit):
-        for s in range(0, block.values.size, _CHUNK):
-            for k, m in enumerate(block.values[s : s + _CHUNK].tolist(), block.lo + s):
+        for s in range(0, block.values.size, _MU_READ):
+            for k, m in enumerate(block.values[s : s + _MU_READ].tolist(), block.lo + s):
                 if m > 0:
                     acc += L // k
                 elif m:
