@@ -49,7 +49,6 @@ calls over its slices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, isqrt
 
@@ -98,44 +97,6 @@ def _runs(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo[:1] = 2
     lo[1:] = hi[:-1] + 1
     return q, lo, hi
-
-
-def quotient_blocks(x: int) -> list[tuple[int, int, int]]:
-    """Maximal runs (q, nu_lo, nu_hi) with floor(x/nu) = q for nu in the run.
-
-    The runs partition [1, x]; there are at most 2*ceil(sqrt(x)) of them.
-    """
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    q, lo, hi = _runs(x)
-    return [(x, 1, 1), *zip(q.tolist(), lo.tolist(), hi.tolist())]
-
-
-@dataclass(frozen=True)
-class FloorValueMap:
-    """Memo over the distinct floor-quotient arguments of a root x.
-
-    ``small`` holds sieve-computed prefix values for arguments 1..crossover;
-    ``large`` maps the chain index j = x // q to the value at argument
-    q > crossover (the keys are 1..J).
-    """
-
-    x: int
-    crossover: int
-    small: np.ndarray
-    large: dict = field(default_factory=dict)
-
-    def get(self, arg: int) -> int:
-        if arg <= self.crossover:
-            return int(self.small[arg])
-        return self.large[self.x // arg]
-
-    def distinct_count(self) -> int:
-        """Distinct floor-quotient arguments the evaluation touched."""
-        q, _, _ = _runs(self.x)
-        small_args = int(np.count_nonzero(q <= self.crossover)) + (self.x <= self.crossover)
-        return small_args + len(self.large)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +319,6 @@ def _mertens_value(x: int, K: int, M: np.ndarray, mu: np.ndarray) -> int:
         return int(_far(np.array([x]), np.array([0]), np.array([1]), _MertensBase(M, mu))[0, 0])
     ks = np.flatnonzero(mu[: J + 1])
     return int(M[J]) - int(np.dot(mu[ks], _mertens_tails(x, ks, K, M, mu)))
-
-
-def mertens_floor_map(x: int) -> tuple[int, FloorValueMap]:
-    """M(x) together with the populated floor-quotient memo, whose small
-    side holds the whole base table [0, crossover]."""
-    ev = MertensEvaluator(int(x))
-    large = dict(enumerate(ev.chain(ev.max_x)[1:].tolist(), 1))
-    small = _mertens_table(ev.crossover)
-    fmap = FloorValueMap(x=ev.max_x, crossover=ev.crossover, small=small, large=large)
-    return fmap.get(ev.max_x), fmap
 
 
 def _evaluator_crossover(max_x: int, crossover: int | None) -> int:

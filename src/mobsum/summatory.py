@@ -237,13 +237,16 @@ def g_exact(x: Real) -> Fraction:
     """sum_{k<=x} mu(k)/k as an exact rational; 0 for x < 1.
 
     Cost grows like the common denominator lcm(1..x); intended for x up to
-    the exactness cutoff (feasible somewhat beyond, at desk patience).
+    the exactness cutoff (feasible somewhat beyond, at desk patience).  The
+    last value of ``_scaled_g_stream``: one running integer, no list.
     """
     n = floor_arg(x)
     if n < 1:
         return Fraction(0)
-    pre = ScaledMoebiusPrefix(n)
-    return pre.g_fraction(n)
+    L = lcm_upto(n)
+    for v in _scaled_g_stream(n, L):
+        pass
+    return Fraction(v, L)
 
 
 def big_m(x: Real) -> int:
@@ -478,29 +481,6 @@ def _prefix_step(
     return l, local, (float(l[-1]), float(d[-1]), last_e)
 
 
-def _prefix_with_err(
-    terms: np.ndarray, input_err_terms: np.ndarray, block_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative sums of ``terms`` (index 0 unused) with certified bounds.
-
-    Works in place: ``terms`` becomes the prefix and ``input_err_terms`` its
-    error bound, so both must be float64 arrays the caller gives up.  Each
-    block of ``block_size`` terms is one left-to-right sum of the prefix
-    kernel (``_prefix_step``), run in ``_CHUNK`` pieces, and every block
-    after the first is offset by the block before (the carry).
-    """
-    terms[0] = input_err_terms[0] = 0.0
-    n = terms.size - 1
-    # the kernel overwrites the views of a chunk's terms before they get its values
-    for lo, v, _ in _prefix_stream(
-        n, block_size, lambda lo, hi: (terms[lo : hi + 1], input_err_terms[lo : hi + 1]), _CHUNK
-    ):
-        terms[lo : lo + v.size] = v
-    terms.flags.writeable = False
-    input_err_terms.flags.writeable = False
-    return terms, input_err_terms
-
-
 def _held_prefix(n: int, block_size: int, block_terms) -> tuple[np.ndarray, np.ndarray]:
     """The prefix lane over [0, n] (0 the zero pad) of ``block_terms``: its
     ``_prefix_stream`` in ``_CHUNK`` pieces written into two new arrays, so
@@ -617,6 +597,32 @@ def _theta_terms(lo: int, hi: int, flags=prime_flags) -> tuple[np.ndarray, np.nd
     primes = np.flatnonzero(flags(a, hi)) + a
     terms[primes - lo] = np.log(primes.astype(np.float64))
     return terms, terms * (2.0 * EPS)
+
+
+def _eps_sum_terms(lo: int, hi: int, eps) -> tuple[np.ndarray, np.ndarray]:
+    # eps(m-1)/m at m >= 2 off the eps lane (eps(0) = 0): the eps error over
+    # m plus one rounding
+    terms, ins = np.zeros(hi - lo + 1), np.zeros(hi - lo + 1)
+    a = max(lo, 1)
+    ms = _ks(a, hi)
+    np.divide(eps[0][a - 1 : hi], ms, out=terms[a - lo :])
+    np.divide(eps[1][a - 1 : hi], ms, out=ins[a - lo :])
+    _add_scaled_abs(ins, terms, EPS)
+    return terms, ins
+
+
+def _weight_terms(mods: np.ndarray, logs: np.ndarray):
+    """``block_terms`` of the weights log p / m at the increasing moduli m =
+    p^i (log p in ``logs``), 0 elsewhere; each is charged 2 ulp for the log
+    and 1 for the division."""
+
+    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        i, j = np.searchsorted(mods, (lo, hi + 1))
+        t = np.zeros(hi - lo + 1, dtype=np.float64)
+        t[mods[i:j] - lo] = logs[i:j] / mods[i:j]
+        return t, t * (3.0 * EPS)
+
+    return terms
 
 
 def _moebius_segment(lo: int, hi: int) -> np.ndarray:
@@ -784,9 +790,10 @@ class SummatoryTables(_Table):
     error bounds are no longer sound, so it raises ``ValueError``.
 
     Immutable once built; safe to share read-only between scan consumers.
-    ``_lane_terms`` gives the terms of the g, f, theta, H, h and tail lanes
-    over any [lo, hi]: each held lane is ``_held_prefix`` over them, and
-    ``_chunks`` streams a lane the tables do not hold.
+    ``_lane_terms`` gives the terms of every prefix lane (g, f, theta, H, h,
+    tail, E, P and T) over any [lo, hi]: each held lane is ``_held_prefix``
+    over them, and ``_chunks`` streams a lane the tables do not hold.  E's
+    terms, and so its stream, read the held eps lane.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -822,6 +829,9 @@ class SummatoryTables(_Table):
     harmonic_arrays = _prefix_lane("_H")
     h_arrays = _prefix_lane("_h")
     tail_arrays = _prefix_lane("_tail")
+    eps_sum_arrays = _prefix_lane("_eps_sum")
+    P_arrays = _prefix_lane("_P")
+    T_arrays = _prefix_lane("_T")
 
     @_lane("_eps")
     def eps_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -831,32 +841,8 @@ class SummatoryTables(_Table):
         errs.flags.writeable = False
         return vals, errs
 
-    @_lane("_eps_sum")
-    def eps_sum_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """E(k) = sum_{m=2}^{k} eps(m-1)/m, the weights of the summation by parts."""
-        # term m is eps(m-1)/m: the eps error scaled by 1/m plus one rounding
-        ev, ee = self.eps_arrays
-        ms = _ks(0, self.limit)
-        terms = np.zeros(self.limit + 1, dtype=np.float64)
-        ins = np.zeros(self.limit + 1, dtype=np.float64)
-        np.divide(ev[1:-1], ms[2:], out=terms[2:])
-        np.divide(ee[1:-1], ms[2:], out=ins[2:])
-        del ms
-        _add_scaled_abs(ins, terms, EPS)
-        return _prefix_with_err(terms, ins, self.block_size)
-
-    @_lane("_P")
-    def P_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """P(k) = sum_{p<=k} log p / p, the weights of h's run sums."""
-        return self._weight_lane(self.primes, np.log(self.primes.astype(np.float64)))
-
-    @_lane("_T")
-    def T_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """T(k) = sum_{p^i<=k, i>=2} log p / p^i, the weights of the tail's run sums."""
-        return self._weight_lane(*self._prime_powers())
-
     def _prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The prime powers p^i <= limit, i >= 2, in (p, i) order, with log p."""
+        """The prime powers p^i <= limit, i >= 2, in increasing order, with log p."""
         n = self.limit
         ps = _primes_upto(isqrt(n))
         mods, logs = [], []
@@ -866,24 +852,25 @@ class SummatoryTables(_Table):
                 mods.append(q)
                 logs.append(lp)
                 q *= p
-        return np.array(mods, dtype=np.int64), np.array(logs)
-
-    def _weight_lane(self, mods: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Certified prefix of the weights log p / m at the moduli m = p^i, 0
-        elsewhere; each is charged 2 ulp for the log and 1 for the division."""
-        terms = np.zeros(self.limit + 1, dtype=np.float64)
-        terms[mods] = logs / mods
-        return _prefix_with_err(terms, terms * (3.0 * EPS), self.block_size)
+        order = np.argsort(mods)
+        return np.array(mods, dtype=np.int64)[order], np.array(logs)[order]
 
     def _lane_terms(self, attr: str):
         """``block_terms(lo, hi)`` of the prefix lane cached in ``attr``
-        (``"_g"``, ``"_f"``, ``"_theta"``, ``"_H"``, ``"_h"`` or ``"_tail"``):
-        the lane's terms over [lo, hi], their input errors and, for g and H,
-        their signed residuals; lo = 0 gives the zero pad."""
+        (``"_g"``, ``"_f"``, ``"_theta"``, ``"_H"``, ``"_h"``, ``"_tail"``,
+        ``"_eps_sum"``, ``"_P"`` or ``"_T"``): the lane's terms over [lo, hi],
+        their input errors and, for g and H, their signed residuals; lo = 0
+        gives the zero pad.  E's terms read the held eps lane."""
         if attr == "_theta":
             return functools.partial(_theta_terms, flags=_Segments(prime_flags, self.limit))
         if attr == "_H":
             return _reciprocals
+        if attr == "_eps_sum":
+            return functools.partial(_eps_sum_terms, eps=self.eps_arrays)
+        if attr == "_P":
+            return _weight_terms(self.primes, np.log(self.primes.astype(np.float64)))
+        if attr == "_T":
+            return _weight_terms(*self._prime_powers())
         mu = self.mu
         if attr == "_g":
             return lambda lo, hi: _g_terms(lo, mu[lo : hi + 1])
@@ -909,8 +896,9 @@ class SummatoryTables(_Table):
         """The lane cached in ``attr`` over [lo, hi] as (a, values, bounds) at
         x in [a, a + values.size), on the ``_chunk_grid`` of ``chunk``: slices
         of the lane if the tables hold it, else a stream that builds no
-        full-length lane: a prefix lane's ``_prefix_stream`` from x = 1, eps
-        by ``_eps`` from theta's chunks, M (values only) by ``_running_sums``."""
+        full-length lane but E's, whose terms read the held eps lane: a prefix
+        lane's ``_prefix_stream`` from x = 1, eps by ``_eps`` from theta's
+        chunks, M (values only) by ``_running_sums``."""
         held = getattr(self, attr, None)
         grid = _chunk_grid(hi, self.block_size, chunk)
         if attr == "_M":

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mobsum.fast import (
-    FloorValueMap,
     MertensEvaluator,
     _GBase,
     _g_value,
@@ -19,14 +18,13 @@ from mobsum.fast import (
     _mertens_value,
     _moebius_head,
     _quotients,
+    _runs,
     default_crossover,
     g_recursive,
     g_recursive_exact,
     g_recursive_float,
     m_recursive,
-    mertens_floor_map,
     mertens_prefix_recursive,
-    quotient_blocks,
 )
 from mobsum.sieve import sieve_moebius
 from mobsum.certified import _HEADROOM
@@ -41,15 +39,22 @@ from mobsum.summatory import (
 )
 
 
+def _runs_from_one(x: int) -> list[tuple[int, int, int]]:
+    """The maximal runs (q, nu_lo, nu_hi) of q = x // nu over [1, x]: the
+    nu = 1 head, then ``_runs(x)``."""
+    q, lo, hi = _runs(x)
+    return [(x, 1, 1), *zip(q.tolist(), lo.tolist(), hi.tolist())]
+
+
 def test_quotient_blocks_examples():
-    assert quotient_blocks(1) == [(1, 1, 1)]
-    assert quotient_blocks(10) == [(10, 1, 1), (5, 2, 2), (3, 3, 3), (2, 4, 5), (1, 6, 10)]
-    assert len(quotient_blocks(100)) <= 2 * 10  # 2 ceil(sqrt(x))
+    assert _runs_from_one(1) == [(1, 1, 1)]
+    assert _runs_from_one(10) == [(10, 1, 1), (5, 2, 2), (3, 3, 3), (2, 4, 5), (1, 6, 10)]
+    assert len(_runs_from_one(100)) <= 2 * 10  # 2 ceil(sqrt(x))
 
 
 def test_quotient_blocks_partition_exhaustive():
     for x in range(1, 10**4 + 1):
-        blocks = quotient_blocks(x)
+        blocks = _runs_from_one(x)
         cursor = 1
         for q, lo, hi in blocks:
             assert lo == cursor and hi >= lo
@@ -65,7 +70,7 @@ def test_quotient_blocks_partition_random_large():
     rng = random.Random(3)
     for _ in range(20):
         x = rng.randrange(10**6, 10**9)
-        blocks = quotient_blocks(x)
+        blocks = _runs_from_one(x)
         assert blocks[0] == (x, 1, 1)
         assert blocks[-1][2] == x
         for (q1, _, h1), (_, l2, _) in zip(blocks, blocks[1:]):
@@ -235,27 +240,6 @@ def test_oversized_base_table_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-
-
-def test_floor_value_map_structure():
-    value, fmap = mertens_floor_map(10**4)
-    assert isinstance(fmap, FloorValueMap)
-    assert value == -23
-    # every large key is an actual quotient nu = x // q
-    quotients = {q for q, _, _ in quotient_blocks(10**4)}
-    for nu, m in fmap.large.items():
-        arg = 10**4 // nu
-        assert arg in quotients
-        assert fmap.get(arg) == m == big_m(arg)
-    # small side mirrors the sieve prefix
-    for k in (1, 17, fmap.crossover):
-        assert fmap.get(k) == big_m(k)
-
-
-def test_memo_growth_sqrt_like():
-    for x in (10**4, 10**6, 10**8):
-        _, fmap = mertens_floor_map(x)
-        assert fmap.distinct_count() <= 3 * isqrt(x), x
 
 
 def test_g_recursive_exact_examples():
@@ -443,5 +427,3 @@ def test_validation():
         m_recursive(0)
     with pytest.raises(ValueError):
         g_recursive_exact(0)
-    with pytest.raises(ValueError):
-        quotient_blocks(0)

@@ -27,8 +27,8 @@ from mobsum.summatory import (
     SummatoryTables,
     _chunk_grid,
     _g_terms,
+    _held_prefix,
     _prefix_stream,
-    _prefix_with_err,
     _reciprocals,
     _theta_terms,
     _two_sum,
@@ -52,8 +52,17 @@ def _contains(v: float, e: float, num: int, den: int) -> bool:
     return abs(vn * den - num * vd) * ed <= en * den * vd
 
 
+def _prefix(terms, errs, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The held prefix lane (``_held_prefix``) over [0, len(terms) - 1] of the
+    terms and input errors at index 1 on, index 0 the zero pad."""
+    terms, errs = np.asarray(terms, dtype=np.float64), np.asarray(errs, dtype=np.float64)
+    return _held_prefix(
+        terms.size - 1, block, lambda lo, hi: (terms[lo : hi + 1].copy(), errs[lo : hi + 1].copy())
+    )
+
+
 def test_cumsum_adds_left_to_right():
-    # the running bound of _prefix_with_err charges each prefix value its own
+    # the running bound of the prefix kernel charges each prefix value its own
     # rounding, which holds only if np.cumsum adds strictly left to right,
     # also when it writes over its input
     rng = np.random.default_rng(11)
@@ -82,7 +91,7 @@ def test_prefix_kernel_bound_contains_exact_sums():
             terms = [0.0] + [
                 rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-8, 8) for _ in range(n)
             ]
-            vals, errs = _prefix_with_err(np.array(terms), np.zeros(n + 1), block)
+            vals, errs = _prefix(terms, np.zeros(n + 1), block)
             exact = Fraction(0)
             for k in range(1, n + 1):
                 exact += Fraction(terms[k])
@@ -131,8 +140,8 @@ def test_two_sum_is_exact():
 
 
 def _lane_contains_exact_sums(terms: list[float], block: int) -> None:
-    """Every entry of ``_prefix_with_err`` over exact ``terms`` holds their sum."""
-    vals, errs = _prefix_with_err(np.array(terms), np.zeros(len(terms)), block)
+    """Every entry of the prefix lane over exact ``terms`` holds their sum."""
+    vals, errs = _prefix(terms, np.zeros(len(terms)), block)
     exact = Fraction(0)
     for k in range(1, len(terms)):
         exact += Fraction(terms[k])
@@ -153,7 +162,7 @@ def test_prefix_kernel_charges_the_error_sum_rounding():
     # the adds' errors 2^-53, 2^-160 and -2^-53 sum to 0 in floats while the
     # prefix errs by 2^-160: only the charge on the error sum covers it
     terms = [0.0, 1.0, 2.0**-53, 2.0**-160, 3 * 2.0**-53]
-    vals, errs = _prefix_with_err(np.array(terms), np.zeros(5), 1 << 20)
+    vals, errs = _prefix(terms, np.zeros(5), 1 << 20)
     assert Fraction(float(vals[4])) == sum(map(Fraction, terms)) - Fraction(2) ** -160
     assert 2.0**-160 <= errs[4] < 2.0**-70
     _lane_contains_exact_sums(terms, 2)
@@ -163,7 +172,7 @@ def test_prefix_kernel_bound_covers_the_input_errors_exact_sum():
     # exact adds, so the bound is the float sum of the input errors alone,
     # which rounds 1 + 2^-53 + 2^-53 down to 1: the headroom covers that
     errs = [0.0, 1.0, 2.0**-53, 2.0**-53, 2.0**-53]
-    vals, bounds = _prefix_with_err(np.array([0.0, 1.0, 1.0, 2.0, 4.0]), np.array(errs), 1 << 20)
+    vals, bounds = _prefix([0.0, 1.0, 1.0, 2.0, 4.0], errs, 1 << 20)
     assert vals.tolist() == [0.0, 1.0, 2.0, 4.0, 8.0]
     for k in range(1, 5):
         assert Fraction(float(bounds[k])) >= sum(map(Fraction, errs[: k + 1])), k
@@ -414,7 +423,7 @@ def test_h_lane_is_the_prefix_of_minus_f_and_tail_terms(block_size):
     assert np.array_equal(terms, np.where(fv != 0.0, -fv, -tv))
     assert np.array_equal(errs, np.where(fv != 0.0, fe, te))
     hv, he = tables.h_arrays
-    ref = _prefix_with_err(terms, errs, block_size)
+    ref = _prefix(terms, errs, block_size)
     assert hv.tobytes() == ref[0].tobytes() and he.tobytes() == ref[1].tobytes()
     assert math.isclose(float(hv[N]), tables.h_certified(N).value, rel_tol=1e-12)
 
@@ -477,7 +486,23 @@ _STREAMED = {
     "_theta": "theta_arrays",
     "_h": "h_arrays",
     "_tail": "tail_arrays",
+    "_eps_sum": "eps_sum_arrays",
+    "_P": "P_arrays",
+    "_T": "T_arrays",
 }
+
+
+def test_every_prefix_lane_is_streamed():
+    # every certified lane but the pointwise eps is a prefix of its
+    # ``_lane_terms``, so none can be built by hand outside them
+    prefix_lanes = {
+        n
+        for n, v in vars(SummatoryTables).items()
+        if isinstance(v, property) and v.fget.__wrapped__.__qualname__.startswith("_prefix_lane.")
+    }
+    arrays = {n for n in _LANE_CACHES if n.endswith("_arrays")}
+    assert prefix_lanes == set(_STREAMED.values()) == arrays - {"eps_arrays"}
+    assert all(_LANE_CACHES[lane] == attr for attr, lane in _STREAMED.items())
 
 
 @pytest.mark.parametrize("block_size", [1 << 20, 1000, 7])

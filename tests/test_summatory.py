@@ -360,6 +360,20 @@ def test_scaled_prefix_matches_g_exact(prefix_2k):
         assert prefix_2k.g_fraction(k) == g_exact(k)
 
 
+def test_g_exact_holds_no_prefix_list():
+    # g_exact reads the end of the exact stream: a ScaledMoebiusPrefix(4000)
+    # list takes about 2 MiB, the stream one running integer
+    x = 4000
+    tracemalloc.start()
+    try:
+        got = g_exact(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == ScaledMoebiusPrefix(x).g_fraction(x)
+    assert peak < 256 << 10, peak
+
+
 def test_exact_float_consistency_to_2000(prefix_2k, tables_2k):
     gv, ge = tables_2k.g_arrays
     for k in range(1, 2001):
