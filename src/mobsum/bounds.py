@@ -17,8 +17,10 @@ Each certified scan reads its lanes as streams of chunks of at most
 ``_SCAN_CHUNK`` consecutive x, classifies each chunk and keeps only the
 verdicts.  ``SummatoryTables._chunks`` gives the chunks: slices of a lane
 the tables hold, else the lane streamed from x = 1 by the prefix kernel, bit
-for bit the held entries.  So no float lane is built at full length and the
-memory of a scan does not grow with its range beyond the int8 mu lane.  The
+for bit the held entries.  So no float lane is built at full length.  The g
+and f scans read mu one 2^20 sieve segment at a time unless the tables hold
+the int8 mu lane, which only the tail scan builds (its increments read mu at
+x / q), so only that scan's memory grows with its range, by 1 B per x.  The
 verdicts, their order and the maximum ratio are those of one pass over the
 whole range.
 

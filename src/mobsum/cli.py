@@ -378,8 +378,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the int8 mu lane that the bound scans stream from, 1 B per x
     if not _fits(args, limit + _verify_exact_bytes(exact_hi)):
         return 2
-    # the bound scans stream their lanes from mu, the one full-length lane built here
+    # the bound scans stream their lanes from mu, the one full-length lane,
+    # built first so that the g and f streams read it and do not sieve again
     tables = SummatoryTables(limit)
+    tables.mu
 
     sums = ident_mod.divisor_sum_scan(exact_hi).tolist()
     div_bad = sum(1 for t in range(1, exact_hi + 1) if sums[t] != (1 if t == 1 else 0))

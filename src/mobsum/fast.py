@@ -453,8 +453,9 @@ class _GBase:
     """g's base for ``_tails``: the certified g lane of ``tables`` over
     [0, K], held over its head [0, H] and read above it through
     ``tables._chunks``, whose chunks are the held lane's bits whether the
-    tables hold the lane or stream it.  A single nu weighs 1/nu and a run
-    the harmonic segment H(nu_hi) - H(nu_lo - 1) of ``_harmonic_diff``.
+    tables hold the lane or stream it; the tables hold no mu lane, so the
+    terms read mu one sieve segment at a time.  A single nu weighs 1/nu and
+    a run the harmonic segment H(nu_hi) - H(nu_lo - 1) of ``_harmonic_diff``.
 
     Every term t = g w carries one rounding of the product, u |t|,
     and the input error w gerr + werr (|g| + gerr).  For a single nu, 1/nu
@@ -539,9 +540,8 @@ def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
     if not J:  # x <= K is the lane's own entry
         if x < base.size:
             return CertifiedFloat(float(base.gv[x]), float(base.ge[x]))
-        v, e = base.tables._sample("_g", x, x)
-        return CertifiedFloat(float(v[0]), float(e[0]))
-    mu = base.tables.mu[: J + 1]
+        return base.tables._at("_g", x)
+    mu = moebius_values_upto(J)
     ks = np.flatnonzero(mu)
     tv, te = np.array(_tails(x, ks, K, base)).T
     p = tv / ks
@@ -554,8 +554,10 @@ def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
 
 def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat:
     """Certified g(x) by the floor-quotient recursion (``_g_value``);
-    O(x^(2/3)) time, and memory for the int8 mu lane over [0, K], the head
-    of the g lane over max(sqrt(x), 2^20) entries and O(sqrt(x)) buffers."""
+    O(x^(2/3)) time, and memory for the head of the g lane over
+    max(sqrt(x), 2^20) entries, O(sqrt(x)) buffers and one 2^20 sieve
+    segment of mu: the g lane's terms read mu segment by segment, as the
+    tables hold no mu lane, and the k <= J = x // (K+1) read mu(0..J)."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -565,10 +567,9 @@ def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat
 
 def _g_float_bytes(x: int) -> int:
     """About the peak bytes of ``g_recursive_float(x)`` above the interpreter's:
-    the int8 mu lane over [0, K], the head of the g lane (16 B per entry), the
-    per-root buffers (about 96 B per nu <= sqrt(x)) and the stream's chunks."""
-    K = _crossover(x, None)
-    return K + 16 * _head_limit(x, K) + 96 * isqrt(x) + (4 << 20)
+    the head of the g lane (16 B per entry), the per-root buffers (about 96 B
+    per nu <= sqrt(x)) and the stream's sieve segment and chunks."""
+    return 16 * _head_limit(x, _crossover(x, None)) + 96 * isqrt(x) + (4 << 20)
 
 
 def g_recursive(

@@ -349,12 +349,11 @@ def capital_f(p: int, x: Real, *, tables: SummatoryTables | None = None) -> Cert
 def prime_power_tail(x: Real) -> CertifiedFloat:
     """Signed i >= 2 part: sum_{p<=x} log p * sum_{i>=2} p^(-i) g(x/p^i), the
     tail lane's entry at floor(x), bit for bit, streamed one 2^15 chunk at a
-    time by ``SummatoryTables(floor(x))``."""
+    time by ``SummatoryTables(floor(x))._at``."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    [v], [e] = SummatoryTables(n)._sample("_tail", n, n)
-    return CertifiedFloat(float(v), float(e))
+    return SummatoryTables(n)._at("_tail", n)
 
 
 def decomposition_check(x: Real, *, tables: SummatoryTables | None = None) -> IdentityCheck:

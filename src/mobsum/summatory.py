@@ -23,13 +23,17 @@ callers that index it.
 ``SummatoryTables`` gives certified-float prefix lanes over [1, limit] to
 the scan-style consumers.  Bound scans, ``series_scan`` and the convergence
 reports read them chunk by chunk (``SummatoryTables._chunks``), streamed
-with the bits of the held lanes, so only the int8 mu lane is full length.
+with the bits of the held lanes, so no float lane is full length.  g and f
+read mu one 2^20 sieve segment at a time unless the tables hold the int8 mu
+lane, which only the tail and h increments and M build: they read mu
+outside their own chunk.
 All tables are immutable after construction and safe to share read-only.
 
 Each quantity has one definition of its terms and error bound: the point
 functions ``g_float``, ``f_value``, ``theta``, ``harmonic``, ``epsilon`` and
 ``h_direct`` (and ``identities.prime_power_tail``) return their lane's entry
-at floor(x), bit for bit, streamed the same way.
+at floor(x), bit for bit, each through the one point read
+``SummatoryTables._at``.
 
 A function that takes a caller's ``tables=`` or ``prefix=`` reads them when
 they cover the range it needs, builds its own when given None and raises
@@ -263,10 +267,7 @@ def g_float(x: Real) -> CertifiedFloat:
     """Certified sum_{k<=x} mu(k)/k: the g lane's entry at x, bit for bit,
     holding one 2^20 sieve segment of mu and one 2^15 chunk of floats."""
     n = floor_arg(x)
-    if n < 1:
-        return ZERO
-    mu = _Segments(_moebius_segment, n)
-    return _stream_at(n, lambda lo, hi: _g_terms(lo, mu(lo, hi)))
+    return SummatoryTables(n)._at("_g", n) if n else ZERO
 
 
 def f_value(x: Real) -> CertifiedFloat:
@@ -278,16 +279,13 @@ def f_value(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"f is defined for x >= 1, got {x}")
-    mu = _Segments(_moebius_segment, n)
-    return _stream_at(n, lambda lo, hi: _f_terms(lo, mu(lo, hi)))
+    return SummatoryTables(n)._at("_f", n)
 
 
 def theta(x: Real) -> CertifiedFloat:
     """Chebyshev theta(x) = sum_{p<=x} log p: the theta lane's entry at x; 0 for x < 2."""
     n = floor_arg(x)
-    if n < 1:
-        return ZERO
-    return _stream_at(n, functools.partial(_theta_terms, flags=_Segments(prime_flags, n)))
+    return SummatoryTables(n)._at("_theta", n) if n else ZERO
 
 
 def epsilon(x: Real) -> CertifiedFloat:
@@ -312,18 +310,17 @@ def harmonic(x: Real) -> CertifiedFloat:
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"harmonic sum needs x >= 1, got {x}")
-    return _stream_at(n, _reciprocals)
+    return SummatoryTables(n)._at("_H", n)
 
 
 def h_direct(x: Real, *, tables: "SummatoryTables | None" = None) -> CertifiedFloat:
     """h(x) = sum_{p<=x} (log p / p) g(x/p), certified: the h lane's entry at
-    floor(x), bit for bit, sliced from ``tables`` if they hold the lane and
-    else streamed (``SummatoryTables._sample``), one 2^15 chunk at a time."""
+    floor(x), bit for bit, read off ``tables`` if they hold the lane and else
+    streamed (``SummatoryTables._at``)."""
     n = floor_arg(x)
     if n < 1:
         raise ValueError(f"h is defined for x >= 1, got {x}")
-    [v], [e] = SummatoryTables._covering(tables, n)._sample("_h", n, n)
-    return CertifiedFloat(float(v), float(e))
+    return SummatoryTables._covering(tables, n)._at("_h", n)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +519,6 @@ def _prefix_stream(
         yield lo, v, e
 
 
-def _stream_at(n: int, chunk_terms) -> CertifiedFloat:
-    """Entry n of ``_prefix_stream`` at the default block size, run in
-    ``_CHUNK`` pieces that finish only their last entry: O(chunk) floats
-    at a time, and the bits of the held lane's entry n."""
-    for _, v, e in _prefix_stream(n, DEFAULT_BLOCK_CAPACITY, chunk_terms, _CHUNK, True):
-        pass
-    return CertifiedFloat(float(v[-1]), float(e[-1]))
-
-
 # -- the terms of each prefix lane over [lo, hi] and their per-term input
 # errors (and signed residuals), shared by the held lanes and the streams
 
@@ -626,16 +614,18 @@ def _weight_terms(mods: np.ndarray, logs: np.ndarray):
 
 
 def _moebius_segment(lo: int, hi: int) -> np.ndarray:
-    return sieve_moebius(lo, hi).values
+    return sieve_moebius(lo, hi, hi - lo + 1).values
 
 
 class _Segments:
     """``sieve(lo, hi)`` (``prime_flags`` or ``_moebius_segment``) for the
-    chunks of a stream over [1, n], which ask for consecutive ranges.  A
-    chunk inside one segment (s B, (s + 1) B] of [1, n], B =
+    chunks of a stream over [0, n], which ask for consecutive ranges; lo = 0
+    gives the zero pad (mu(0) = 0, 0 not prime) before [1, hi].  A chunk
+    inside one segment (s B, (s + 1) B] of [1, n], B =
     DEFAULT_BLOCK_CAPACITY, is cut from that segment's sieve, run once when
     the stream enters it; a range across a segment edge (a whole lane, or a
-    chunk astride the edge) is sieved by itself."""
+    chunk astride the edge) is sieved by itself.  So a g or f stream holds
+    one segment of mu and sieves each x once."""
 
     def __init__(self, sieve, n: int):
         self.sieve = sieve
@@ -644,6 +634,8 @@ class _Segments:
         self.values = None
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if lo == 0:
+            return np.insert(self(1, hi), 0, 0)
         size = DEFAULT_BLOCK_CAPACITY
         s = (lo - 1) // size
         if (hi - 1) // size != s:
@@ -792,8 +784,12 @@ class SummatoryTables(_Table):
     Immutable once built; safe to share read-only between scan consumers.
     ``_lane_terms`` gives the terms of every prefix lane (g, f, theta, H, h,
     tail, E, P and T) over any [lo, hi]: each held lane is ``_held_prefix``
-    over them, and ``_chunks`` streams a lane the tables do not hold.  E's
-    terms, and so its stream, read the held eps lane.
+    over them, ``_chunks`` streams a lane the tables do not hold and ``_at``
+    reads one entry.  E's terms, and so its stream, read the held eps lane.
+    mu follows one rule: g's and f's terms read the held mu lane when the
+    tables hold it, and else sieve mu one 2^20 segment at a time
+    (``_Segments``); only the readers of mu outside their own chunk, the
+    tail's and h's increments (at x / q) and M, build the lane.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -860,7 +856,8 @@ class SummatoryTables(_Table):
         (``"_g"``, ``"_f"``, ``"_theta"``, ``"_H"``, ``"_h"``, ``"_tail"``,
         ``"_eps_sum"``, ``"_P"`` or ``"_T"``): the lane's terms over [lo, hi],
         their input errors and, for g and H, their signed residuals; lo = 0
-        gives the zero pad.  E's terms read the held eps lane."""
+        gives the zero pad.  g and f read mu by the class's rule, and E's
+        terms read the held eps lane."""
         if attr == "_theta":
             return functools.partial(_theta_terms, flags=_Segments(prime_flags, self.limit))
         if attr == "_H":
@@ -871,34 +868,33 @@ class SummatoryTables(_Table):
             return _weight_terms(self.primes, np.log(self.primes.astype(np.float64)))
         if attr == "_T":
             return _weight_terms(*self._prime_powers())
-        mu = self.mu
-        if attr == "_g":
-            return lambda lo, hi: _g_terms(lo, mu[lo : hi + 1])
-
-        def f(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            return _f_terms(lo, mu[lo : hi + 1])
-
-        if attr == "_f":
-            return f
+        if attr in ("_g", "_f"):
+            terms = _g_terms if attr == "_g" else _f_terms
+            held = getattr(self, "_mu", None)
+            if held is None:
+                mu = _Segments(_moebius_segment, self.limit)
+                return lambda lo, hi: terms(lo, mu(lo, hi))
+            return lambda lo, hi: terms(lo, held[lo : hi + 1])
         # the tail: a numerator is 0 unless x = p^v m with m squarefree and
         # prime to p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0
         # (v >= 3): exact, so only the log (2 EPS) and the division (u) err
-        mods, logs = self._prime_powers()
+        mu, (mods, logs) = self.mu, self._prime_powers()
 
         def tail(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             return _increment_terms(lo, hi, mu, mods, logs, 2.5 * EPS)
 
         if attr == "_tail":
             return tail
+        f = self._lane_terms("_f")  # on the mu lane the tail has built
         return lambda lo, hi: _h_terms(lo, hi, f, tail)
 
     def _chunks(self, attr: str, lo: int, hi: int, chunk: int) -> Iterator[tuple]:
         """The lane cached in ``attr`` over [lo, hi] as (a, values, bounds) at
         x in [a, a + values.size), on the ``_chunk_grid`` of ``chunk``: slices
-        of the lane if the tables hold it, else a stream that builds no
-        full-length lane but E's, whose terms read the held eps lane: a prefix
-        lane's ``_prefix_stream`` from x = 1, eps by ``_eps`` from theta's
-        chunks, M (values only) by ``_running_sums``."""
+        of the lane if the tables hold it, else a stream that builds no float
+        lane but E's, whose terms read the held eps lane: a prefix lane's
+        ``_prefix_stream`` from x = 1, eps by ``_eps`` from theta's chunks, M
+        (values only) by ``_running_sums`` over the mu lane."""
         held = getattr(self, attr, None)
         grid = _chunk_grid(hi, self.block_size, chunk)
         if attr == "_M":
@@ -915,6 +911,18 @@ class SummatoryTables(_Table):
             s = max(lo - a, 0)
             if s < lanes[0].size:
                 yield (a + s, *(v[s:] for v in lanes))
+
+    def _at(self, attr: str, x: int) -> CertifiedFloat:
+        """Entry x of the prefix lane cached in ``attr``: the held entry, or
+        else the last of its ``_prefix_stream`` to x, run in ``_CHUNK`` pieces
+        that finish only their last entry: O(chunk) floats at a time, and the
+        bits of the held entry."""
+        held = getattr(self, attr, None)
+        if held is not None:
+            return CertifiedFloat(float(held[0][x]), float(held[1][x]))
+        for _, v, e in _prefix_stream(x, self.block_size, self._lane_terms(attr), _CHUNK, True):
+            pass
+        return CertifiedFloat(float(v[-1]), float(e[-1]))
 
     def _sample(self, attr: str, stride: int, hi: int) -> list[np.ndarray]:
         """The lane ``_chunks`` reads for ``attr`` at x = stride, 2 stride, ...
@@ -1141,8 +1149,9 @@ def series_scan(
         raise ValueError(f"need limit >= 1 and stride >= 1, got {limit}, {stride}")
     tables = SummatoryTables._covering(tables, limit)
     xs = np.arange(stride, limit + 1, stride, dtype=np.int64)
-    lanes = ("_g", "_f", "_theta", "_h", "_M")
-    g, f, theta, h, M = (tables._sample(a, stride, limit) for a in lanes)
+    # h first: its increments build the mu lane, which g, f and M then read
+    lanes = ("_h", "_g", "_f", "_theta", "_M")
+    h, g, f, theta, M = (tables._sample(a, stride, limit) for a in lanes)
     eps = _eps(xs.astype(np.float64), *theta)
     return SummatorySeries(xs, *g, *f, *M, *theta, *eps, *h)
 

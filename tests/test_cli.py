@@ -174,6 +174,27 @@ def test_golden_csvs_are_byte_identical(tmp_path):
     assert digests == _GOLDEN
 
 
+def test_commands_sieve_mu_once(monkeypatch, tmp_path):
+    # table samples h first, whose increments build the mu lane that g, f and
+    # M then read; verify builds the lane before its g and f streams.  Only
+    # verify's checks over [1, cutoff] sieve more: the exact stream twice, and
+    # the identity tables' mu lane and their g and f streams
+    sieved = []
+    real = mobsum.sieve._moebius_values
+
+    def counted(lo, hi, root_primes):
+        sieved.append(hi - lo + 1)
+        return real(lo, hi, root_primes)
+
+    monkeypatch.setattr(mobsum.sieve, "_moebius_values", counted)
+    out = str(tmp_path / "out.csv")
+    assert main(["table", "--limit", "200000", "--stride", "20", "--out", out]) == 0
+    assert sum(sieved) == 200_000
+    sieved.clear()
+    assert main(["verify", "--limit", "500000", "--cutoff", "200", "--out", out]) == 0
+    assert 500_000 < sum(sieved) <= 501_000
+
+
 def test_bench_runs(capsys):
     code, out = _run(capsys, "bench", "--limit", "50000")
     assert code == 0

@@ -9,6 +9,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+import mobsum.fast
 from mobsum.fast import (
     MertensEvaluator,
     _GBase,
@@ -371,6 +372,25 @@ def test_g_recursive_float_two_crossovers_at_1e10():
     b = g_recursive_float(x, crossover=default_crossover(x) // 2)
     assert abs(a.value - b.value) <= a.err + b.err
     assert a.err <= 1e-7 * abs(a.value) and b.err <= 1e-7 * abs(b.value), (a, b)
+
+
+def test_g_recursive_float_holds_no_mu_lane(monkeypatch):
+    # at 10^10 the crossover K = 4.6e6 lies above the head H = 2^20; the g
+    # lane's terms read mu one 2^20 segment at a time and the k <= J read
+    # mu(0..J), so the tables build no int8 mu lane over [0, K]
+    built = []
+
+    class Recorded(SummatoryTables):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(mobsum.fast, "SummatoryTables", Recorded)
+    x = 10**10
+    r = g_recursive_float(x)
+    assert [t.limit for t in built] == [default_crossover(x)] and built[0].limit > 2**20
+    assert getattr(built[0], "_mu", None) is None
+    assert r.err <= 1e-7 * abs(r.value)
 
 
 def test_fsum_rounds_correctly():
