@@ -48,7 +48,6 @@ calls over its slices.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import fsum, isqrt
 
@@ -65,6 +64,7 @@ from .summatory import (
     _harmonic_diff,
     _held_prefix,
     _ks,
+    _mertens_prefix,
     moebius_values_upto,
 )
 
@@ -107,9 +107,6 @@ def _runs(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _MERTENS_TABLE_LIMIT = (1 << 31) - 1
 # Roots stay below 2^53, where the float quotients of ``_quotients`` are exact.
 _MERTENS_ROOT_LIMIT = (1 << 53) - 1
-# Tables up to this limit, the crossovers of roots below about 2.6e5, are views
-# of one table, sieved on first use.
-_SHARED_TABLE = 1 << 12
 # The reads above the head that one chunk of (H, K] serves are laid out at
 # most this many at a time.
 _FAR_BATCH = 1 << 16
@@ -123,30 +120,15 @@ def _table_limit(limit: int) -> int:
     return limit
 
 
-def _sieved_table(limit: int) -> np.ndarray:
-    """M(0..limit) as int32, one sieve block and one in-place cumsum at a time."""
-    M = np.empty(limit + 1, dtype=np.int32)
-    M[0] = 0
+def _mertens_table(limit: int) -> np.ndarray:
+    """M(0..limit) as read-only int32: each sieve block of mu summed into its
+    slice of the table by the M prefix kernel (``_mertens_prefix``), from
+    the entry before it.  Every call sieves [1, limit]; nothing is cached."""
+    M = np.zeros(_table_limit(limit) + 1, dtype=np.int32)
     for block in iter_moebius_blocks(1, limit):
-        seg = M[block.lo : block.hi + 1]
-        seg[:] = block.values
-        seg[0] += M[block.lo - 1]
-        np.cumsum(seg, dtype=np.int32, out=seg)
+        _mertens_prefix(block.values, M[block.lo - 1], M[block.lo : block.hi + 1])
     M.flags.writeable = False
     return M
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_table() -> np.ndarray:
-    return _sieved_table(_SHARED_TABLE)
-
-
-def _mertens_table(limit: int) -> np.ndarray:
-    """M(0..limit) as read-only int32; up to ``_SHARED_TABLE`` a view of one
-    shared table, so that small roots cost no sieve."""
-    if _table_limit(limit) <= _SHARED_TABLE:
-        return _shared_table()[: limit + 1]
-    return _sieved_table(limit)
 
 
 def _head_limit(x: int, K: int) -> int:
@@ -257,8 +239,10 @@ def _tails(x: int, ks: np.ndarray, K: int, base) -> list:
 
 class _MertensBase:
     """M's base for ``_tails``: the table M(0..K), held over its head M(0..H)
-    with mu(0..isqrt(x)).  A single nu weighs 1 and a run its count
-    y//q - y//(q+1); by parts, with y // (Q+1) = s,
+    (``_mertens_table``, sieved for each evaluator) with mu(0..isqrt(x)), and
+    made above it one block at a time (``chunks``), both by the one M prefix
+    kernel ``summatory._mertens_prefix``.  A single nu weighs 1 and a run its
+    count y//q - y//(q+1); by parts, with y // (Q+1) = s,
 
         sum_{q<=Q} M(q) (y//q - y//(q+1)) = sum_{q<=Q} (y // q) mu(q) - s M(Q),
 
@@ -269,18 +253,16 @@ class _MertensBase:
         self.size = head.size
 
     def chunks(self, top: int):
-        """(lo, hi, M over [lo, hi]) for the blocks of (H, top]: each sieved
-        into one reused int32 buffer, and M there the block's cumsum from M at
-        the block before."""
+        """(lo, hi, M over [lo, hi]) for the sieve blocks of (H, top]: each
+        block's M made by the M prefix kernel (``_mertens_prefix``) in one
+        reused int32 buffer, from M at the end of the block before."""
         H = self.size - 1
         buf = np.empty(min(top - H, DEFAULT_BLOCK_CAPACITY), dtype=np.int32)
         m = self.head[H:]
         for block in iter_moebius_blocks(H + 1, top):
-            lo, hi, carry, m = block.lo, block.hi, m[-1], buf[: len(block)]
-            m[:] = block.values
+            lo, hi = block.lo, block.hi
+            m = _mertens_prefix(block.values, m[-1], buf[: len(block)])
             del block  # before the next block is sieved
-            m[0] += carry
-            np.cumsum(m, dtype=np.int32, out=m)
             yield lo, hi, m
 
     # a batch sums at most 2^16 values below 2^31 in magnitude per i: exact in float64

@@ -24,9 +24,12 @@ callers that index it.
 the scan-style consumers.  Bound scans, ``series_scan`` and the convergence
 reports read them chunk by chunk (``SummatoryTables._chunks``), streamed
 with the bits of the held lanes, so no float lane is full length.  g and f
-read mu one 2^20 sieve segment at a time unless the tables hold the int8 mu
-lane, which only the tail and h increments and M build: they read mu
-outside their own chunk.
+read the int8 mu lane when the tables hold it, which only the tail and h
+increments and M build (they read mu outside their own chunk), and else
+sieve mu one 2^20 segment at a time through one reader per table set
+(``_Segments``), shared by all its g and f streams: streams that walk the
+same chunks together sieve each x once.  Every M prefix, here and in
+``fast``'s base tables, is one kernel over mu chunks (``_mertens_prefix``).
 All tables are immutable after construction and safe to share read-only.
 
 Each quantity has one definition of its terms and error bound: the point
@@ -618,20 +621,22 @@ def _moebius_segment(lo: int, hi: int) -> np.ndarray:
 
 
 class _Segments:
-    """``sieve(lo, hi)`` (``prime_flags`` or ``_moebius_segment``) for the
-    chunks of a stream over [0, n], which ask for consecutive ranges; lo = 0
-    gives the zero pad (mu(0) = 0, 0 not prime) before [1, hi].  A chunk
-    inside one segment (s B, (s + 1) B] of [1, n], B =
-    DEFAULT_BLOCK_CAPACITY, is cut from that segment's sieve, run once when
-    the stream enters it; a range across a segment edge (a whole lane, or a
-    chunk astride the edge) is sieved by itself.  So a g or f stream holds
-    one segment of mu and sieves each x once."""
+    """``sieve(lo, hi)`` (``prime_flags`` or ``_moebius_segment``) over [0, n]
+    in the segments (s B, (s + 1) B] of [1, n], B = DEFAULT_BLOCK_CAPACITY.
+    A range inside one segment is cut from that segment's sieve, which the
+    reader keeps until a request needs another segment and drops before it
+    sieves that one; a range across a segment edge is sieved by itself, and
+    lo = 0 gives the zero pad (mu(0) = 0, 0 not prime) before [1, hi].
+
+    Each ``SummatoryTables`` has one mu reader, shared by all its g and f
+    streams: they hold one segment of mu between them, and streams that ask
+    for the same chunks in turn (g and f in ``bounds._g_scans``) sieve each
+    x once.  A theta stream reads prime flags through a reader of its own."""
 
     def __init__(self, sieve, n: int):
         self.sieve = sieve
         self.n = n
-        self.segment = -1
-        self.values = None
+        self.held = (-1, None)  # (segment, its values)
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         if lo == 0:
@@ -641,12 +646,12 @@ class _Segments:
         if (hi - 1) // size != s:
             return self.sieve(lo, hi)
         base = s * size
-        if s != self.segment:
-            self.segment, self.values = s, self.sieve(base + 1, min(base + size, self.n))
-        values = self.values[lo - base - 1 : hi - base]
-        if hi - base == self.values.size:  # the stream leaves the segment
-            self.segment, self.values = -1, None
-        return values
+        segment, values = self.held
+        if segment != s:
+            self.held, values = (-1, None), None  # dropped before the next is sieved
+            values = self.sieve(base + 1, min(base + size, self.n))
+            self.held = s, values
+        return values[lo - base - 1 : hi - base]
 
 
 # A modulus with at least this many multiples in the range of
@@ -740,13 +745,22 @@ def _h_terms(lo: int, hi: int, f_terms, tail_terms) -> tuple[np.ndarray, np.ndar
     return vals, errs
 
 
+def _mertens_prefix(mu: np.ndarray, carry, out: np.ndarray) -> np.ndarray:
+    """M over a chunk from its mu values and ``carry``, M just before the
+    chunk: written into ``out``, of the chunk's length (a slice of the
+    caller's table, its reused buffer or a new array), in ``out``'s dtype,
+    summed there in place and returned.  The one builder of every M prefix;
+    ``big_m`` needs only the total."""
+    out[:] = mu
+    out[0] += carry
+    return np.cumsum(out, dtype=out.dtype, out=out)
+
+
 def _running_sums(mu: np.ndarray, grid: Iterator[tuple[int, int]]) -> Iterator[tuple]:
     """(a, M over [a, b]) for the consecutive (a, b) of ``grid``, from 1."""
-    total = 0
+    m = (0,)
     for a, b in grid:
-        m = np.cumsum(mu[a : b + 1], dtype=np.int64)
-        m += total
-        total = int(m[-1])
+        m = _mertens_prefix(mu[a : b + 1], m[-1], np.empty(b - a + 1, dtype=np.int64))
         yield a, m
 
 
@@ -787,9 +801,12 @@ class SummatoryTables(_Table):
     over them, ``_chunks`` streams a lane the tables do not hold and ``_at``
     reads one entry.  E's terms, and so its stream, read the held eps lane.
     mu follows one rule: g's and f's terms read the held mu lane when the
-    tables hold it, and else sieve mu one 2^20 segment at a time
-    (``_Segments``); only the readers of mu outside their own chunk, the
-    tail's and h's increments (at x / q) and M, build the lane.
+    tables hold it, and else sieve mu one 2^20 segment at a time through
+    the tables' one mu reader (``_Segments``), which all their g and f
+    streams share, so streams over the same chunks sieve each x once; only
+    the readers of mu outside their own chunk, the tail's and h's increments
+    (at x / q) and M, build the lane.  M's lane and chunks come from the one
+    M prefix kernel, ``_mertens_prefix``.
     """
 
     def __init__(self, limit: int, block_size: int = DEFAULT_BLOCK_CAPACITY):
@@ -799,6 +816,7 @@ class SummatoryTables(_Table):
             raise ValueError(f"block_size must lie in [1, 2^28], got {block_size}")
         self.limit = int(limit)
         self.block_size = int(block_size)
+        self._mu_segments = _Segments(_moebius_segment, self.limit)
 
     # -- integer lanes
 
@@ -808,8 +826,7 @@ class SummatoryTables(_Table):
 
     @_lane("_M")
     def mertens(self) -> np.ndarray:
-        m = self.mu.astype(np.int64)
-        np.cumsum(m, out=m)
+        m = _mertens_prefix(self.mu, 0, np.empty(self.limit + 1, dtype=np.int64))
         m.flags.writeable = False
         return m
 
@@ -871,10 +888,8 @@ class SummatoryTables(_Table):
         if attr in ("_g", "_f"):
             terms = _g_terms if attr == "_g" else _f_terms
             held = getattr(self, "_mu", None)
-            if held is None:
-                mu = _Segments(_moebius_segment, self.limit)
-                return lambda lo, hi: terms(lo, mu(lo, hi))
-            return lambda lo, hi: terms(lo, held[lo : hi + 1])
+            mu = self._mu_segments if held is None else lambda lo, hi: held[lo : hi + 1]
+            return lambda lo, hi: terms(lo, mu(lo, hi))
         # the tail: a numerator is 0 unless x = p^v m with m squarefree and
         # prime to p, and then L_p mu(m) (v = 2) or L_p mu(m) - L_p mu(m) = 0
         # (v >= 3): exact, so only the log (2 EPS) and the division (u) err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mobsum.sieve
 from mobsum import bounds
 from mobsum.bounds import (
     BoundReport,
@@ -35,6 +36,22 @@ def test_g_bound_spans_cutoff():
     r = check_g_bound(1, 1500, cutoff=1000)
     assert r.passed
     assert r.checked == 1500
+
+
+def test_mangoldt_scan_sieves_mu_once(monkeypatch):
+    # on default tables the g and f streams read mu through the tables' one
+    # segment reader, chunk by chunk in turn, so each x is sieved once
+    sieved = []
+    real = mobsum.sieve._moebius_values
+
+    def counted(lo, hi, root_primes):
+        sieved.append(hi - lo + 1)
+        return real(lo, hi, root_primes)
+
+    monkeypatch.setattr(mobsum.sieve, "_moebius_values", counted)
+    n = 2 * 2**20 + 5
+    assert check_mangoldt_bound(1, n).passed
+    assert sum(sieved) == n == 2_097_157
 
 
 def test_mangoldt_examples(tables_2k):

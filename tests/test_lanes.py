@@ -25,9 +25,11 @@ from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatorySeries,
     SummatoryTables,
+    _Segments,
     _chunk_grid,
     _g_terms,
     _held_prefix,
+    _moebius_segment,
     _prefix_stream,
     _reciprocals,
     _theta_terms,
@@ -543,6 +545,31 @@ def test_theta_stream_sieves_each_segment_once(monkeypatch, block_size, chunk):
             assert got[0].tobytes() == _theta_terms(lo, hi)[0].tobytes(), (lo, hi)
     straddle = [(1048001, 1049000)] if block_size == 1000 else []
     assert calls == [(1, 1 << 20), *straddle, ((1 << 20) + 1, n)]
+
+
+def test_mu_segments_keep_a_segment_until_another_is_needed():
+    # two streams asking for the same chunks in turn over three segments
+    # sieve each x once; out of order, a request in the held segment sieves
+    # nothing, one across an edge is sieved by itself and keeps the held
+    # segment, and a segment is dropped before the next is sieved
+    size = 1 << 20
+    n = 2 * size + 1000
+    mu = moebius_values_upto(n)
+    sieved = []
+
+    def counted(lo, hi):
+        sieved.append((lo, hi, reader.held[1] is None))
+        return _moebius_segment(lo, hi)
+
+    reader = _Segments(counted, n)
+    for lo, hi in _chunk_grid(n, size, 1 << 14):
+        for _ in range(2):
+            assert reader(lo, hi).tobytes() == mu[lo : hi + 1].tobytes(), (lo, hi)
+    assert sieved == [(1, size, True), (size + 1, 2 * size, True), (2 * size + 1, n, True)]
+    sieved.clear()
+    for lo, hi in [(5, 300), (size - 10, size + 10), (0, 40), (2 * size + 7, n)]:
+        assert reader(lo, hi).tobytes() == mu[lo : hi + 1].tobytes(), (lo, hi)
+    assert sieved == [(1, size, True), (size - 10, size + 10, False), (2 * size + 1, n, True)]
 
 
 @pytest.mark.parametrize("block_size", [1 << 20, 1000])

@@ -145,3 +145,32 @@ def test_public_options_are_set_by_some_caller():
                 opts = defaulted(fn, skip)
                 unset += [f"{key[fn]}({q}=)" for q in opts if (key[fn], q) not in passed]
     assert not unset, " ".join(sorted(unset))
+
+
+def test_code_lines_script_counts_this_tree():
+    # scripts/code_lines.py counts no docstring, comment or blank line, and
+    # prints one row per module of src/mobsum and their total; against this
+    # same tree the second column repeats the first
+    import importlib.util
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(mobsum.__file__).resolve().parents[2]
+    script = root / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", script)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = (
+        '"""doc"""\n\n# c\nx = (1,\n     # c\n     2)\n'
+        'def f():\n    """d\n    e"""\n    return x\n'
+    )
+    assert code_lines.code_lines(source) == 4
+    argv = [sys.executable, str(script), "--against", str(root)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()]
+    modules = sorted(p.name for p in (root / "src" / "mobsum").glob("*.py"))
+    assert [r[0] for r in rows] == [*modules, "total"]
+    counts = [int(r[1]) for r in rows]
+    assert all(0 < c for c in counts) and sum(counts[:-1]) == counts[-1]
+    assert all(r[1] == r[2] for r in rows)
