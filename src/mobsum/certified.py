@@ -73,9 +73,6 @@ class CertifiedFloat:
         if self.err < 0.0 or math.isnan(self.err):
             raise ValueError(f"error bound must be non-negative, got {self.err}")
 
-    def __neg__(self) -> "CertifiedFloat":
-        return CertifiedFloat(-self.value, self.err)
-
     def add(self, other: "CertifiedFloat") -> "CertifiedFloat":
         v = self.value + other.value
         return CertifiedFloat(v, (self.err + other.err + EPS * abs(v)) * _HEADROOM)

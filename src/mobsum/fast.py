@@ -110,6 +110,9 @@ _MERTENS_ROOT_LIMIT = (1 << 53) - 1
 # The reads above the head that one chunk of (H, K] serves are laid out at
 # most this many at a time.
 _FAR_BATCH = 1 << 16
+# M above the head is made and read this many entries at a time, a quarter
+# of a sieve block (sieving in smaller blocks would cost more time).
+_FAR_PIECE = 1 << 18
 
 
 def _table_limit(limit: int) -> int:
@@ -170,8 +173,10 @@ def _far(ys: np.ndarray, a: np.ndarray, b: np.ndarray, base) -> np.ndarray:
 
     Each such quotient lies above the head B(0..H): nu <= y // (H+1) puts
     y // nu > H.  ``base.chunks`` gives (H, top], top the largest quotient,
-    one chunk [lo, hi] at a time; its reads are nu in (y // (hi+1), y // lo]
-    (``_block_reads``), and the chunk is dropped before the next is made.
+    one chunk [lo, hi] at a time (a quarter of a sieve block of M, or
+    ``_CHUNK`` entries of the g lane); its reads are nu in (y // (hi+1),
+    y // lo] (``_block_reads``), and the chunk's buffer is reused or dropped
+    before the next is made.
     """
     sums = np.zeros((ys.size, base.far_width), dtype=base.far_dtype)
     live = b > a
@@ -253,17 +258,22 @@ class _MertensBase:
         self.size = head.size
 
     def chunks(self, top: int):
-        """(lo, hi, M over [lo, hi]) for the sieve blocks of (H, top]: each
-        block's M made by the M prefix kernel (``_mertens_prefix``) in one
-        reused int32 buffer, from M at the end of the block before."""
+        """(lo, hi, M over [lo, hi]) over (H, top], ``_FAR_PIECE`` entries at
+        a time: mu sieved one block at a time, and each piece of a block's M
+        made by the M prefix kernel (``_mertens_prefix``) in one reused 1 MiB
+        int32 buffer, from M at the end of the piece before.  M's entries
+        are exact integers, so the pieces change no read."""
         H = self.size - 1
-        buf = np.empty(min(top - H, DEFAULT_BLOCK_CAPACITY), dtype=np.int32)
+        buf = np.empty(min(top - H, _FAR_PIECE), dtype=np.int32)
         m = self.head[H:]
         for block in iter_moebius_blocks(H + 1, top):
-            lo, hi = block.lo, block.hi
-            m = _mertens_prefix(block.values, m[-1], buf[: len(block)])
-            del block  # before the next block is sieved
-            yield lo, hi, m
+            lo, mu = block.lo, block.values
+            del block  # its values go with mu, before the next block is sieved
+            for a in range(0, mu.size, _FAR_PIECE):
+                piece = mu[a : a + _FAR_PIECE]
+                m = _mertens_prefix(piece, m[-1], buf[: piece.size])
+                yield lo + a, lo + a + piece.size - 1, m
+            del mu, piece
 
     # a batch sums at most 2^16 values below 2^31 in magnitude per i: exact in float64
     far_dtype, far_width = np.int64, 1
@@ -454,7 +464,7 @@ class _GBase:
         s = isqrt(x)
         self.inv = np.divide(1.0, _ks(0, s + 1))  # 1/nu at nu <= s + 1
         self.gmag = np.abs(self.gv[: s + 2]) + self.ge[: s + 2]
-        self.terms = np.empty(2 * s + 2)
+        self.terms = np.empty(0)  # sized by the roots' term counts
 
     def chunks(self, top: int):
         """(lo, hi, (values, bounds)) over (H, top], ``_CHUNK`` entries at a time."""
@@ -481,18 +491,27 @@ class _GBase:
         about u |T_k| of their exact sum.  The far sum of n terms of
         magnitudes A, added in any order in at most 2n additions, errs by at
         most EPS n A besides its terms' own errors.
+
+        Memory: the run weights are written into their terms' slots and
+        multiplied by g there (the same products), and the weights' charges
+        are dropped once their dot is taken; so besides the terms, a root
+        holds one array of its term count at a time (its charges, or the
+        terms' magnitudes).
         """
         gv, ge = self.gv, self.ge
         n = s - b
+        if self.terms.size <= n + Q:
+            self.terms = np.empty(n + Q + 1)
         t = self.terms[: n + Q + 1]
         qd = q[b:s]
         w = self.inv[b + 1 : s + 1]
         np.multiply(gv.take(qd), w, out=t[:n])
         ins = float(np.dot(ge.take(qd), w))
-        w, r = _harmonic_diff(q[:Q], q[1 : Q + 1])
-        np.multiply(gv[1 : Q + 1], w, out=t[n:-1])
+        w, r = _harmonic_diff(q[:Q], q[1 : Q + 1], t[n:-1])  # w in its terms' place
         r *= w
         ins += float(np.dot(ge[1 : Q + 1], w)) + float(np.dot(self.gmag[1 : Q + 1], r))
+        del r  # before the terms' magnitudes and sum take their buffers
+        w *= gv[1 : Q + 1]
         fv, fa, fe, fn = far
         t[-1] = fv
         mag = float(np.abs(t[:-1]).sum())
@@ -537,9 +556,10 @@ def _g_value(x: int, K: int, base: _GBase) -> CertifiedFloat:
 def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat:
     """Certified g(x) by the floor-quotient recursion (``_g_value``);
     O(x^(2/3)) time, and memory for the head of the g lane over
-    max(sqrt(x), 2^20) entries, O(sqrt(x)) buffers and one 2^20 sieve
-    segment of mu: the g lane's terms read mu segment by segment, as the
-    tables hold no mu lane, and the k <= J = x // (K+1) read mu(0..J)."""
+    max(sqrt(x), 2^20) entries, O(sqrt(x)) buffers (``_g_float_bytes``)
+    and one 2^20 sieve segment of mu: the g lane's terms read mu segment by
+    segment, as the tables hold no mu lane, and the k <= J = x // (K+1)
+    read mu(0..J)."""
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -549,9 +569,11 @@ def g_recursive_float(x: int, *, crossover: int | None = None) -> CertifiedFloat
 
 def _g_float_bytes(x: int) -> int:
     """About the peak bytes of ``g_recursive_float(x)`` above the interpreter's:
-    the head of the g lane (16 B per entry), the per-root buffers (about 96 B
-    per nu <= sqrt(x)) and the stream's sieve segment and chunks."""
-    return 16 * _head_limit(x, _crossover(x, None)) + 96 * isqrt(x) + (4 << 20)
+    the head of the g lane (16 B per entry), the per-root buffers (at most
+    64 B per nu <= sqrt(x): the divisors, quotients, 1/nu and |g| + gerr, 8 B
+    each, a root's terms, at most 2 sqrt(x) of them, and one more array of
+    its term count) and the stream's sieve segment and chunks."""
+    return 16 * _head_limit(x, _crossover(x, None)) + 64 * isqrt(x) + (4 << 20)
 
 
 def g_recursive(

@@ -259,8 +259,6 @@ def iter_moebius_blocks(
     while True:
         blo = max(lo, b * block_size + 1)
         bhi = min(hi, (b + 1) * block_size)
-        if blo > bhi:
-            return
         yield MoebiusBlock(lo=blo, hi=bhi, values=_moebius_values(blo, bhi, root))
         if bhi == hi:
             return

@@ -386,11 +386,26 @@ def _corrected_sum(t: np.ndarray, mag: float) -> tuple[float, float]:
     sum) rounds once more, by u |T| (1 + u) (Ogita, Rump and Oishi's Sum2).
     The bound is u |T| + (n EPS)^2 mag; the caller's ``_HEADROOM`` covers
     the second order.
+
+    The cumsum and TwoSum run ``_CHUNK`` entries at a time in one reused
+    buffer p, p[i] = c_{j0-1+i} for the piece from j0 on, whose cumsum goes
+    on from c_{j0-1}: the same adds, in the same order, as one cumsum.
+    delta_j takes t_j's place, and ``np.sum`` adds t[1:] as it would the
+    whole array of errors, so T keeps its bits.
     """
     n = t.size
-    c = np.cumsum(t)
-    delta = _two_sum(c[:-1], t[1:], c[1:], c[:-1])
-    T = float(c[-1]) + float(delta.sum())
+    c = np.empty(min(n, _CHUNK) + 1)
+    for j0 in range(0, n, _CHUNK):
+        j1 = min(j0 + _CHUNK, n)
+        p = c[: j1 - j0 + 1]
+        p[1:] = t[j0:j1]
+        if j0:
+            p[1] += p[0]
+        np.cumsum(p[1:], out=p[1:])
+        i = 0 if j0 else 1  # delta_j for j >= 1
+        t[j0 + i : j1] = _two_sum(p[i:-1], t[j0 + i : j1], p[i + 1 :], p[i:-1])
+        c[0] = p[-1]
+    T = float(c[0]) + float(t[1:].sum())
     return T, 0.5 * EPS * abs(T) + (n * EPS) ** 2 * mag
 
 
@@ -1200,11 +1215,13 @@ def _small_harmonic() -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi), np.array(lo)
 
 
-def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_diff(
+    b: np.ndarray, m: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(w, r): w = H(b) - H(m) for int64 arrays 0 <= m < b < 2^53, m
     non-increasing and b <= 2 ``_H_SMALL_LIMIT`` wherever m <
-    ``_H_SMALL_LIMIT``, and each entry's relative charge r: w errs by at
-    most r w.  Let u = EPS/2.
+    ``_H_SMALL_LIMIT``, written into ``out`` when it is given, and each
+    entry's relative charge r: w errs by at most r w.  Let u = EPS/2.
 
     A run of one nu, b = m + 1, is w = fl(1/b), rounded once: |w - 1/b|
     <= u w (round to nearest, Higham, Thm. 2.3), so r = u.
@@ -1238,9 +1255,21 @@ def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     In all, 3.5125 EPS L, and L <= w (1 + 1/1023): 3.52 EPS w to first order.
     So r = ``_H_DIFF_REL`` = 3.53 EPS bounds every such entry; its slack and
     ``_HEADROOM`` cover the second order.
+
+    Each entry is computed on its own, so the work runs ``_CHUNK`` entries
+    at a time, written into w and r: besides them, its temporaries are
+    chunk-sized.
     """
-    w = np.empty(b.size)
-    single = np.flatnonzero(b - m == 1)
+    w = np.empty(b.size) if out is None else out
+    r = np.empty(b.size)
+    for a in range(0, b.size, _CHUNK):
+        s = slice(a, a + _CHUNK)
+        _harmonic_piece(b[s], m[s], w[s], r[s])
+    return w, r
+
+
+def _harmonic_piece(b: np.ndarray, m: np.ndarray, w: np.ndarray, r: np.ndarray) -> None:
+    """``_harmonic_diff`` over one piece, written into its slices w and r."""
     c = int(np.count_nonzero(m >= _H_SMALL_LIMIT))
     if c:
         bl, ml, L = b[:c], m[:c], w[:c]
@@ -1264,11 +1293,11 @@ def _harmonic_diff(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
         bs, ms = b[c:], m[c:]
         np.subtract(hi.take(bs), hi.take(ms), out=w[c:])
         w[c:] += lo.take(bs) - lo.take(ms)
+    single = np.flatnonzero(b - m == 1)
     w[single] = np.divide(1.0, b[single])
-    r = np.full(b.size, _H_DIFF_REL)
+    r[:c] = _H_DIFF_REL
     r[c:] = _H_TABLE_REL
     r[single] = 0.5 * EPS
-    return w, r
 
 
 def harmonic_number(n: int) -> CertifiedFloat:

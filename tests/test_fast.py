@@ -28,10 +28,11 @@ from mobsum.fast import (
     mertens_prefix_recursive,
 )
 from mobsum.sieve import sieve_moebius
-from mobsum.certified import _HEADROOM
+from mobsum.certified import EPS, _HEADROOM
 from mobsum.summatory import (
     ScaledMoebiusPrefix,
     SummatoryTables,
+    _CHUNK,
     _corrected_sum,
     big_m,
     g_exact,
@@ -203,6 +204,22 @@ def test_m_recursive_memory_is_the_head(x, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20, peak / 2**20
+
+
+def test_m_recursive_far_phase_makes_m_in_pieces():
+    # above the head, M is made a quarter block (2^18 entries) at a time in
+    # one 1 MiB buffer: a 4 MiB buffer per 2^20 block traced 10.9 MiB here,
+    # the pieces 7.9 MiB.  A crossover at the head has no far phase.
+    x = 10**10 + 23456
+    m_recursive(10**6 + 7)
+    tracemalloc.start()
+    try:
+        got = m_recursive(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, peak / 2**20
+    assert got == m_recursive(x, crossover=2**20)
 
 
 def test_float_quotients_exact_below_2_53():
@@ -432,6 +449,30 @@ def test_corrected_sum_charges_each_rounding():
     for _ in range(300):
         terms = [rng.uniform(-1, 1) * 2.0 ** rng.randrange(-60, 60) for _ in range(rng.randrange(1, 40))]
         assert _corrected_sum_contains(terms + [-t for t in terms[::2]]), terms
+
+
+def test_g_recursive_float_past_the_head_is_the_lane_entry():
+    # J = 0 with x above the held head [0, 2^20]: the lane's own entry,
+    # read past the head by ``SummatoryTables._at``
+    x = 2**20 + 12345
+    r, ref = g_recursive_float(x, crossover=x), g_float(x)
+    assert (r.value.hex(), r.err.hex()) == (ref.value.hex(), ref.err.hex())
+
+
+def test_corrected_sum_in_pieces_is_one_cumsum():
+    # ``_corrected_sum`` runs its cumsum and TwoSum in _CHUNK pieces; over
+    # several pieces it returns the bits of one cumsum whose adds' exact
+    # errors (taken here with rationals) are summed by np.sum
+    rng = np.random.default_rng(34)
+    for n in (1, 2, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        t = rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n)
+        c = np.cumsum(t)
+        cs, ts = [Fraction(v) for v in c.tolist()], [Fraction(v) for v in t.tolist()]
+        delta = np.array([float(cs[j - 1] + ts[j] - cs[j]) for j in range(1, n)])
+        mag = float(np.abs(t).sum())
+        T, bound = _corrected_sum(t.copy(), mag)
+        assert T.hex() == (float(c[-1]) + float(delta.sum())).hex(), n
+        assert bound == 0.5 * EPS * abs(T) + (n * EPS) ** 2 * mag, n
 
 
 def test_g_recursive_float_crossover_knob():

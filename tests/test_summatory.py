@@ -272,6 +272,28 @@ def test_harmonic_diff_contains_decimal_and_is_tight():
     assert len(ratios) > 500 and statistics.median(ratios) <= 100, statistics.median(ratios)
 
 
+def test_harmonic_diff_temporaries_are_chunk_sized():
+    # the runs q <= 2^20 of y = 2^41, all on the log1p path, which runs
+    # _CHUNK entries at a time into w and r: whole-array temporaries traced
+    # 48.0 MiB here, the pieces 17.3 MiB (16 MiB of it w and r).  Each
+    # entry is computed on its own, so a slice's weights are the whole
+    # call's, bit for bit.
+    n = 2**20
+    q = 2**41 // np.arange(1, n + 2, dtype=np.int64)
+    b, m = q[:n], q[1:]
+    assert m[-1] >= _H_SMALL_LIMIT
+    _harmonic_diff(b[:10], m[:10])
+    tracemalloc.start()
+    try:
+        w, r = _harmonic_diff(b, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + r.nbytes + 2 * 2**20, peak / 2**20
+    ws, rs = _harmonic_diff(b[5:70000], m[5:70000])
+    assert np.array_equal(ws, w[5:70000]) and np.array_equal(rs, r[5:70000])
+
+
 def test_libm_log_and_log1p_within_one_ulp():
     # the weights' log1p(d/m) and the lanes' log k: the code assumes 1 ulp
     # and charges 2
@@ -572,6 +594,21 @@ def test_h_tail_and_eps_points_are_the_held_lanes_bit_for_bit(n):
         vals, errs = getattr(t, lane)
         r = point(n)
         assert (r.value.hex(), r.err.hex()) == (vals[n].hex(), errs[n].hex()), (point.__name__, n)
+
+
+def test_h_direct_reads_a_held_lane_bit_for_bit():
+    # on tables that hold no h lane the point is streamed; once they hold
+    # it, the held entry, with the same bits
+    n = 2**15 + 1
+    t = SummatoryTables(n)
+    xs = (n, 12345, 1)
+    streamed = [h_direct(x, tables=t) for x in xs]
+    assert getattr(t, "_h", None) is None
+    t.h_arrays
+    held = [h_direct(x, tables=t) for x in xs]
+    assert [(r.value.hex(), r.err.hex()) for r in held] == [
+        (r.value.hex(), r.err.hex()) for r in streamed
+    ]
 
 
 def test_h_and_eps_points_are_the_table_cells():
